@@ -29,7 +29,12 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data as datamod
-from .device import phases_from_voltages, sample_counts, voltage_probabilities
+from .device import (
+    estimate_probabilities,
+    phases_from_voltages,
+    sample_counts,
+    voltage_probabilities,
+)
 from .errors import CalibrationError, InvalidParameterError
 from .experiments import (
     SweepConfig,
@@ -39,6 +44,7 @@ from .experiments import (
     run_kick_ablation,
     run_prediction_surface,
     render_probability_surfaces,
+    train_on_dataset,
 )
 from .metrics import (
     format_value,
@@ -47,7 +53,6 @@ from .metrics import (
     write_rows_csv,
 )
 from .net import TrainConfig, forward, load_checkpoint, predict, save_checkpoint
-from .experiments import train_on_dataset
 
 # Reference seeds for the reproducible default pipeline.
 DEFAULT_DATA_SEED = 7
@@ -152,8 +157,6 @@ def cmd_simulate(args):
     mean_total = _mean_total(args.counts, device) if args.counts != 0 else None
     if args.counts and args.counts > 0:
         rng = np.random.default_rng(args.seed)
-        from .device import estimate_probabilities
-
         probs = estimate_probabilities(sample_counts(probs, mean_total, rng))
     datamod.write_measurement_csv(settings, probs, args.output,
                                   comment="simulated measurement grid")

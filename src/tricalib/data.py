@@ -261,7 +261,11 @@ def write_csv(dataset: Dataset, path):
 
 
 def _parse_rows(path, header, n_cols):
-    """Shared CSV scanner: returns (metadata, rows, row_linenos)."""
+    """Shared CSV scanner: returns (metadata, rows, row_linenos).
+
+    Every data field must parse as a finite float; a nan or inf is
+    reported with its line number.
+    """
     meta: dict[str, str] = {}
     rows = []
     linenos = []
@@ -298,7 +302,11 @@ def _parse_rows(path, header, n_cols):
         raise FileFormatError(f"missing header line {header!r} in {path}")
     if not rows:
         raise FileFormatError(f"no data rows in {path}")
-    return meta, np.array(rows), linenos
+    rows = np.array(rows)
+    bad = np.nonzero(~np.isfinite(rows).all(axis=1))[0]
+    if bad.size:
+        raise FileFormatError("non-finite field (nan or inf)", line=linenos[bad[0]])
+    return meta, rows, linenos
 
 
 def _check_probability_block(block, linenos, first_col):
@@ -332,8 +340,16 @@ def read_csv(path) -> Dataset:
     if bad.size:
         raise FileFormatError("kick offset differs from the dataset's", line=linenos[bad[0]])
     mean_total = None
-    if meta.get("mean_total", "none") != "none":
-        mean_total = float(meta["mean_total"])
+    text = meta.get("mean_total", "none")
+    if text != "none":
+        try:
+            mean_total = float(text)
+        except ValueError:
+            pass
+        if mean_total is None or not 0.0 < mean_total < np.inf:
+            raise FileFormatError(
+                f"bad mean_total metadata {text!r} (expected a positive photon count or 'none')"
+            )
     return Dataset(
         features=features,
         targets=targets,

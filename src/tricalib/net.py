@@ -172,25 +172,47 @@ def init_adam(params) -> AdamState:
 
 
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One bias-corrected Adam update; mutates params and state in place."""
+    """One bias-corrected Adam update; mutates params and state in place.
+
+    Per element this is m = m*b1 + (1-b1)*g, v = v*b2 + (1-b2)*g^2,
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), evaluated in that order with
+    two scratch arrays per tensor.
+    """
     b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for li, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-        mW, mb = state.m[li]
-        vW, vb = state.v[li]
-        mW *= b1
-        mW += (1.0 - b1) * gW
-        mb *= b1
-        mb += (1.0 - b1) * gb
-        vW *= b2
-        vW += (1.0 - b2) * gW**2
-        vb *= b2
-        vb += (1.0 - b2) * gb**2
-        W -= lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
-        b -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+    for layer in zip(params, grads, state.m, state.v):
+        for p, g, m, v in zip(*layer):
+            tmp = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += tmp
+            np.square(g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(m, c1, out=tmp)
+            tmp *= lr
+            tmp /= den
+            p -= tmp
     return params, state
+
+
+def _flush_subnormal(pairs):
+    """Zero every entry of the (W, b) arrays below the smallest normal
+    double in magnitude (-0.0 becomes 0.0).
+
+    A first moment whose gradient stays exactly zero (a dead ReLU unit)
+    decays by beta1 per step into the subnormal range and stays there,
+    and subnormal arithmetic is several times slower on common CPUs.
+    """
+    tiny = np.finfo(float).tiny
+    for arrays in pairs:
+        for a in arrays:
+            a[np.abs(a) < tiny] = 0.0
 
 
 def _copy_params(params):
@@ -245,6 +267,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
             adam_step(params, grads, state, config)
             loss_sum += batch_loss * idx.size
         train_loss = loss_sum / n
+        _flush_subnormal(state.m)
 
         vout = forward(params, Xv)
         val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())

@@ -321,6 +321,48 @@ def test_exit_code_bad_csv(tmp_path):
     assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt")]) == 5
 
 
+def _train_rejects_edited_dataset(toy, tmp_path, capsys, edit, message):
+    """`train -i` on an edited copy of the toy dataset exits 5 with a
+    one-line file-format error containing `message`."""
+    lines = toy["ds"].read_text().splitlines()
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt"), *FAST]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[file-format]: ") and message in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def _set_fields(lines, lineno, cols, text):
+    parts = lines[lineno - 1].split(",")
+    for c in cols:
+        parts[c] = text
+    lines[lineno - 1] = ",".join(parts)
+
+
+def test_exit_code_nan_probability(toy, tmp_path, capsys):
+    _train_rejects_edited_dataset(
+        toy, tmp_path, capsys, lambda ls: _set_fields(ls, 9, (4,), "nan"),
+        "line 9: non-finite field")
+
+
+def test_exit_code_inf_targets(toy, tmp_path, capsys):
+    # v1 and v1' both inf: the kick offset inf - inf is NaN, not a mismatch
+    _train_rejects_edited_dataset(
+        toy, tmp_path, capsys, lambda ls: _set_fields(ls, 12, (0, 2), "inf"),
+        "line 12: non-finite field")
+
+
+def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("# mean_total = "))
+        lines[i] = "# mean_total = abc"
+    _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
+                                  "bad mean_total metadata 'abc'")
+
+
 def test_exit_code_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run_cli(["train", "--no-such-flag"])

@@ -298,6 +298,28 @@ def test_non_numeric_field_rejected(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("cols,text", [((4,), "nan"), ((5,), "-inf"),
+                                        ((0, 2), "inf"), ((1, 3), "nan")])
+def test_non_finite_field_rejected_with_line(tmp_path, cols, text):
+    # (0, 2) sets v1 and v1' both to inf: their difference is NaN, which
+    # no range or kick check can catch after parsing
+    def poison(ls):
+        parts = ls[7].split(",")
+        for c in cols:
+            parts[c] = text
+        ls[7] = ",".join(parts)
+    path = corrupt(tmp_path, poison)
+    with pytest.raises(FileFormatError, match="line 8: non-finite"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
+def test_bad_mean_total_metadata_rejected(tmp_path, value):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(3, f"# mean_total = {value}"))
+    with pytest.raises(FileFormatError, match=f"mean_total metadata '{value}'"):
+        read_csv(path)
+
+
 def test_inconsistent_kick_rejected(tmp_path):
     def shift(ls):
         parts = ls[6].split(",")
@@ -336,6 +358,15 @@ def test_measurement_bad_probability_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n1.0,1.0,1.2,0.0,0.0,0.3,0.3,0.4\n")
     with pytest.raises(FileFormatError):
+        read_measurement_csv(path)
+
+
+def test_measurement_non_finite_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
+                    "1.0,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n"
+                    "inf,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n")
+    with pytest.raises(FileFormatError, match="line 3: non-finite"):
         read_measurement_csv(path)
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tricalib import net
 from tricalib.config import default_device_config
 from tricalib.data import (
     Dataset,
@@ -21,6 +22,7 @@ from tricalib.data import (
 from tricalib.errors import CheckpointError, InvalidParameterError, TrainingDivergedError
 from tricalib.net import (
     TrainConfig,
+    _flush_subnormal,
     adam_step,
     backward,
     forward,
@@ -307,6 +309,86 @@ def test_adam_scalar_trajectory_matches_reference():
         mine.append(params[0][0][0, 0])
     ref = reference_adam_scalar(1.5, gs, cfg.learning_rate)
     assert np.abs(np.array(mine) - ref).max() < 1e-12
+
+
+def reference_adam_step(params, grads, state, config):
+    """The one-expression-per-moment update `adam_step` must match bitwise."""
+    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    state.t += 1
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for li, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
+        mW, mb = state.m[li]
+        vW, vb = state.v[li]
+        mW *= b1
+        mW += (1.0 - b1) * gW
+        mb *= b1
+        mb += (1.0 - b1) * gb
+        vW *= b2
+        vW += (1.0 - b2) * gW**2
+        vb *= b2
+        vb += (1.0 - b2) * gb**2
+        W -= lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
+        b -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+
+
+def test_adam_step_bitwise_matches_reference_expression():
+    rng = np.random.default_rng(5)
+    params = init_he([12, 8, 8, 4], rng)
+    ref_params = [(W.copy(), b.copy()) for W, b in params]
+    state, ref_state = init_adam(params), init_adam(ref_params)
+    cfg = TrainConfig()
+    for _ in range(20):
+        # about a third of the gradient entries are exact zeros
+        grads = [tuple(rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)
+                       for a in pair) for pair in params]
+        adam_step(params, grads, state, cfg)
+        reference_adam_step(ref_params, grads, ref_state, cfg)
+    assert state.t == ref_state.t == 20
+    for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
+        for pair, ref_pair in zip(got, want):
+            for a, r in zip(pair, ref_pair):
+                assert np.array_equal(a, r)
+
+
+def test_flush_subnormal_zeroes_only_subnormals():
+    tiny = np.finfo(float).tiny
+    sub = np.nextafter(0.0, 1.0)
+    W = np.array([[tiny, -tiny, 1.5, 0.0], [tiny / 2, -tiny / 2, sub, -sub]])
+    b = np.array([np.nextafter(tiny, 0.0), -1e-300, 3.0])
+    _flush_subnormal([(W, b)])
+    want_W = np.array([[tiny, -tiny, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    want_b = np.array([0.0, -1e-300, 3.0])
+    # compare bit patterns: flushed entries are +0.0, the rest untouched
+    assert np.array_equal(W.view(np.uint64), want_W.view(np.uint64))
+    assert np.array_equal(b.view(np.uint64), want_b.view(np.uint64))
+
+
+def test_train_returns_no_subnormal_first_moment(monkeypatch):
+    # From step 2 on, the first layer's gradient is exactly zero, as for
+    # ReLU units that no input activates. Its first moments then decay
+    # by beta1 per step and fall below the smallest normal double after
+    # about 6 650 steps; the best epoch of this run comes later than that.
+    real_step = net.adam_step
+
+    def step_with_dead_first_layer(params, grads, state, config):
+        if state.t > 0:
+            for g in grads[0]:
+                g[...] = 0.0
+        return real_step(params, grads, state, config)
+
+    monkeypatch.setattr(net, "adam_step", step_with_dead_first_layer)
+    trn, van, _ = normalized_splits(toy_dataset(n=6))
+    cfg = TrainConfig(max_epochs=300, patience=300, batch_size=1, seed=0, hidden=(8, 8))
+    _, adam, _ = train(trn, van, cfg)
+    assert adam.t > 7000
+    tiny = np.finfo(float).tiny
+    for m_pair in adam.m:
+        for m in m_pair:
+            assert not ((m != 0.0) & (np.abs(m) < tiny)).any()
+    # the first layer had a gradient at step 1 (v > 0) and its m is now 0.0
+    for m, v in zip(adam.m[0], adam.v[0]):
+        assert (v > 0.0).any() and not m.any()
 
 
 def test_train_config_validation():

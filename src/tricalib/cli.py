@@ -427,7 +427,9 @@ def build_parser():
     sp.add_argument("--train-seed", type=int, default=DEFAULT_TRAIN_SEED)
     sp.add_argument("--eval-seed", type=int, default=DEFAULT_EVAL_SEED)
     sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
-    sp.add_argument("--jobs", type=int, default=1, help="concurrent trainings")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="trainings run at once, in threads with BLAS pinned to one "
+                         "thread while they run; results do not depend on it")
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)
 

@@ -325,8 +325,9 @@ def read_csv(path) -> Dataset:
     if "dv1" in meta and "dv2" in meta:
         try:
             kick = KickConfig(dv1=float(meta["dv1"]), dv2=float(meta["dv2"]))
-        except ValueError:
-            raise FileFormatError(f"bad kick metadata {meta['dv1']!r}, {meta['dv2']!r}")
+        except (ValueError, InvalidParameterError) as exc:
+            raise FileFormatError(
+                f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
     else:
         kick = KickConfig(
             dv1=float(targets[0, 2] - targets[0, 0]),

@@ -12,6 +12,8 @@ Wall-clock timings never enter these files, so repeated runs with the
 same seeds are byte-identical.
 """
 
+import contextlib
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,6 +35,7 @@ from .device import estimate_probabilities, sample_counts, voltage_probabilities
 from .errors import InvalidParameterError
 from .metrics import (
     fresh_noise,
+    mean_and_sd,
     nrmse,
     repeated_test_evaluation,
     write_report,
@@ -103,6 +106,56 @@ def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
     return dataset.features
 
 
+# get/set pairs of the OpenBLAS thread count, as numpy 2 wheels
+# (scipy-openblas, ILP64), other ILP64 builds and LP64 builds export them
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy links, or None.
+
+    dlsym on numpy's extension module also searches its dependencies, so
+    this finds the bundled OpenBLAS without knowing its file name.
+    """
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    The count is process-wide, so concurrent trainings in a thread pool
+    each run on one core instead of every training's matrix products
+    fanning out over all of them.  Where no OpenBLAS is found this does
+    nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _ensure_dir(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
@@ -131,7 +184,13 @@ def run_grid_sweep(
     The 100-example test pool is drawn once from the largest grid and
     held fixed; each run sees it with its own fresh shot noise.  Returns
     the per-size summary rows.
+
+    Trainings run in a pool of `jobs` threads with OpenBLAS pinned to one
+    thread until the last one finishes; every training has its own seeds,
+    so the files are identical for any `jobs`.
     """
+    if jobs < 1:
+        raise InvalidParameterError("jobs must be >= 1")
     _ensure_dir(out_dir)
     sizes = sweep.grid_sizes
     largest = sizes[-1]
@@ -171,24 +230,15 @@ def run_grid_sweep(
         return report.val_nrmse[report.best_epoch], ev.cosine
 
     keys = [(size, run) for size in sizes for run in range(sweep.trainings_per_size)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(lambda k: one_run(*k), keys))
-    else:
-        results = [one_run(*k) for k in keys]
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool_exec:
+        results = list(pool_exec.map(lambda k: one_run(*k), keys))
     per_run = dict(zip(keys, results))
 
     run_rows = [(size, run, *per_run[(size, run)]) for size, run in keys]
     summary_rows = []
     for size in sizes:
-        nr = np.array([per_run[(size, r)][0] for r in range(sweep.trainings_per_size)])
-        cs = np.array([per_run[(size, r)][1] for r in range(sweep.trainings_per_size)])
-        degenerate = nr.size < 2
-        summary_rows.append((
-            size, nr.size,
-            float(nr.mean()), 0.0 if degenerate else float(nr.std(ddof=1)),
-            float(cs.mean()), 0.0 if degenerate else float(cs.std(ddof=1)),
-        ))
+        nr, cs = zip(*(per_run[(size, r)] for r in range(sweep.trainings_per_size)))
+        summary_rows.append((size, len(nr), *mean_and_sd(nr), *mean_and_sd(cs)))
 
     write_report(os.path.join(out_dir, "config.echo"), [
         ("harness", "sweep-grid"),

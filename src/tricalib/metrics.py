@@ -23,6 +23,7 @@ __all__ = [
     "nrmse",
     "cosine_similarity",
     "fresh_noise",
+    "mean_and_sd",
     "EvaluationReport",
     "repeated_test_evaluation",
     "AggregateSummary",
@@ -56,6 +57,12 @@ def cosine_similarity(y, yhat) -> float:
     if yy == 0.0 or hh == 0.0:
         raise UndefinedMetricError("cosine similarity of a zero-norm vector is undefined")
     return float(np.dot(y, yhat) / np.sqrt(yy * hh))
+
+
+def mean_and_sd(values) -> tuple[float, float]:
+    """Mean and sample SD (ddof=1) of a sample; the SD is 0.0 below two values."""
+    x = np.asarray(values, dtype=float)
+    return float(x.mean()), 0.0 if x.size < 2 else float(x.std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,12 @@ def repeated_test_evaluation(
         y = pool_targets[idx].ravel()
         nr[r] = nrmse(y, yhat, 0.0, span)
         cs[r] = cosine_similarity(y, yhat)
-    degenerate = rep_count < 2
     report = EvaluationReport(
-        nrmse=float(nr.mean()),
-        nrmse_spread=0.0 if degenerate else float(nr.std(ddof=1)),
-        cosine=float(cs.mean()),
-        cosine_spread=0.0 if degenerate else float(cs.std(ddof=1)),
+        *mean_and_sd(nr),
+        *mean_and_sd(cs),
         n_repetitions=rep_count,
         n_examples_per_rep=rep_size,
-        degenerate_spread=degenerate,
+        degenerate_spread=rep_count < 2,
     )
     if return_samples:
         return report, nr, cs
@@ -154,13 +158,7 @@ def aggregate_trainings(final_nrmse, test_cosine) -> AggregateSummary:
     cs = np.asarray(test_cosine, dtype=float)
     if nr.size != cs.size or nr.size < 2:
         raise DegenerateDataError("aggregation needs at least 2 matching runs")
-    return AggregateSummary(
-        nrmse_mean=float(nr.mean()),
-        nrmse_sd=float(nr.std(ddof=1)),
-        cosine_mean=float(cs.mean()),
-        cosine_sd=float(cs.std(ddof=1)),
-        n_runs=int(nr.size),
-    )
+    return AggregateSummary(*mean_and_sd(nr), *mean_and_sd(cs), n_runs=int(nr.size))
 
 
 def format_value(x) -> str:

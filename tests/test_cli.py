@@ -249,6 +249,16 @@ def test_sweep_grid_cli(tmp_path):
     assert lines[0].startswith("size,n_runs,")
 
 
+def test_sweep_grid_rejects_zero_jobs(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-grid", "--sizes", "5,8", "--trainings", "1",
+                    "--jobs", "0", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-parameter]: ") and "jobs must be >= 1" in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_epoch_curves_cli(toy, tmp_path):
     out = tmp_path / "curves"
     assert run_cli(["epoch-curves", "-i", str(toy["ds"]), "--epochs", "4",
@@ -361,6 +371,15 @@ def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):
         lines[i] = "# mean_total = abc"
     _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
                                   "bad mean_total metadata 'abc'")
+
+
+@pytest.mark.parametrize("dv1", ["nan", "-0.5"])
+def test_exit_code_bad_kick_header(toy, tmp_path, capsys, dv1):
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("# dv1 = "))
+        lines[i] = f"# dv1 = {dv1}"
+    _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
+                                  f"bad kick metadata dv1 = '{dv1}'")
 
 
 def test_exit_code_usage_errors():

@@ -4,6 +4,7 @@ arithmetic of the headline numbers."""
 import numpy as np
 import pytest
 
+from tricalib import experiments
 from tricalib.config import default_device_config
 from tricalib.data import (
     build_grid,
@@ -191,10 +192,68 @@ def test_grid_sweep_single_training_flags_degenerate(tmp_path):
 
 
 def test_grid_sweep_jobs_do_not_change_bytes(tmp_path):
-    serial, threaded = tmp_path / "s1", tmp_path / "s2"
+    serial = tmp_path / "s1"
     small_sweep(serial, jobs=1)
-    small_sweep(threaded, jobs=2)
-    assert tree_bytes(serial) == tree_bytes(threaded)
+    for jobs in (2, 3):  # 3 is more workers than a 2-core machine has cores
+        threaded = tmp_path / f"s{jobs}"
+        small_sweep(threaded, jobs=jobs)
+        assert tree_bytes(serial) == tree_bytes(threaded), jobs
+
+
+@pytest.fixture
+def blas_count():
+    """Reads the OpenBLAS thread count, or None where numpy has no OpenBLAS.
+
+    The count is set to 2 for the test, so a pinned block is told apart
+    from the default on any machine, and restored afterwards.
+    """
+    calls = experiments._openblas_threads()
+    if calls is None:
+        yield lambda: None
+        return
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_pins_and_restores(blas_count):
+    outside = blas_count()
+    pinned = None if outside is None else 1
+    with experiments._one_blas_thread():
+        assert blas_count() == pinned
+    assert blas_count() == outside
+    with pytest.raises(RuntimeError, match="inside"):
+        with experiments._one_blas_thread():
+            assert blas_count() == pinned
+            raise RuntimeError("inside")
+    assert blas_count() == outside
+
+
+def test_one_blas_thread_without_openblas(blas_count, monkeypatch):
+    outside = blas_count()
+    monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+    with experiments._one_blas_thread():
+        assert blas_count() == outside
+    assert blas_count() == outside
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count, jobs):
+    outside = blas_count()
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(blas_count())
+        return train_on_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_on_dataset", recording)
+    small_sweep(tmp_path / "sweep", jobs=jobs)
+    assert seen == [None if outside is None else 1] * 4
+    assert blas_count() == outside
 
 
 # ------------------------------------------------------- prediction surface

@@ -185,10 +185,10 @@ def _file_sha256(path):
 def cmd_train(args):
     ds = datamod.read_csv(args.input)
     cfg = _train_config(args, args.seed)
-    params, adam, report, scaling, val_raw = train_on_dataset(
+    params, report, scaling, val_raw = train_on_dataset(
         ds, cfg, args.split_seed, args.val_fraction)
     provenance = _file_sha256(args.input)
-    save_checkpoint(args.output, params, adam, ds.kick, scaling, provenance=provenance)
+    save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
 
     report_dir = args.report_dir or (os.path.dirname(args.output) or ".")
     os.makedirs(report_dir, exist_ok=True)

@@ -11,7 +11,7 @@ file problems):
     4  degenerate-data     zero counts, constant target dimension, ...
     5  file-format         malformed config/CSV row (reported with line number)
     6  ingestion           measurement grid cannot be paired with kicks
-    7  checkpoint          bad magic/version/checksum or truncated file
+    7  checkpoint          bad magic/version/checksum, truncated or malformed file, nan/inf value
     8  training-diverged   non-finite loss during optimization
     9  undefined-metric    cosine of a zero-norm vector
 """

@@ -81,15 +81,15 @@ def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
                      val_fraction: float = 0.15):
     """Split, normalize on the train side, train.
 
-    Returns (params, adam, report, scaling, val_split) where val_split
-    still carries raw volt targets.
+    Returns (params, report, scaling, val_split) where val_split still
+    carries raw volt targets.
     """
     train_raw, val_raw = split(dataset, val_fraction, np.random.default_rng(split_seed))
     train_ds, scaling = normalize_targets(train_raw)
     val_ds = replace(val_raw, targets=scaling.transform(val_raw.targets),
                      normalization=scaling)
-    params, adam, report = train(train_ds, val_ds, cfg)
-    return params, adam, report, scaling, val_raw
+    params, _, report = train(train_ds, val_ds, cfg)
+    return params, report, scaling, val_raw
 
 
 def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
@@ -214,7 +214,7 @@ def run_grid_sweep(
 
     def one_run(size, run):
         cfg = replace(train_cfg, seed=_combine(train_seed, size, run))
-        params, _, report, scaling, _ = train_on_dataset(
+        params, report, scaling, _ = train_on_dataset(
             datasets[size], cfg, split_seed, val_fraction)
         # cosine goes over the full 4-target concatenation of the test draw
         ev = repeated_test_evaluation(
@@ -325,7 +325,7 @@ def run_kick_ablation(
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
 
     def val_rmse_volts(dataset):
-        params, _, report, scaling, val_raw = train_on_dataset(
+        params, report, scaling, val_raw = train_on_dataset(
             dataset, train_cfg, split_seed, val_fraction)
         yhat = scaling.invert(forward(params, val_raw.features))
         err = yhat - val_raw.targets
@@ -369,7 +369,7 @@ def run_epoch_curves(dataset: Dataset, train_cfg: TrainConfig, split_seed: int,
                      out_dir, val_fraction: float = 0.15):
     """Train once and dump the per-epoch validation trajectory."""
     _ensure_dir(out_dir)
-    _, _, report, _, _ = train_on_dataset(dataset, train_cfg, split_seed, val_fraction)
+    _, report, _, _ = train_on_dataset(dataset, train_cfg, split_seed, val_fraction)
     rows = [
         (ep, report.train_loss[ep], report.val_loss[ep],
          report.val_nrmse[ep], report.val_cosine[ep])

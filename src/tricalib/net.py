@@ -219,22 +219,16 @@ def _copy_params(params):
     return [(W.copy(), b.copy()) for W, b in params]
 
 
-def _copy_adam(state: AdamState) -> AdamState:
-    return AdamState(
-        m=[(a.copy(), b.copy()) for a, b in state.m],
-        v=[(a.copy(), b.copy()) for a, b in state.v],
-        t=state.t,
-    )
-
-
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     """Mini-batch training with validation-loss early stopping.
 
     Both datasets must carry [0, 1]-normalized targets produced with the
     train split's scaling record (train_ds.normalization).  Stops after
     `patience` epochs without validation improvement or at `max_epochs`,
-    whichever comes first, and returns the parameters and Adam state of
-    the best validation epoch together with the per-epoch report.
+    whichever comes first.  Returns (params, adam, report): the
+    parameters of the best validation epoch, the live Adam state at the
+    end of the run (not a copy, and not the best epoch's) and the
+    per-epoch report.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InvalidParameterError("training and validation sets must be nonempty")
@@ -252,7 +246,6 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     report = TrainReport()
     best_loss = np.inf
     best_params = _copy_params(params)
-    best_state = _copy_adam(state)
     stale = 0
     t0 = time.perf_counter()
 
@@ -284,7 +277,6 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
         if val_loss < best_loss:
             best_loss = val_loss
             best_params = _copy_params(params)
-            best_state = _copy_adam(state)
             report.best_epoch = epoch
             stale = 0
         else:
@@ -292,7 +284,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
             if stale >= config.patience:
                 break
     report.wall_clock = time.perf_counter() - t0
-    return best_params, best_state, report
+    return best_params, state, report
 
 
 def predict(params, features, scaling: TargetScaling, kick: KickConfig):
@@ -317,13 +309,12 @@ def predict(params, features, scaling: TargetScaling, kick: KickConfig):
 # checkpoint container: versioned self-describing text with a content checksum
 
 _MAGIC = "tricalib-checkpoint"
-_FORMAT = 1
+_FORMAT = 2  # format 1 also stored Adam's t, m and v; it still loads
 
 
 @dataclass
 class Checkpoint:
     params: list
-    adam: AdamState
     sizes: list
     kick: KickConfig
     scaling: TargetScaling
@@ -341,9 +332,9 @@ def _tensor_lines(name, arr, out):
         out.append(_fmt_vec(row))
 
 
-def save_checkpoint(path, params, adam: AdamState, kick: KickConfig,
-                    scaling: TargetScaling, provenance: str = "unknown"):
-    """Serialize parameters, Adam state, scaling and kick config.
+def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
+                    provenance: str = "unknown"):
+    """Serialize the weights, scaling and kick config (format 2).
 
     Decimal text at round-trip precision; the trailing line carries a
     SHA-256 of everything above it, so truncation or bit rot is caught
@@ -358,15 +349,10 @@ def save_checkpoint(path, params, adam: AdamState, kick: KickConfig,
         "scale_lo " + _fmt_vec(scaling.lo),
         "scale_hi " + _fmt_vec(scaling.hi),
         f"provenance {provenance}",
-        f"adam_t {adam.t}",
     ]
     for li, (W, b) in enumerate(params):
         _tensor_lines(f"W{li}", W, lines)
         _tensor_lines(f"b{li}", b, lines)
-    for label, moments in (("m", adam.m), ("v", adam.v)):
-        for li, (mW, mb) in enumerate(moments):
-            _tensor_lines(f"{label}W{li}", mW, lines)
-            _tensor_lines(f"{label}b{li}", mb, lines)
     payload = "\n".join(lines) + "\n"
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
@@ -386,11 +372,34 @@ class _LineReader:
         self.pos += 1
         return line
 
+    def skip(self, count, what):
+        if self.pos + count > len(self.lines):
+            raise CheckpointError(f"truncated checkpoint: expected {what}")
+        self.pos += count
 
-def _read_tensor(reader: _LineReader, name, rows, cols):
+    def field(self, label):
+        """The text after `label` on the next line, which must start with it."""
+        line = self.next(f"{label} line")
+        key, _, value = line.partition(" ")
+        if key != label:
+            raise CheckpointError(f"malformed checkpoint: expected {label!r} line, got {line[:60]!r}")
+        return value
+
+
+def _finite(values, what):
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"malformed checkpoint: non-finite value in {what}")
+    return values
+
+
+def _tensor_head(reader: _LineReader, name, rows, cols):
     head = reader.next(f"tensor {name}")
     if head != f"tensor {name} {rows} {cols}":
         raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head!r}")
+
+
+def _read_tensor(reader: _LineReader, name, rows, cols):
+    _tensor_head(reader, name, rows, cols)
     data = np.empty((rows, cols))
     for r in range(rows):
         parts = reader.next(f"row {r} of {name}").split()
@@ -400,10 +409,16 @@ def _read_tensor(reader: _LineReader, name, rows, cols):
             data[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise CheckpointError(f"malformed checkpoint: bad number in tensor {name}") from exc
-    return data
+    return _finite(data, f"tensor {name}")
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a format 2 checkpoint, or a format 1 one without its Adam state.
+
+    Raises CheckpointError on a bad magic, version or checksum, on a
+    truncated or malformed layout, on any non-finite number and on
+    content after the last tensor.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -419,33 +434,36 @@ def load_checkpoint(path) -> Checkpoint:
 
     reader = _LineReader(lines[1:-1])
     fmt = reader.next("format line")
-    if fmt != f"format {_FORMAT}":
-        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads format {_FORMAT})")
+    if fmt not in ("format 1", f"format {_FORMAT}"):
+        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads formats 1 and {_FORMAT})")
     try:
-        sizes = [int(s) for s in reader.next("sizes").split()[1:]]
-        kick_parts = reader.next("kick").split()
-        kick = KickConfig(dv1=float(kick_parts[1]), dv2=float(kick_parts[2]))
-        lo = np.array([float(x) for x in reader.next("scale_lo").split()[1:]])
-        hi = np.array([float(x) for x in reader.next("scale_hi").split()[1:]])
-        provenance = reader.next("provenance").split(" ", 1)[1]
-        adam_t = int(reader.next("adam_t").split()[1])
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError("malformed checkpoint header") from exc
+        sizes = [int(s) for s in reader.field("sizes").split()]
+        dv1, dv2 = map(float, reader.field("kick").split())
+        kick = KickConfig(dv1=dv1, dv2=dv2)
+        lo = _finite(np.array([float(x) for x in reader.field("scale_lo").split()]), "scale_lo")
+        hi = _finite(np.array([float(x) for x in reader.field("scale_hi").split()]), "scale_hi")
+        provenance = reader.field("provenance")
+        if fmt == "format 1":
+            int(reader.field("adam_t"))
+    except (ValueError, InvalidParameterError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
+    if len(sizes) < 2 or min(sizes) < 1 or not lo.size == hi.size == sizes[-1]:
+        raise CheckpointError(f"malformed checkpoint header: sizes {sizes} with "
+                              f"{lo.size}/{hi.size} scaling entries")
     scaling = TargetScaling(lo=lo, hi=hi)
 
-    params = []
-    for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        W = _read_tensor(reader, f"W{li}", n_out, n_in)
-        b = _read_tensor(reader, f"b{li}", 1, n_out)[0]
-        params.append((W, b))
-    moments = {}
-    for label in ("m", "v"):
-        pairs = []
-        for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            mW = _read_tensor(reader, f"{label}W{li}", n_out, n_in)
-            mb = _read_tensor(reader, f"{label}b{li}", 1, n_out)[0]
-            pairs.append((mW, mb))
-        moments[label] = pairs
-    adam = AdamState(m=moments["m"], v=moments["v"], t=adam_t)
-    return Checkpoint(params=params, adam=adam, sizes=sizes, kick=kick,
+    shapes = list(enumerate(zip(sizes[:-1], sizes[1:])))
+    params = [(_read_tensor(reader, f"W{li}", n_out, n_in),
+               _read_tensor(reader, f"b{li}", 1, n_out)[0])
+              for li, (n_in, n_out) in shapes]
+    if fmt == "format 1":
+        for label in ("m", "v"):
+            for li, (n_in, n_out) in shapes:
+                for name, rows, cols in ((f"{label}W{li}", n_out, n_in), (f"{label}b{li}", 1, n_out)):
+                    _tensor_head(reader, name, rows, cols)
+                    reader.skip(rows, f"{rows} rows of {name}")
+    if reader.pos != len(reader.lines):
+        raise CheckpointError(f"malformed checkpoint: unexpected content after the last tensor: "
+                              f"{reader.lines[reader.pos][:60]!r}")
+    return Checkpoint(params=params, sizes=sizes, kick=kick,
                       scaling=scaling, provenance=provenance)

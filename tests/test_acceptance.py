@@ -249,7 +249,7 @@ def test_criterion_8_format_round_trips(capsys, default_pipeline, tmp_path):
 
     bad_ckpt = tmp_path / "bad.ckpt"
     bad_ckpt.write_text(
-        default_pipeline.checkpoint.read_text().replace("adam_t", "spam_t", 1))
+        default_pipeline.checkpoint.read_text().replace("provenance", "provenancX", 1))
     try:
         load_checkpoint(bad_ckpt)
         problems.append("corrupted checkpoint accepted")

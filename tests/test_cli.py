@@ -325,6 +325,20 @@ def test_exit_code_corrupt_checkpoint(toy, tmp_path):
     assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
 
 
+def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
+    """A NaN weight under a valid checksum is exit 7, not `v1 = nan`."""
+    lines = toy["model"].read_text().splitlines()[:-1]
+    row = lines.index("tensor W0 24 12") + 1
+    lines[row] = " ".join(["nan", *lines[row].split()[1:]])
+    payload = "\n".join(lines) + "\n"
+    bad = tmp_path / "nan.ckpt"
+    bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
+    probs_arg = ",".join(["0.1"] * 12)
+    assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
+    captured = capsys.readouterr()
+    assert "v1 =" not in captured.out and "tensor W0" in captured.err
+
+
 def test_exit_code_bad_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("v1,v2,oops\n1,2,3\n")

@@ -53,11 +53,10 @@ def tree_bytes(out_dir):
 
 
 def test_train_on_dataset_returns_raw_val_split():
-    params, adam, report, scaling, val_raw = train_on_dataset(
+    params, report, scaling, val_raw = train_on_dataset(
         toy_dataset(), TOY_CFG, split_seed=0)
     assert val_raw.targets.min() >= 2.0  # volts, not the [0, 1] scale
     assert val_raw.normalization is None
-    assert adam.t > 0
     assert report.epochs_run >= 1
     assert scaling.pooled_span() > 0.0
 
@@ -261,7 +260,7 @@ def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count,
 
 def test_prediction_surface_rows(tmp_path):
     ds = toy_dataset()
-    params, _, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     out = tmp_path / "pred"
     rows = run_prediction_surface(params, scaling, ds.kick, ds, DEV,
                                   n_new=12, seed=9, out_dir=out)
@@ -283,7 +282,7 @@ def test_prediction_surface_rows(tmp_path):
 
 def test_prediction_surface_bounds(tmp_path):
     ds = toy_dataset()
-    params, _, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     with pytest.raises(InvalidParameterError):
         run_prediction_surface(params, scaling, ds.kick, ds, DEV,
                                n_new=0, seed=0, out_dir=tmp_path / "x")

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricalib import net
 from tricalib.config import default_device_config
@@ -368,7 +370,8 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     # From step 2 on, the first layer's gradient is exactly zero, as for
     # ReLU units that no input activates. Its first moments then decay
     # by beta1 per step and fall below the smallest normal double after
-    # about 6 650 steps; the best epoch of this run comes later than that.
+    # about 6 650 steps; `train` returns the Adam state at the end of its
+    # run, which is later than that.
     real_step = net.adam_step
 
     def step_with_dead_first_layer(params, grads, state, config):
@@ -525,26 +528,63 @@ def test_predict_vectorized():
 def trained_toy(tmp_path):
     trn, van, scaling = normalized_splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=5, patience=5, seed=2, hidden=(10, 10))
-    params, adam, _ = train(trn, van, cfg)
+    params, _, _ = train(trn, van, cfg)
     path = tmp_path / "toy.ckpt"
-    save_checkpoint(path, params, adam, trn.kick, scaling, provenance="toy")
-    return path, params, adam, scaling, trn.kick
+    save_checkpoint(path, params, trn.kick, scaling, provenance="toy")
+    return path, params, scaling, trn.kick
+
+
+def rewrite_with_checksum(path, lines):
+    """Write `lines` (without a checksum line) plus a valid checksum."""
+    payload = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(payload + f"checksum {digest}\n")
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    path, params, adam, scaling, kick = trained_toy(tmp_path)
+    path, params, scaling, kick = trained_toy(tmp_path)
     ck = load_checkpoint(path)
-    feats = np.random.default_rng(3).uniform(size=(7, 12))
-    assert np.array_equal(forward(ck.params, feats), forward(params, feats))
+    assert len(ck.params) == len(params)
+    for (W, b), (rW, rb) in zip(params, ck.params):
+        assert same_bits(W, rW) and same_bits(b, rb)
     assert ck.kick == kick
-    assert np.array_equal(ck.scaling.lo, scaling.lo)
-    assert np.array_equal(ck.scaling.hi, scaling.hi)
+    assert same_bits(ck.scaling.lo, scaling.lo)
+    assert same_bits(ck.scaling.hi, scaling.hi)
     assert ck.provenance == "toy"
-    assert ck.adam.t == adam.t
-    for (mW, mb), (rW, rb) in zip(adam.m, ck.adam.m):
-        assert np.array_equal(mW, rW) and np.array_equal(mb, rb)
-    for (vW, vb), (rW, rb) in zip(adam.v, ck.adam.v):
-        assert np.array_equal(vW, rW) and np.array_equal(vb, rb)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "format 2"
+    assert not any(line.startswith(("adam_t", "tensor m", "tensor v")) for line in lines)
+
+
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3,
+                             np.finfo(float).max, -np.finfo(float).max])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       sizes=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4))
+def test_checkpoint_round_trip_property(tmp_path_factory, data, sizes):
+    """save -> load is the identity on every bit of every stored float."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | _EXTREMES
+
+    def vec(n):
+        return np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
+
+    params = [(vec(n_in * n_out).reshape(n_out, n_in), vec(n_out))
+              for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    scaling = TargetScaling(lo=vec(sizes[-1]), hi=vec(sizes[-1]))
+    kick = KickConfig(*data.draw(st.tuples(*[st.floats(min_value=5e-324, max_value=1e300)] * 2)))
+    path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
+    save_checkpoint(path, params, kick, scaling, provenance="property")
+    ck = load_checkpoint(path)
+    assert ck.sizes == sizes and ck.kick == kick and ck.provenance == "property"
+    for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
+        assert same_bits(W, rW) and same_bits(b, rb)
+    assert same_bits(scaling.lo, ck.scaling.lo) and same_bits(scaling.hi, ck.scaling.hi)
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
@@ -575,43 +615,59 @@ def test_checkpoint_bit_flip_rejected(tmp_path):
 
 def test_checkpoint_foreign_format_version_rejected(tmp_path):
     path, *_ = trained_toy(tmp_path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text().splitlines()[:-1]
     lines[1] = "format 999"
-    payload = "\n".join(lines[:-1]) + "\n"
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    path.write_text(payload + f"checksum {digest}\n")
+    rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match="format"):
         load_checkpoint(path)
 
 
-def test_checkpoint_written_elsewhere_loads(tmp_path):
-    """A file assembled by hand to the documented layout must load."""
+@pytest.mark.parametrize("label, value, message", [
+    ("tensor W0", "nan", "non-finite value in tensor W0"),
+    ("scale_hi", "inf", "non-finite value in scale_hi"),
+    ("kick", "nan", "kick offsets must be finite"),
+])
+def test_checkpoint_non_finite_value_rejected(tmp_path, label, value, message):
+    path, *_ = trained_toy(tmp_path)
+    lines = path.read_text().splitlines()[:-1]
+    at = next(i for i, line in enumerate(lines) if line.startswith(label))
+    at += 1 if label.startswith("tensor") else 0  # first row of a tensor
+    fields = lines[at].split()
+    fields[-1] = value
+    lines[at] = " ".join(fields)
+    rewrite_with_checksum(path, lines)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fmt", [1, 2])
+def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
+    """A file assembled by hand to the documented layout must load: format 2
+    holds the weights only, format 1 also Adam's t and moments, which the
+    loader skips."""
     lines = [
         "tricalib-checkpoint",
-        "format 1",
+        f"format {fmt}",
         "sizes 12 2 4",
         "kick 0.5 0.5",
         "scale_lo " + " ".join(["0.0"] * 4),
         "scale_hi " + " ".join(["1.0"] * 4),
         "provenance handmade",
-        "adam_t 0",
     ]
+    if fmt == 1:
+        lines.append("adam_t 7")
     rng = np.random.default_rng(0)
     W0, b0 = rng.normal(size=(2, 12)), np.zeros(2)
     W1, b1 = rng.normal(size=(4, 2)), np.zeros(4)
-    for name, arr in (("W0", W0), ("b0", b0[None]), ("W1", W1), ("b1", b1[None])):
-        a = np.atleast_2d(arr)
-        lines.append(f"tensor {name} {a.shape[0]} {a.shape[1]}")
-        lines += [" ".join(repr(float(x)) for x in row) for row in a]
-    for label in ("m", "v"):
-        for name, arr in ((f"{label}W0", np.zeros((2, 12))), (f"{label}b0", np.zeros((1, 2))),
-                          (f"{label}W1", np.zeros((4, 2))), (f"{label}b1", np.zeros((1, 4)))):
-            lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-            lines += [" ".join(repr(float(x)) for x in row) for row in arr]
-    payload = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    blocks = [("W0", W0), ("b0", b0[None]), ("W1", W1), ("b1", b1[None])]
+    if fmt == 1:
+        blocks += [(label + name, rng.normal(size=arr.shape))
+                   for label in ("m", "v") for name, arr in blocks]
+    for name, arr in blocks:
+        lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
+        lines += [" ".join(repr(float(x)) for x in row) for row in arr]
     path = tmp_path / "handmade.ckpt"
-    path.write_text(payload + f"checksum {digest}\n")
+    rewrite_with_checksum(path, lines)
 
     ck = load_checkpoint(path)
     assert ck.sizes == [12, 2, 4]
@@ -620,3 +676,22 @@ def test_checkpoint_written_elsewhere_loads(tmp_path):
     np.testing.assert_allclose(forward(ck.params, feats), expected, atol=1e-12)
     v1, v2, res = predict(ck.params, feats, ck.scaling, ck.kick)
     assert np.isfinite([v1, v2, res]).all()
+
+
+@pytest.mark.parametrize("extra", ["line", "moments"])
+def test_checkpoint_trailing_content_rejected(tmp_path, extra):
+    """Nothing may follow the last tensor, which also keeps a format 1 body
+    (its moment blocks) from loading under a `format 2` label."""
+    path, params, *_ = trained_toy(tmp_path)
+    lines = path.read_text().splitlines()[:-1]
+    if extra == "line":
+        lines.append("0.0")
+    else:
+        for label in ("m", "v"):
+            for li, (W, b) in enumerate(params):
+                for name, arr in ((f"{label}W{li}", W), (f"{label}b{li}", b[None])):
+                    lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
+                    lines += [" ".join(["0.0"] * arr.shape[1])] * arr.shape[0]
+    rewrite_with_checksum(path, lines)
+    with pytest.raises(CheckpointError, match="after the last tensor"):
+        load_checkpoint(path)

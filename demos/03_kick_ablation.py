@@ -36,7 +36,8 @@ print(f"{'case':38s} {'with kick':>10s} {'without':>10s} {'improvement':>12s}")
 for name, v_lo, v_hi in cases:
     rmse_with, rmse_without, improvement = run_kick_ablation(
         dev, cfg, v_lo, v_hi, grid_n=25, kick_steps=2,
-        data_seed=7, split_seed=20, out_dir=out_root / name.split()[0])
+        data_seed=7, split_seed=20, out_dir=out_root / name.split()[0],
+        mean_total=dev.mean_total)
     print(f"{name:38s} {rmse_with:9.4f}V {rmse_without:9.4f}V "
           f"{100 * improvement:10.1f}%")
 

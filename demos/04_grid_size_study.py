@@ -30,7 +30,7 @@ summary = run_grid_sweep(
     TrainConfig(max_epochs=60, patience=15, seed=0, hidden=(100, 100)),
     grid_min=1.0, grid_max=7.0, kick_steps=2,
     data_seed=7, train_seed=3, eval_seed=11, split_seed=20,
-    out_dir=out, jobs=3)
+    out_dir=out, mean_total=dev.mean_total, jobs=3)
 
 print(f"{'grid':>6s} {'examples':>9s} {'val NRMSE':>16s} {'test cosine':>18s}")
 for size, n_runs, nm, nsd, cm, csd in summary:

@@ -58,12 +58,7 @@ from .errors import (
     TrainingDivergedError,
     UndefinedMetricError,
 )
-from .metrics import (
-    aggregate_trainings,
-    cosine_similarity,
-    nrmse,
-    repeated_test_evaluation,
-)
+from .metrics import cosine_similarity, nrmse, repeated_test_evaluation
 from .net import (
     TrainConfig,
     TrainReport,
@@ -97,7 +92,6 @@ __all__ = [
     "TrainingDivergedError",
     "UndefinedMetricError",
     "VoltageGrid",
-    "aggregate_trainings",
     "backward",
     "build_grid",
     "cosine_similarity",

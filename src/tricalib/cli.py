@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .device import (
 )
 from .errors import CalibrationError, InvalidParameterError
 from .experiments import (
+    VAL_FRACTION,
     SweepConfig,
     exact_feature_pool,
     run_epoch_curves,
@@ -44,7 +44,10 @@ from .experiments import (
     run_kick_ablation,
     run_prediction_surface,
     render_probability_surfaces,
+    train_config_pairs,
     train_on_dataset,
+    uniform_feature_pool,
+    write_epoch_curves,
 )
 from .metrics import (
     format_value,
@@ -88,6 +91,8 @@ def _mean_total(counts_flag, device, dataset=None):
 
     negative -> inherit (dataset metadata if present, else device config),
     0 -> noise-free, positive -> that many expected counts per input.
+    This is the only place the convention is resolved: the library takes
+    the resulting photon count, or None for noise-free.
     """
     if counts_flag is None or counts_flag < 0:
         if dataset is not None and dataset.mean_total is not None:
@@ -110,14 +115,16 @@ def _train_config(args, seed):
 
 
 def _add_train_flags(sp):
-    sp.add_argument("--epochs", type=int, default=250, help="maximum training epochs")
-    sp.add_argument("--batch-size", type=int, default=32)
-    sp.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
-    sp.add_argument("--patience", type=int, default=25,
+    cfg = TrainConfig()
+    sp.add_argument("--epochs", type=int, default=cfg.max_epochs,
+                    help="maximum training epochs")
+    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    sp.add_argument("--lr", type=float, default=cfg.learning_rate, help="Adam learning rate")
+    sp.add_argument("--patience", type=int, default=cfg.patience,
                     help="epochs without validation improvement before stopping")
-    sp.add_argument("--hidden", default="200,200,200",
+    sp.add_argument("--hidden", default=",".join(str(h) for h in cfg.hidden),
                     help="comma-separated hidden layer widths")
-    sp.add_argument("--val-fraction", type=float, default=0.15)
+    sp.add_argument("--val-fraction", type=float, default=VAL_FRACTION)
 
 
 def _add_grid_flags(sp, n_default=cfgmod.GRID_N):
@@ -134,6 +141,7 @@ def cmd_simulate(args):
     device = cfgmod.resolve_device_config(args.device_config)
     if args.volts is None and args.output is None:
         raise InvalidParameterError("simulate needs --volts, or --grid with -o")
+    mean_total = _mean_total(args.counts, device)
     if args.volts is not None:
         v = _parse_floats_arg(args.volts, 2, "--volts")
         if v.min() < device.v_min or v.max() > device.v_max:
@@ -143,9 +151,8 @@ def cmd_simulate(args):
         probs = voltage_probabilities(v, device.coeffs, device.tritter)
         print(f"phases = {format_value(phases[0])} {format_value(phases[1])}")
         print("probabilities = " + " ".join(format_value(p) for p in probs))
-        if args.counts and args.counts > 0:
-            rng = np.random.default_rng(args.seed)
-            counts = sample_counts(probs, float(args.counts), rng)
+        if mean_total is not None:
+            counts = sample_counts(probs, mean_total, np.random.default_rng(args.seed))
             print("counts = " + " ".join(str(int(c)) for c in counts))
         return 0
     # grid mode: write a measurement-schema CSV
@@ -154,8 +161,7 @@ def cmd_simulate(args):
     if settings.max() > device.v_max or settings.min() < device.v_min:
         raise InvalidParameterError("grid exceeds the device voltage range")
     probs = voltage_probabilities(settings, device.coeffs, device.tritter)
-    mean_total = _mean_total(args.counts, device) if args.counts != 0 else None
-    if args.counts and args.counts > 0:
+    if mean_total is not None:
         rng = np.random.default_rng(args.seed)
         probs = estimate_probabilities(sample_counts(probs, mean_total, rng))
     datamod.write_measurement_csv(settings, probs, args.output,
@@ -192,12 +198,7 @@ def cmd_train(args):
 
     report_dir = args.report_dir or (os.path.dirname(args.output) or ".")
     os.makedirs(report_dir, exist_ok=True)
-    write_rows_csv(
-        os.path.join(report_dir, "curves.csv"),
-        ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
-        [(ep, report.train_loss[ep], report.val_loss[ep],
-          report.val_nrmse[ep], report.val_cosine[ep])
-         for ep in range(report.epochs_run)])
+    write_epoch_curves(os.path.join(report_dir, "curves.csv"), report)
     best = report.best_epoch
     write_report(os.path.join(report_dir, "report.txt"), [
         ("command", "train"),
@@ -206,10 +207,7 @@ def cmd_train(args):
         ("validation_examples", len(val_raw)),
         ("seed", args.seed),
         ("split_seed", args.split_seed),
-        ("max_epochs", cfg.max_epochs),
-        ("batch_size", cfg.batch_size),
-        ("learning_rate", cfg.learning_rate),
-        ("patience", cfg.patience),
+        *train_config_pairs(cfg),
         ("epochs_run", report.epochs_run),
         ("best_epoch", best),
         ("best_val_loss", report.val_loss[best]),
@@ -243,20 +241,9 @@ def cmd_evaluate(args):
     mean_total = _mean_total(args.counts, device, ds)
     rng = np.random.default_rng(args.seed)
     if args.sampling == "grid":
-        pool_probs = exact_feature_pool(ds, device)
-        pool_targets = ds.targets
+        pool_probs, pool_targets = exact_feature_pool(ds, device), ds.targets
     else:
-        if ds.provenance != "simulated":
-            raise InvalidParameterError(
-                "uniform (off-grid) sampling needs a simulated dataset")
-        lo = ds.targets[:, :2].min(axis=0)
-        hi = ds.targets[:, :2].max(axis=0)
-        base = rng.uniform(lo, hi, size=(len(ds), 2))
-        kicked = base + ds.kick.offset()
-        pool_probs = np.concatenate(
-            [voltage_probabilities(base, device.coeffs, device.tritter),
-             voltage_probabilities(kicked, device.coeffs, device.tritter)], axis=-1)
-        pool_targets = np.concatenate([base, kicked], axis=-1)
+        pool_probs, pool_targets = uniform_feature_pool(ds, device, rng)
     span = ckpt.scaling.pooled_span()
     ev, rep_nrmse, rep_cosine = repeated_test_evaluation(
         lambda feats: ckpt.scaling.invert(forward(ckpt.params, feats)),
@@ -271,7 +258,7 @@ def cmd_evaluate(args):
         ("command", "evaluate"),
         ("model_provenance", ckpt.provenance),
         ("sampling", args.sampling),
-        ("mean_total", "none" if mean_total is None else mean_total),
+        ("mean_total", mean_total),
         ("normalization_span_volts", span),
         ("repetitions", ev.n_repetitions),
         ("examples_per_repetition", ev.n_examples_per_rep),
@@ -306,16 +293,10 @@ def cmd_sweep_grid(args):
 def cmd_ablate_kicks(args):
     device = cfgmod.resolve_device_config(args.device_config)
     cfg = _train_config(args, args.train_seed)
-    if args.counts == 0:
-        mean_total = None
-    elif args.counts < 0:
-        mean_total = -1.0
-    else:
-        mean_total = float(args.counts)
     rmse_with, rmse_without, improvement = run_kick_ablation(
         device, cfg, args.grid_min, args.grid_max, args.grid, args.kick_steps,
         data_seed=args.data_seed, split_seed=args.split_seed,
-        out_dir=args.output, mean_total=mean_total,
+        out_dir=args.output, mean_total=_mean_total(args.counts, device),
         val_fraction=args.val_fraction)
     print(f"rmse_with_kick = {format_value(rmse_with)}")
     print(f"rmse_without_kick = {format_value(rmse_without)}")
@@ -374,7 +355,7 @@ def build_parser():
     sp.add_argument("--volts", help="one setting 'v1,v2'; prints to stdout")
     _add_grid_flags(sp, n_default=50)
     sp.add_argument("--counts", type=float, default=0,
-                    help="photon budget; 0 = exact probabilities")
+                    help="photon budget; 0 = exact probabilities, -1 = device config")
     sp.add_argument("--seed", type=int, default=DEFAULT_DATA_SEED)
     sp.add_argument("-o", "--output", help="measurement CSV path (grid mode)")
 
@@ -416,9 +397,11 @@ def build_parser():
                     help="test points: dataset grid points, or uniform off-grid draws")
 
     sp = add("sweep-grid", cmd_sweep_grid, "grid-size study")
-    sp.add_argument("--sizes", default=",".join(str(s) for s in (10, 15, 20, 30, 40, 53)))
-    sp.add_argument("--trainings", type=int, default=50, help="trainings per size")
-    sp.add_argument("--test-size", type=int, default=100)
+    sweep = SweepConfig()
+    sp.add_argument("--sizes", default=",".join(str(s) for s in sweep.grid_sizes))
+    sp.add_argument("--trainings", type=int, default=sweep.trainings_per_size,
+                    help="trainings per size")
+    sp.add_argument("--test-size", type=int, default=sweep.test_size)
     sp.add_argument("--grid-min", type=float, default=cfgmod.GRID_V_MIN)
     sp.add_argument("--grid-max", type=float, default=cfgmod.GRID_V_MAX)
     sp.add_argument("--kick-steps", type=int, default=cfgmod.KICK_STEPS)

@@ -166,21 +166,19 @@ def generate_simulated(
     kick: KickConfig,
     device: DeviceConfig,
     rng: np.random.Generator,
-    mean_total: float | None = -1.0,
+    mean_total: float | None,
     replicas: int = 1,
 ) -> Dataset:
     """One example per grid setting (times `replicas` noise draws).
 
     Probabilities are estimated from Poisson counts with `mean_total`
     expected photons per input, like a real acquisition would.  Pass
-    mean_total=None for exact model probabilities (no shot noise); the
-    default -1.0 sentinel means "use the device config value".
+    mean_total=None for exact model probabilities (no shot noise).
 
     Raises invalid-parameter if the grid or any kicked setting falls
-    outside the simulable device range.
+    outside the simulable device range, or if mean_total is not a
+    positive photon count.
     """
-    if mean_total is not None and mean_total == -1.0:
-        mean_total = device.mean_total
     if replicas < 1:
         raise InvalidParameterError("replicas must be >= 1")
     base = grid.settings()

@@ -47,6 +47,7 @@ __all__ = [
     "SweepConfig",
     "train_on_dataset",
     "exact_feature_pool",
+    "uniform_feature_pool",
     "run_grid_sweep",
     "run_kick_ablation",
     "run_epoch_curves",
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_SWEEP_SIZES = (10, 15, 20, 30, 40, 53)
+VAL_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def _combine(base_seed: int, size: int, run: int) -> int:
 
 
 def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
-                     val_fraction: float = 0.15):
+                     val_fraction: float = VAL_FRACTION):
     """Split, normalize on the train side, train.
 
     Returns (params, report, scaling, val_split) where val_split still
@@ -90,6 +92,21 @@ def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
                      normalization=scaling)
     params, _, report = train(train_ds, val_ds, cfg)
     return params, report, scaling, val_raw
+
+
+def train_config_pairs(cfg: TrainConfig):
+    """The `key = value` pairs of the training settings a result file records."""
+    return [("max_epochs", cfg.max_epochs), ("batch_size", cfg.batch_size),
+            ("learning_rate", cfg.learning_rate), ("patience", cfg.patience)]
+
+
+def write_epoch_curves(path, report):
+    """One CSV row per epoch run: losses and validation metrics."""
+    write_rows_csv(
+        path, ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
+        [(ep, report.train_loss[ep], report.val_loss[ep],
+          report.val_nrmse[ep], report.val_cosine[ep])
+         for ep in range(report.epochs_run)])
 
 
 def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
@@ -104,6 +121,25 @@ def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
         kicked = voltage_probabilities(dataset.targets[:, 2:4], device.coeffs, device.tritter)
         return np.concatenate([base, kicked], axis=-1)
     return dataset.features
+
+
+def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.Generator):
+    """Off-grid test pool: noise-free (features, targets) at uniform draws.
+
+    Draws len(dataset) base settings uniformly over the dataset's base
+    target box and pairs each with its kicked setting.  Only simulated
+    data have a device model behind them to evaluate off the grid.
+    """
+    if dataset.provenance != "simulated":
+        raise InvalidParameterError("uniform (off-grid) sampling needs a simulated dataset")
+    lo = dataset.targets[:, :2].min(axis=0)
+    hi = dataset.targets[:, :2].max(axis=0)
+    base = rng.uniform(lo, hi, size=(len(dataset), 2))
+    kicked = base + dataset.kick.offset()
+    probs = np.concatenate(
+        [voltage_probabilities(base, device.coeffs, device.tritter),
+         voltage_probabilities(kicked, device.coeffs, device.tritter)], axis=-1)
+    return probs, np.concatenate([base, kicked], axis=-1)
 
 
 # get/set pairs of the OpenBLAS thread count, as numpy 2 wheels
@@ -173,8 +209,8 @@ def run_grid_sweep(
     eval_seed: int,
     split_seed: int,
     out_dir,
-    mean_total: float | None = -1.0,
-    val_fraction: float = 0.15,
+    mean_total: float | None,
+    val_fraction: float = VAL_FRACTION,
     jobs: int = 1,
 ):
     """Training-set-size study.
@@ -196,8 +232,6 @@ def run_grid_sweep(
     largest = sizes[-1]
     ref_grid = build_grid(grid_min, grid_max, largest)
     kick = kick_from_steps(ref_grid, kick_steps, kick_steps)
-    if mean_total is not None and mean_total == -1.0:
-        mean_total = device.mean_total
 
     pool = generate_simulated(ref_grid, kick, device,
                               np.random.default_rng(_combine(data_seed, largest, 999)),
@@ -248,13 +282,12 @@ def run_grid_sweep(
         ("grid_min", grid_min), ("grid_max", grid_max),
         ("kick_steps_of_largest_grid", kick_steps),
         ("kick_dv1", kick.dv1), ("kick_dv2", kick.dv2),
-        ("mean_total", "none" if mean_total is None else mean_total),
+        ("mean_total", mean_total),
         ("val_fraction", val_fraction),
         ("data_seed", data_seed), ("train_seed", train_seed),
         ("eval_seed", eval_seed), ("split_seed", split_seed),
         ("seed_rule", "base*1000000 + size*1000 + run"),
-        ("max_epochs", train_cfg.max_epochs), ("batch_size", train_cfg.batch_size),
-        ("learning_rate", train_cfg.learning_rate), ("patience", train_cfg.patience),
+        *train_config_pairs(train_cfg),
     ])
     write_rows_csv(os.path.join(out_dir, "runs.csv"),
                    ["size", "run", "val_nrmse", "test_cosine"], run_rows)
@@ -287,8 +320,8 @@ def run_kick_ablation(
     data_seed: int,
     split_seed: int,
     out_dir,
-    mean_total: float | None = -1.0,
-    val_fraction: float = 0.15,
+    mean_total: float | None,
+    val_fraction: float = VAL_FRACTION,
 ):
     """Paired comparison of the kicked network against a bare one.
 
@@ -298,9 +331,9 @@ def run_kick_ablation(
     kicked example is built from two acquisitions, the bare variant's
     counts are drawn at twice the per-acquisition budget: both variants
     then see the same total photon number, and the improvement fraction
-    isolates what the kick's structure adds, not the extra counts.  The
-    default budget (-1.0) is the device config's mean_total; pass None
-    to compare on exact probabilities instead (no noise at all).
+    isolates what the kick's structure adds, not the extra counts.  Pass
+    mean_total=None to compare on exact probabilities instead (no noise
+    at all).
 
     Returns (rmse_with, rmse_without, improvement_fraction), validation
     RMSE in volts.
@@ -308,8 +341,6 @@ def run_kick_ablation(
     _ensure_dir(out_dir)
     grid = build_grid(grid_min, grid_max, grid_n)
     kick = kick_from_steps(grid, kick_steps, kick_steps)
-    if mean_total is not None and mean_total == -1.0:
-        mean_total = device.mean_total
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
     kicked_ds = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
     base_probs = voltage_probabilities(kicked_ds.targets[:, :2], device.coeffs,
@@ -340,23 +371,19 @@ def run_kick_ablation(
         ("grid_min", grid_min), ("grid_max", grid_max), ("grid_n", grid_n),
         ("kick_steps", kick_steps),
         ("kick_dv1", kick.dv1), ("kick_dv2", kick.dv2),
-        ("mean_total", "none" if mean_total is None else mean_total),
-        ("mean_total_bare", "none" if bare_budget is None else bare_budget),
+        ("mean_total", mean_total),
+        ("mean_total_bare", bare_budget),
         ("val_fraction", val_fraction),
         ("data_seed", data_seed), ("split_seed", split_seed),
         ("train_seed", train_cfg.seed),
-        ("max_epochs", train_cfg.max_epochs), ("batch_size", train_cfg.batch_size),
-        ("learning_rate", train_cfg.learning_rate), ("patience", train_cfg.patience),
+        *train_config_pairs(train_cfg),
     ])
     write_rows_csv(
         os.path.join(out_dir, "results.csv"),
         ["variant", "n_inputs", "n_outputs", "mean_total", "best_epoch",
          "val_rmse_volts"],
-        [("with_kick", 12, 4,
-          "none" if mean_total is None else mean_total, best_with, rmse_with),
-         ("without_kick", 6, 2,
-          "none" if bare_budget is None else bare_budget, best_without,
-          rmse_without)])
+        [("with_kick", 12, 4, mean_total, best_with, rmse_with),
+         ("without_kick", 6, 2, bare_budget, best_without, rmse_without)])
     write_report(os.path.join(out_dir, "report.txt"), [
         ("rmse_with_kick_volts", rmse_with),
         ("rmse_without_kick_volts", rmse_without),
@@ -366,26 +393,19 @@ def run_kick_ablation(
 
 
 def run_epoch_curves(dataset: Dataset, train_cfg: TrainConfig, split_seed: int,
-                     out_dir, val_fraction: float = 0.15):
+                     out_dir, val_fraction: float = VAL_FRACTION):
     """Train once and dump the per-epoch validation trajectory."""
     _ensure_dir(out_dir)
     _, report, _, _ = train_on_dataset(dataset, train_cfg, split_seed, val_fraction)
-    rows = [
-        (ep, report.train_loss[ep], report.val_loss[ep],
-         report.val_nrmse[ep], report.val_cosine[ep])
-        for ep in range(report.epochs_run)
-    ]
     write_report(os.path.join(out_dir, "config.echo"), [
         ("harness", "epoch-curves"),
         ("examples", len(dataset)),
         ("provenance", dataset.provenance),
         ("val_fraction", val_fraction),
         ("split_seed", split_seed), ("train_seed", train_cfg.seed),
-        ("max_epochs", train_cfg.max_epochs), ("batch_size", train_cfg.batch_size),
-        ("learning_rate", train_cfg.learning_rate), ("patience", train_cfg.patience),
+        *train_config_pairs(train_cfg),
     ])
-    write_rows_csv(os.path.join(out_dir, "results.csv"),
-                   ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"], rows)
+    write_epoch_curves(os.path.join(out_dir, "results.csv"), report)
     write_report(os.path.join(out_dir, "report.txt"), [
         ("epochs_run", report.epochs_run),
         ("best_epoch", report.best_epoch),
@@ -398,13 +418,11 @@ def run_epoch_curves(dataset: Dataset, train_cfg: TrainConfig, split_seed: int,
 
 def run_prediction_surface(params, scaling, kick: KickConfig, dataset: Dataset,
                            device: DeviceConfig, n_new: int, seed: int, out_dir,
-                           mean_total: float | None = -1.0):
+                           mean_total: float | None):
     """Scatter of predicted vs true voltages on freshly noised examples."""
     _ensure_dir(out_dir)
     if n_new < 1 or n_new > len(dataset):
         raise InvalidParameterError(f"n_new must lie in [1, {len(dataset)}]")
-    if mean_total is not None and mean_total == -1.0:
-        mean_total = dataset.mean_total if dataset.mean_total is not None else device.mean_total
     pool = exact_feature_pool(dataset, device)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=n_new, replace=False)
@@ -416,7 +434,7 @@ def run_prediction_surface(params, scaling, kick: KickConfig, dataset: Dataset,
     write_report(os.path.join(out_dir, "config.echo"), [
         ("harness", "prediction-surface"),
         ("n_new", n_new), ("seed", seed),
-        ("mean_total", "none" if mean_total is None else mean_total),
+        ("mean_total", mean_total),
         ("provenance", dataset.provenance),
     ])
     write_rows_csv(

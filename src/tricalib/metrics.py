@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import estimate_probabilities, sample_counts
-from .errors import DegenerateDataError, InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError, UndefinedMetricError
 
 __all__ = [
     "nrmse",
@@ -26,8 +26,6 @@ __all__ = [
     "mean_and_sd",
     "EvaluationReport",
     "repeated_test_evaluation",
-    "AggregateSummary",
-    "aggregate_trainings",
     "format_value",
     "write_report",
     "write_rows_csv",
@@ -100,7 +98,8 @@ def repeated_test_evaluation(
     span: float,
     rep_count: int = 500,
     rep_size: int = 100,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     return_samples: bool = False,
 ):
     """Metric statistics over repeated noisy test draws.
@@ -120,8 +119,6 @@ def repeated_test_evaluation(
         raise InvalidParameterError(
             f"rep_size {rep_size} exceeds the {pool_probs.shape[0]}-example pool"
         )
-    if rng is None:
-        rng = np.random.default_rng()
     nr = np.empty(rep_count)
     cs = np.empty(rep_count)
     for r in range(rep_count):
@@ -143,26 +140,10 @@ def repeated_test_evaluation(
     return report
 
 
-@dataclass(frozen=True)
-class AggregateSummary:
-    nrmse_mean: float
-    nrmse_sd: float
-    cosine_mean: float
-    cosine_sd: float
-    n_runs: int
-
-
-def aggregate_trainings(final_nrmse, test_cosine) -> AggregateSummary:
-    """Mean and sample SD across independent training runs."""
-    nr = np.asarray(final_nrmse, dtype=float)
-    cs = np.asarray(test_cosine, dtype=float)
-    if nr.size != cs.size or nr.size < 2:
-        raise DegenerateDataError("aggregation needs at least 2 matching runs")
-    return AggregateSummary(*mean_and_sd(nr), *mean_and_sd(cs), n_runs=int(nr.size))
-
-
 def format_value(x) -> str:
-    """Stable text form: shortest round-trip repr for floats."""
+    """Stable text form: shortest round-trip repr for floats, "none" for None."""
+    if x is None:
+        return "none"
     if isinstance(x, (bool, int, str)):
         return str(x)
     return repr(float(x))

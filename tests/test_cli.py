@@ -23,7 +23,8 @@ from tricalib.data import (
     write_csv,
 )
 from tricalib.device import ResponseCoefficients
-from tricalib.net import load_checkpoint
+from tricalib.experiments import VAL_FRACTION, SweepConfig
+from tricalib.net import TrainConfig, load_checkpoint
 
 from conftest import read_report, run_cli
 
@@ -66,6 +67,22 @@ def test_simulate_point_with_counts(capsys):
     counts_line = [l for l in out.splitlines() if l.startswith("counts = ")][0]
     counts = [int(c) for c in counts_line.split(" = ")[1].split()]
     assert len(counts) == 6 and all(c >= 0 for c in counts)
+
+
+def test_simulate_negative_counts_inherit_device_budget(tmp_path, capsys):
+    """--counts -1 means "device config" in simulate as in every subcommand."""
+    def outputs(counts):
+        assert run_cli(["simulate", "--volts", "3,4", "--counts", counts]) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / f"grid_{counts}.csv"
+        assert run_cli(["simulate", "--grid", "6", "--counts", counts,
+                        "-o", str(path)]) == 0
+        capsys.readouterr()  # "wrote ... to <path>" names the path
+        return stdout, path.read_bytes()
+
+    inherited = outputs("-1")
+    assert "counts = " in inherited[0]
+    assert inherited == outputs(str(default_device_config().mean_total))
 
 
 def test_simulate_grid_writes_measurement_csv(tmp_path):
@@ -394,6 +411,21 @@ def test_exit_code_bad_kick_header(toy, tmp_path, capsys, dv1):
         lines[i] = f"# dv1 = {dv1}"
     _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
                                   f"bad kick metadata dv1 = '{dv1}'")
+
+
+def test_parser_defaults_come_from_the_library():
+    ap = cli.build_parser()
+    for argv in (["train", "-i", "d.csv", "-o", "m.ckpt"],
+                 ["sweep-grid", "-o", "out"],
+                 ["ablate-kicks", "-o", "out"],
+                 ["epoch-curves", "-i", "d.csv", "-o", "out"]):
+        args = ap.parse_args(argv)
+        assert cli._train_config(args, seed=0) == TrainConfig(seed=0), argv[0]
+        assert args.val_fraction == VAL_FRACTION, argv[0]
+    args = ap.parse_args(["sweep-grid", "-o", "out"])
+    assert SweepConfig(grid_sizes=tuple(int(s) for s in args.sizes.split(",")),
+                       trainings_per_size=args.trainings,
+                       test_size=args.test_size) == SweepConfig()
 
 
 def test_exit_code_usage_errors():

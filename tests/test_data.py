@@ -112,7 +112,7 @@ def test_generate_rejects_out_of_range_kick():
     grid = build_grid(1.0, 7.0, 10)
     kick = KickConfig(dv1=1.5, dv2=1.5)  # 7 + 1.5 > 8
     with pytest.raises(InvalidParameterError):
-        generate_simulated(grid, kick, DEV, np.random.default_rng(0))
+        generate_simulated(grid, kick, DEV, np.random.default_rng(0), mean_total=None)
 
 
 def test_generate_replicas():

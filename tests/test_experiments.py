@@ -93,12 +93,13 @@ def test_sweep_config_validation():
 def test_kick_ablation_arithmetic_and_artifacts(tmp_path):
     out = tmp_path / "ab"
     rmse_with, rmse_without, improvement = run_kick_ablation(
-        DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3, split_seed=0, out_dir=out)
+        DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3, split_seed=0, out_dir=out,
+        mean_total=1000.0)
     assert improvement == 1.0 - rmse_with / rmse_without
     assert rmse_with > 0.0 and rmse_without > 0.0
 
     echo = read_report(out / "config.echo")
-    assert echo["mean_total"] == 1000.0  # -1.0 resolves to the device budget
+    assert echo["mean_total"] == 1000.0
     assert echo["mean_total_bare"] == 2000.0  # two acquisitions' worth
     rep = read_report(out / "report.txt")
     assert rep["rmse_with_kick_volts"] == rmse_with
@@ -125,7 +126,7 @@ def test_kick_ablation_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         run_kick_ablation(DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3,
-                          split_seed=0, out_dir=out)
+                          split_seed=0, out_dir=out, mean_total=1000.0)
     assert tree_bytes(a) == tree_bytes(b)
 
 
@@ -152,12 +153,12 @@ def test_epoch_curves_rows_and_best(tmp_path):
 # --------------------------------------------------------------- grid sweep
 
 
-def small_sweep(out, jobs=1, trainings=2):
+def small_sweep(out, jobs=1, trainings=2, mean_total=1000.0):
     sweep = SweepConfig(grid_sizes=(5, 8), trainings_per_size=trainings,
                         test_size=20)
     return run_grid_sweep(DEV, sweep, TOY_CFG, 2.0, 5.0, 1,
                           data_seed=3, train_seed=1, eval_seed=5, split_seed=0,
-                          out_dir=out, jobs=jobs)
+                          out_dir=out, mean_total=mean_total, jobs=jobs)
 
 
 def test_grid_sweep_summary_and_files(tmp_path):
@@ -263,7 +264,8 @@ def test_prediction_surface_rows(tmp_path):
     params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     out = tmp_path / "pred"
     rows = run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                                  n_new=12, seed=9, out_dir=out)
+                                  n_new=12, seed=9, out_dir=out,
+                                  mean_total=ds.mean_total)
     assert len(rows) == 12
 
     header, file_rows = read_csv_rows(out / "results.csv")
@@ -285,10 +287,35 @@ def test_prediction_surface_bounds(tmp_path):
     params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     with pytest.raises(InvalidParameterError):
         run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                               n_new=0, seed=0, out_dir=tmp_path / "x")
+                               n_new=0, seed=0, out_dir=tmp_path / "x",
+                               mean_total=ds.mean_total)
     with pytest.raises(InvalidParameterError):
         run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                               n_new=len(ds) + 1, seed=0, out_dir=tmp_path / "y")
+                               n_new=len(ds) + 1, seed=0, out_dir=tmp_path / "y",
+                               mean_total=ds.mean_total)
+
+
+@pytest.mark.parametrize("harness", ["generate_simulated", "run_grid_sweep",
+                                     "run_kick_ablation", "run_prediction_surface"])
+def test_library_rejects_negative_photon_budget(tmp_path, harness):
+    """A negative budget is the CLI's "inherit" flag value; the CLI resolves
+    it, so the library must fail on it rather than reinterpret it."""
+    ds = toy_dataset()
+    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    calls = {
+        "generate_simulated": lambda: generate_simulated(
+            build_grid(2.0, 5.0, 9), ds.kick, DEV, np.random.default_rng(0),
+            mean_total=-1.0),
+        "run_grid_sweep": lambda: small_sweep(tmp_path / "s", mean_total=-1.0),
+        "run_kick_ablation": lambda: run_kick_ablation(
+            DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3, split_seed=0,
+            out_dir=tmp_path / "a", mean_total=-1.0),
+        "run_prediction_surface": lambda: run_prediction_surface(
+            params, scaling, ds.kick, ds, DEV, n_new=5, seed=0,
+            out_dir=tmp_path / "p", mean_total=-1.0),
+    }
+    with pytest.raises(InvalidParameterError, match="mean_total"):
+        calls[harness]()
 
 
 # -------------------------------------------------------- rendered surfaces

@@ -1,20 +1,20 @@
 """Metric definitions, the repeated-test protocol, and report writers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricalib.config import default_device_config
 from tricalib.data import build_grid, generate_simulated, kick_from_steps
-from tricalib.errors import (
-    DegenerateDataError,
-    InvalidParameterError,
-    UndefinedMetricError,
-)
+from tricalib.errors import InvalidParameterError, UndefinedMetricError
 from tricalib.metrics import (
-    aggregate_trainings,
     cosine_similarity,
     format_value,
     fresh_noise,
+    mean_and_sd,
     nrmse,
     repeated_test_evaluation,
     write_report,
@@ -206,38 +206,37 @@ def test_repeated_evaluation_pool_bounds():
     probs, targets = small_pool()
     with pytest.raises(InvalidParameterError, match="pool"):
         repeated_test_evaluation(lambda f: f[:, :4], probs, targets, None,
-                                 span=3.0, rep_count=2, rep_size=probs.shape[0] + 1)
+                                 span=3.0, rep_count=2, rep_size=probs.shape[0] + 1,
+                                 rng=np.random.default_rng(0))
     with pytest.raises(InvalidParameterError):
         repeated_test_evaluation(lambda f: f[:, :4], probs, targets, None,
-                                 span=3.0, rep_count=0, rep_size=5)
+                                 span=3.0, rep_count=0, rep_size=5,
+                                 rng=np.random.default_rng(0))
 
 
-# -------------------------------------------------------------- aggregation
+# ------------------------------------------------------------- mean and SD
 
 
-def test_aggregate_identical_runs_spread_zero():
-    summary = aggregate_trainings([0.02, 0.02, 0.02], [0.999, 0.999, 0.999])
-    assert summary.nrmse_mean == 0.02
-    assert summary.nrmse_sd == 0.0
-    assert summary.cosine_sd == 0.0
-    assert summary.n_runs == 3
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=60))
+def test_mean_and_sd_bitwise_numpy(values):
+    mean, sd = mean_and_sd(values)
+    assert np.float64(mean).view(np.uint64) == np.float64(np.mean(values)).view(np.uint64)
+    assert np.float64(sd).view(np.uint64) == np.float64(np.std(values, ddof=1)).view(np.uint64)
 
 
-def test_aggregate_matches_manual_stats():
-    nr = [0.021, 0.024, 0.019, 0.026]
-    cs = [0.9991, 0.9989, 0.9993, 0.9987]
-    summary = aggregate_trainings(nr, cs)
-    assert summary.nrmse_mean == pytest.approx(np.mean(nr), rel=1e-15)
-    assert summary.nrmse_sd == pytest.approx(np.std(nr, ddof=1), rel=1e-15)
-    assert summary.cosine_mean == pytest.approx(np.mean(cs), rel=1e-15)
-    assert summary.cosine_sd == pytest.approx(np.std(cs, ddof=1), rel=1e-15)
+def test_mean_and_sd_single_value_has_zero_sd():
+    assert mean_and_sd([0.02]) == (0.02, 0.0)
 
 
-def test_aggregate_needs_two_runs():
-    with pytest.raises(DegenerateDataError):
-        aggregate_trainings([0.02], [0.999])
-    with pytest.raises(DegenerateDataError):
-        aggregate_trainings([0.02, 0.03], [0.999])
+@settings(deadline=None)
+@given(st.integers(-2**20, 2**20), st.integers(-30, 30), st.integers(2, 64))
+def test_mean_and_sd_identical_values_have_zero_sd(k, exponent, n):
+    # n copies of k * 2**exponent sum exactly, so the mean is the value
+    # itself; values whose sum rounds (50 copies of 0.999) give an SD of
+    # a few ulps instead, exactly as np.std does
+    value = math.ldexp(k, exponent)
+    assert mean_and_sd([value] * n) == (value, 0.0)
 
 
 # ------------------------------------------------------------ report output
@@ -249,6 +248,7 @@ def test_format_value_round_trips():
     assert format_value(True) == "True"
     assert format_value(7) == "7"
     assert format_value("simulated") == "simulated"
+    assert format_value(None) == "none"
 
 
 def test_write_report_deterministic(tmp_path):

@@ -76,14 +76,15 @@ def _parse_floats_arg(text, n, what):
         raise InvalidParameterError(f"{what} contains a non-numeric value: {text!r}")
 
 
-def _parse_hidden(text):
+def _parse_int_list(text, what):
+    """A comma-separated integer flag such as --hidden or --sizes."""
     try:
-        sizes = tuple(int(p) for p in text.split(",") if p)
+        values = tuple(int(p) for p in text.split(",") if p)
     except ValueError:
-        raise InvalidParameterError(f"bad hidden layer list {text!r}")
-    if not sizes:
-        raise InvalidParameterError("hidden layer list is empty")
-    return sizes
+        raise InvalidParameterError(f"bad {what} list {text!r}")
+    if not values:
+        raise InvalidParameterError(f"{what} list is empty")
+    return values
 
 
 def _mean_total(counts_flag, device, dataset=None):
@@ -110,7 +111,7 @@ def _train_config(args, seed):
         learning_rate=args.lr,
         patience=args.patience,
         seed=seed,
-        hidden=_parse_hidden(args.hidden),
+        hidden=_parse_int_list(args.hidden, "hidden layer"),
     )
 
 
@@ -276,8 +277,8 @@ def cmd_evaluate(args):
 
 def cmd_sweep_grid(args):
     device = cfgmod.resolve_device_config(args.device_config)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    sweep = SweepConfig(grid_sizes=sizes, trainings_per_size=args.trainings,
+    sweep = SweepConfig(grid_sizes=_parse_int_list(args.sizes, "grid size"),
+                        trainings_per_size=args.trainings,
                         test_size=args.test_size)
     base_cfg = _train_config(args, seed=0)
     run_grid_sweep(

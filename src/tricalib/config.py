@@ -123,23 +123,35 @@ def _parse_floats(text: str, lineno: int):
         raise FileFormatError(f"expected numbers, got {text!r}", line=lineno) from exc
 
 
+def text_lines(path):
+    """Yield (1-based line number, line) of a UTF-8 text file.
+
+    A byte sequence that is not UTF-8 is a FileFormatError, not a
+    UnicodeDecodeError escaping to the caller.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
 def read_device_config(path) -> DeviceConfig:
     """Parse a device config file; unknown keys are rejected."""
     values: dict[str, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError("expected 'key = values'", line=lineno)
-            key, _, rest = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise FileFormatError(f"unknown key {key!r}", line=lineno)
-            if key in values:
-                raise FileFormatError(f"duplicate key {key!r}", line=lineno)
-            values[key] = _parse_floats(rest.strip(), lineno)
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FileFormatError("expected 'key = values'", line=lineno)
+        key, _, rest = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise FileFormatError(f"unknown key {key!r}", line=lineno)
+        if key in values:
+            raise FileFormatError(f"duplicate key {key!r}", line=lineno)
+        values[key] = _parse_floats(rest.strip(), lineno)
 
     def need(key, count):
         if key not in values:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig
+from .config import DeviceConfig, text_lines
 from .device import estimate_probabilities, sample_counts, voltage_probabilities
 from .errors import (
     DegenerateDataError,
@@ -268,34 +268,33 @@ def _parse_rows(path, header, n_cols):
     rows = []
     linenos = []
     saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            if not saw_header:
-                if line != header:
-                    raise FileFormatError(
-                        f"header mismatch: expected {header!r}", line=lineno
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, val = body.partition("=")
+                meta[key.strip()] = val.strip()
+            continue
+        if not saw_header:
+            if line != header:
                 raise FileFormatError(
-                    f"expected {n_cols} columns, got {len(parts)}", line=lineno
+                    f"header mismatch: expected {header!r}", line=lineno
                 )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise FileFormatError(f"non-numeric field in {line!r}", line=lineno)
-            linenos.append(lineno)
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise FileFormatError(
+                f"expected {n_cols} columns, got {len(parts)}", line=lineno
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise FileFormatError(f"non-numeric field in {line!r}", line=lineno)
+        linenos.append(lineno)
     if not saw_header:
         raise FileFormatError(f"missing header line {header!r} in {path}")
     if not rows:

@@ -309,7 +309,10 @@ def predict(params, features, scaling: TargetScaling, kick: KickConfig):
 # checkpoint container: versioned self-describing text with a content checksum
 
 _MAGIC = "tricalib-checkpoint"
-_FORMAT = 2  # format 1 also stored Adam's t, m and v; it still loads
+# Format 3 stores each tensor as one line of hex float64; formats 1 and 2
+# stored decimal rows, and format 1 also Adam's t, m and v.  Both still load.
+_FORMAT = 3
+_TENSOR_DTYPE = "<f8"
 
 
 @dataclass
@@ -328,17 +331,18 @@ def _fmt_vec(vec) -> str:
 def _tensor_lines(name, arr, out):
     arr = np.atleast_2d(arr)
     out.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-    for row in arr:
-        out.append(_fmt_vec(row))
+    out.append(np.ascontiguousarray(arr, dtype=_TENSOR_DTYPE).tobytes().hex())
 
 
 def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
                     provenance: str = "unknown"):
-    """Serialize the weights, scaling and kick config (format 2).
+    """Serialize the weights, scaling and kick config (format 3).
 
-    Decimal text at round-trip precision; the trailing line carries a
-    SHA-256 of everything above it, so truncation or bit rot is caught
-    at load time.
+    The header is decimal text at round-trip precision.  Each tensor is a
+    `tensor <name> <rows> <cols>` line followed by one line holding the
+    hex digits of its little-endian float64 data in C order, so every bit
+    round-trips.  The trailing line carries a SHA-256 of the file bytes
+    above it, so truncation or bit rot is caught at load time.
     """
     sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
@@ -353,11 +357,11 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
     for li, (W, b) in enumerate(params):
         _tensor_lines(f"W{li}", W, lines)
         _tensor_lines(f"b{li}", b, lines)
-    payload = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    digest = hashlib.sha256(payload).hexdigest()
+    with open(path, "wb") as fh:
         fh.write(payload)
-        fh.write(f"checksum {digest}\n")
+        fh.write(f"checksum {digest}\n".encode("ascii"))
 
 
 class _LineReader:
@@ -398,7 +402,21 @@ def _tensor_head(reader: _LineReader, name, rows, cols):
         raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head!r}")
 
 
-def _read_tensor(reader: _LineReader, name, rows, cols):
+def _read_hex_tensor(reader: _LineReader, name, rows, cols):
+    """Format 3 body: one line of hex little-endian float64."""
+    _tensor_head(reader, name, rows, cols)
+    try:
+        raw = bytearray.fromhex(reader.next(f"data of {name}"))
+    except ValueError as exc:
+        raise CheckpointError(f"malformed checkpoint: bad hex data in tensor {name}") from exc
+    if len(raw) != rows * cols * 8:
+        raise CheckpointError(f"malformed checkpoint: tensor {name} holds {len(raw)} bytes, "
+                              f"expected {rows * cols * 8}")
+    return _finite(np.frombuffer(raw, dtype=_TENSOR_DTYPE).reshape(rows, cols), f"tensor {name}")
+
+
+def _read_decimal_tensor(reader: _LineReader, name, rows, cols):
+    """Format 1 and 2 body: one line of decimal numbers per row."""
     _tensor_head(reader, name, rows, cols)
     data = np.empty((rows, cols))
     for r in range(rows):
@@ -413,29 +431,34 @@ def _read_tensor(reader: _LineReader, name, rows, cols):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a format 2 checkpoint, or a format 1 one without its Adam state.
+    """Read a format 3 checkpoint, or a format 1 or 2 one (decimal rows;
+    format 1's Adam state is skipped).
 
-    Raises CheckpointError on a bad magic, version or checksum, on a
-    truncated or malformed layout, on any non-finite number and on
-    content after the last tensor.
+    The checksum is verified over the raw file bytes before any text is
+    decoded.  Raises CheckpointError on a bad magic, version or checksum,
+    on a truncated or malformed layout, on a tensor body of the wrong
+    length, on any non-finite number and on content after the last
+    tensor.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.partition(b"\n")[0] != _MAGIC.encode("ascii"):
         raise CheckpointError("not a tricalib checkpoint (bad magic)")
-    if not lines[-1].startswith("checksum "):
+    body_end = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # start of the last line
+    payload, last = raw[:body_end], raw[body_end:]
+    if not last.startswith(b"checksum "):
         raise CheckpointError("truncated checkpoint: missing checksum line")
-    stated = lines[-1].split(" ", 1)[1].strip()
-    payload = "\n".join(lines[:-1]) + "\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if digest != stated:
+    if hashlib.sha256(payload).hexdigest().encode("ascii") != last[len(b"checksum "):].strip():
         raise CheckpointError("checksum mismatch: checkpoint corrupted or truncated")
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"malformed checkpoint: not UTF-8 text ({exc.reason})") from exc
 
-    reader = _LineReader(lines[1:-1])
+    reader = _LineReader(text.split("\n")[1:-1])
     fmt = reader.next("format line")
-    if fmt not in ("format 1", f"format {_FORMAT}"):
-        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads formats 1 and {_FORMAT})")
+    if fmt not in ("format 1", "format 2", f"format {_FORMAT}"):
+        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads formats 1 to {_FORMAT})")
     try:
         sizes = [int(s) for s in reader.field("sizes").split()]
         dv1, dv2 = map(float, reader.field("kick").split())
@@ -452,9 +475,10 @@ def load_checkpoint(path) -> Checkpoint:
                               f"{lo.size}/{hi.size} scaling entries")
     scaling = TargetScaling(lo=lo, hi=hi)
 
+    read_tensor = _read_hex_tensor if fmt == f"format {_FORMAT}" else _read_decimal_tensor
     shapes = list(enumerate(zip(sizes[:-1], sizes[1:])))
-    params = [(_read_tensor(reader, f"W{li}", n_out, n_in),
-               _read_tensor(reader, f"b{li}", 1, n_out)[0])
+    params = [(read_tensor(reader, f"W{li}", n_out, n_in),
+               read_tensor(reader, f"b{li}", 1, n_out)[0])
               for li, (n_in, n_out) in shapes]
     if fmt == "format 1":
         for label in ("m", "v"):

@@ -23,6 +23,7 @@ from tricalib.data import (
     write_csv,
 )
 from tricalib.device import ResponseCoefficients
+from tricalib.errors import FileFormatError
 from tricalib.experiments import VAL_FRACTION, SweepConfig
 from tricalib.net import TrainConfig, load_checkpoint
 
@@ -276,6 +277,16 @@ def test_sweep_grid_rejects_zero_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", ["10,x", ","])
+def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-grid", "--sizes", sizes, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-parameter]: ") and "grid size list" in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_epoch_curves_cli(toy, tmp_path):
     out = tmp_path / "curves"
     assert run_cli(["epoch-curves", "-i", str(toy["ds"]), "--epochs", "4",
@@ -327,6 +338,16 @@ def test_device_config_override_changes_phases(tmp_path, capsys):
     assert ph_soft[0] == pytest.approx(0.5 * ph_default[0], rel=1e-12)
 
 
+def test_exit_code_non_utf8_device_config(tmp_path, capsys):
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(default_device_config(), cfg_path)
+    cfg_path.write_bytes(cfg_path.read_bytes().replace(b"=", b"= \xff", 1))
+    assert run_cli(["simulate", "--volts", "3,4", "--device-config", str(cfg_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[file-format]: ") and "is not UTF-8 text" in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -342,18 +363,54 @@ def test_exit_code_corrupt_checkpoint(toy, tmp_path):
     assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
 
 
-def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
-    """A NaN weight under a valid checksum is exit 7, not `v1 = nan`."""
+def _rechecksummed_model(toy, tmp_path, edit):
+    """A copy of the toy model with W0's data line edited and the checksum
+    recomputed, so the edit reaches the tensor parser."""
     lines = toy["model"].read_text().splitlines()[:-1]
     row = lines.index("tensor W0 24 12") + 1
-    lines[row] = " ".join(["nan", *lines[row].split()[1:]])
+    lines[row] = edit(lines[row])
     payload = "\n".join(lines) + "\n"
-    bad = tmp_path / "nan.ckpt"
+    bad = tmp_path / "edited.ckpt"
     bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
+    return bad
+
+
+def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
+    """A NaN weight under a valid checksum is exit 7, not `v1 = nan`."""
+    bad = _rechecksummed_model(toy, tmp_path, lambda data: "000000000000f87f" + data[16:])
     probs_arg = ",".join(["0.1"] * 12)
     assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
     captured = capsys.readouterr()
     assert "v1 =" not in captured.out and "tensor W0" in captured.err
+    assert "non-finite value in tensor W0" in captured.err and "Traceback" not in captured.err
+
+
+# Edits of a format 3 data line (hex little-endian float64) under a valid
+# checksum; the NaN case is test_exit_code_nan_checkpoint_weight.
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data[:-2], "tensor W0 holds 2303 bytes, expected 2304"),  # one byte short
+    (lambda data: "g" + data[1:], "bad hex data in tensor W0"),
+    (lambda data: data[:-16] + "000000000000f0ff", "non-finite value in tensor W0"),  # -inf
+], ids=["one-byte-short", "non-hex", "minus-inf"])
+def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, message):
+    bad = _rechecksummed_model(toy, tmp_path, edit)
+    assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
+    captured = capsys.readouterr()
+    assert "v1 =" not in captured.out
+    assert captured.err.startswith("error[checkpoint]: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_exit_code_non_utf8_checkpoint(toy, tmp_path, capsys):
+    """A byte that is not UTF-8 fails the byte-level checksum: exit 7."""
+    data = toy["model"].read_bytes()
+    at = data.index(b"tensor W0 24 12\n") + len(b"tensor W0 24 12\n")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error[checkpoint]: checksum mismatch"), err
+    assert "Traceback" not in err
 
 
 def test_exit_code_bad_csv(tmp_path):
@@ -402,6 +459,29 @@ def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):
         lines[i] = "# mean_total = abc"
     _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
                                   "bad mean_total metadata 'abc'")
+
+
+def test_exit_code_non_utf8_dataset(toy, tmp_path, capsys):
+    data = bytearray(toy["ds"].read_bytes())
+    data[data.index(b"\n2.") + 1] = 0xFF  # the first digit of a data row
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(bytes(data))
+    assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt"), *FAST]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[file-format]: ") and "is not UTF-8 text" in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_non_utf8_measurement_csv_is_a_file_format_error(tmp_path):
+    """No subcommand reads a measurement CSV, so the library reader is
+    checked directly: the error maps to exit 5."""
+    path = tmp_path / "grid.csv"
+    assert run_cli(["simulate", "--grid", "4", "-o", str(path)]) == 0
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    with pytest.raises(FileFormatError, match="is not UTF-8 text") as exc:
+        read_measurement_csv(path)
+    assert exc.value.exit_code == 5
 
 
 @pytest.mark.parametrize("dv1", ["nan", "-0.5"])

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricalib import net
@@ -556,8 +556,14 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert same_bits(ck.scaling.hi, scaling.hi)
     assert ck.provenance == "toy"
     lines = path.read_text().splitlines()
-    assert lines[1] == "format 2"
+    assert lines[1] == "format 3"
     assert not any(line.startswith(("adam_t", "tensor m", "tensor v")) for line in lines)
+    heads = [i for i, line in enumerate(lines) if line.startswith("tensor ")]
+    assert len(heads) == 2 * len(params)
+    for i in heads:  # one line of 16 hex digits per float64 under each header
+        _, _, rows, cols = lines[i].split()
+        assert len(lines[i + 1]) == 16 * int(rows) * int(cols)
+        assert lines[i + 2].startswith(("tensor ", "checksum "))
 
 
 _EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3,
@@ -605,9 +611,8 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 def test_checkpoint_bit_flip_rejected(tmp_path):
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()
-    row = lines[10].split()
-    row[0] = repr(float(row[0]) + 1e-9)
-    lines[10] = " ".join(row)
+    at = lines.index("tensor b0 1 10") + 1
+    lines[at] = f"{int(lines[at][0], 16) ^ 1:x}" + lines[at][1:]  # one bit of b0[0]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="checksum"):
         load_checkpoint(path)
@@ -631,43 +636,57 @@ def test_checkpoint_non_finite_value_rejected(tmp_path, label, value, message):
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
     at = next(i for i, line in enumerate(lines) if line.startswith(label))
-    at += 1 if label.startswith("tensor") else 0  # first row of a tensor
-    fields = lines[at].split()
-    fields[-1] = value
-    lines[at] = " ".join(fields)
+    if label.startswith("tensor"):  # the last element of its hex float64 data line
+        lines[at + 1] = lines[at + 1][:-16] + np.array(float(value), "<f8").tobytes().hex()
+    else:
+        fields = lines[at].split()
+        fields[-1] = value
+        lines[at] = " ".join(fields)
     rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fmt", [1, 2])
-def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
-    """A file assembled by hand to the documented layout must load: format 2
-    holds the weights only, format 1 also Adam's t and moments, which the
-    loader skips."""
+def handmade_checkpoint(path, fmt, params, kick, scaling, provenance="handmade"):
+    """Write `params` to the documented layout of format `fmt` by hand:
+    decimal rows in formats 1 and 2, one hex float64 line in format 3;
+    format 1 also holds Adam's t and moments (here zeros)."""
+    sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         "tricalib-checkpoint",
         f"format {fmt}",
-        "sizes 12 2 4",
-        "kick 0.5 0.5",
-        "scale_lo " + " ".join(["0.0"] * 4),
-        "scale_hi " + " ".join(["1.0"] * 4),
-        "provenance handmade",
+        "sizes " + " ".join(map(str, sizes)),
+        f"kick {float(kick.dv1)!r} {float(kick.dv2)!r}",
+        "scale_lo " + " ".join(repr(float(x)) for x in scaling.lo),
+        "scale_hi " + " ".join(repr(float(x)) for x in scaling.hi),
+        f"provenance {provenance}",
     ]
     if fmt == 1:
         lines.append("adam_t 7")
+    blocks = [(f"{kind}{li}", np.atleast_2d(arr))
+              for li, pair in enumerate(params) for kind, arr in zip("Wb", pair)]
+    if fmt == 1:
+        blocks += [(label + name, np.zeros_like(arr)) for label in ("m", "v") for name, arr in blocks]
+    for name, arr in blocks:
+        lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
+        if fmt == 3:
+            lines.append(arr.astype("<f8").tobytes().hex())
+        else:
+            lines += [" ".join(repr(float(x)) for x in row) for row in arr]
+    rewrite_with_checksum(path, lines)
+
+
+@pytest.mark.parametrize("fmt", [1, 2, 3])
+def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
+    """A file assembled by hand to the documented layout must load: format 3
+    holds the weights as hex float64, format 2 as decimal rows, format 1
+    also Adam's t and moments, which the loader skips."""
     rng = np.random.default_rng(0)
     W0, b0 = rng.normal(size=(2, 12)), np.zeros(2)
     W1, b1 = rng.normal(size=(4, 2)), np.zeros(4)
-    blocks = [("W0", W0), ("b0", b0[None]), ("W1", W1), ("b1", b1[None])]
-    if fmt == 1:
-        blocks += [(label + name, rng.normal(size=arr.shape))
-                   for label in ("m", "v") for name, arr in blocks]
-    for name, arr in blocks:
-        lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-        lines += [" ".join(repr(float(x)) for x in row) for row in arr]
     path = tmp_path / "handmade.ckpt"
-    rewrite_with_checksum(path, lines)
+    handmade_checkpoint(path, fmt, [(W0, b0), (W1, b1)], KickConfig(0.5, 0.5),
+                        TargetScaling(lo=np.zeros(4), hi=np.ones(4)))
 
     ck = load_checkpoint(path)
     assert ck.sizes == [12, 2, 4]
@@ -686,12 +705,102 @@ def test_checkpoint_trailing_content_rejected(tmp_path, extra):
     lines = path.read_text().splitlines()[:-1]
     if extra == "line":
         lines.append("0.0")
-    else:
+    else:  # format 1's moment blocks, in the format 3 body form
         for label in ("m", "v"):
             for li, (W, b) in enumerate(params):
                 for name, arr in ((f"{label}W{li}", W), (f"{label}b{li}", b[None])):
                     lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-                    lines += [" ".join(["0.0"] * arr.shape[1])] * arr.shape[0]
+                    lines.append(np.zeros(arr.shape, "<f8").tobytes().hex())
     rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match="after the last tensor"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fmt", [1, 2])
+def test_decimal_checkpoint_resaved_as_format_3_is_bitwise_equal(tmp_path, fmt):
+    """A format 1 or 2 file and its format 3 re-save hold the same bits and
+    give the same predictions."""
+    _, params, scaling, kick = trained_toy(tmp_path)
+    old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
+    handmade_checkpoint(old, fmt, params, kick, scaling, provenance="toy")
+    ck_old = load_checkpoint(old)
+    save_checkpoint(new, ck_old.params, ck_old.kick, ck_old.scaling, ck_old.provenance)
+    assert new.read_text().splitlines()[1] == "format 3"
+    ck_new = load_checkpoint(new)
+    for (W, b), (oW, ob), (nW, nb) in zip(params, ck_old.params, ck_new.params, strict=True):
+        assert same_bits(W, oW) and same_bits(W, nW) and same_bits(b, ob) and same_bits(b, nb)
+    assert ck_new.kick == ck_old.kick and ck_new.provenance == "toy"
+    feats = np.random.default_rng(4).uniform(size=(7, 12))
+    for got, want in zip(predict(ck_new.params, feats, ck_new.scaling, ck_new.kick),
+                         predict(ck_old.params, feats, ck_old.scaling, ck_old.kick), strict=True):
+        assert same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A small format 3 checkpoint (12-3-4) and a scratch path for its mutants.
+
+    W0[0, 0] is 1.9375, 0x3fff000000000000, stored as 000000000000ff3f:
+    one bit of its 15th hex digit away from a NaN."""
+    rng = np.random.default_rng(5)
+    W0, W1 = rng.normal(size=(3, 12)), rng.normal(size=(4, 3))
+    W0[0, 0] = 1.9375
+    params = [(W0, rng.normal(size=3)), (W1, rng.normal(size=4))]
+    path = tmp_path_factory.mktemp("fuzz") / "base.ckpt"
+    save_checkpoint(path, params, KickConfig(0.5, 0.25),
+                    TargetScaling(lo=np.zeros(4), hi=np.full(4, 2.0)), provenance="fuzz")
+    return path.read_bytes(), path.with_name("mutant.ckpt")
+
+
+def _mutate(data, kind, line, offset, byte):
+    """Flip bits of, insert before or delete the byte at `offset` of line
+    `line` (both taken modulo what exists) of `data`."""
+    lines = data.splitlines(keepends=True)
+    target = lines[line % len(lines)]
+    at = offset % (len(target) + (kind == "insert"))
+    if kind == "flip":
+        target = target[:at] + bytes([target[at] ^ byte]) + target[at + 1:]
+    elif kind == "insert":
+        target = target[:at] + bytes([byte]) + target[at:]
+    else:
+        target = target[:at] + target[at + 1:]
+    lines[line % len(lines)] = target
+    return b"".join(lines)
+
+
+_MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                      st.integers(0, 40), st.integers(0, 4095), st.integers(1, 255))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3), recompute=st.booleans())
+# Line 8 is W0's data line: a newline at a float64 boundary splits it, and
+# '3' -> '7' in W0[0, 0]'s top byte makes 0x7fff000000000000, a NaN.
+@example(mutations=[("insert", 8, 16, ord("\n"))], recompute=True)
+@example(mutations=[("flip", 8, 14, ord("3") ^ ord("7"))], recompute=True)
+def test_checkpoint_byte_mutation_fuzz(fuzz_base, mutations, recompute):
+    """Flipped, inserted or deleted bytes give a CheckpointError or a
+    checkpoint whose tensors match its sizes and are all finite, with the
+    checksum left as it is or recomputed so the mutation reaches the parser."""
+    base, path = fuzz_base
+    if recompute:
+        payload = base[:base.rindex(b"checksum ")]
+        for mutation in mutations:
+            payload = _mutate(payload, *mutation)
+        data = payload + f"checksum {hashlib.sha256(payload).hexdigest()}\n".encode()
+    else:
+        data = base
+        for mutation in mutations:
+            data = _mutate(data, *mutation)
+    path.write_bytes(data)
+    try:
+        ck = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert len(ck.sizes) >= 2 and len(ck.params) == len(ck.sizes) - 1
+    for (W, b), n_in, n_out in zip(ck.params, ck.sizes[:-1], ck.sizes[1:]):
+        assert W.shape == (n_out, n_in) and b.shape == (n_out,)
+        assert np.isfinite(W).all() and np.isfinite(b).all()
+    assert ck.scaling.lo.shape == ck.scaling.hi.shape == (ck.sizes[-1],)
+    assert np.isfinite(ck.scaling.lo).all() and np.isfinite(ck.scaling.hi).all()
+

@@ -136,6 +136,12 @@ def text_lines(path):
             raise FileFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 
+def check_one_line(name: str, text: str):
+    """Reject a header value that would split its line in a text file."""
+    if "\n" in text or "\r" in text:
+        raise InvalidParameterError(f"{name} must be one line, got {text!r}")
+
+
 def read_device_config(path) -> DeviceConfig:
     """Parse a device config file; unknown keys are rejected."""
     values: dict[str, list[float]] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig, text_lines
+from .config import DeviceConfig, check_one_line, text_lines
 from .device import estimate_probabilities, sample_counts, voltage_probabilities
 from .errors import (
     DegenerateDataError,
@@ -37,6 +37,7 @@ from .errors import (
     IngestionError,
     InvalidParameterError,
 )
+from .metrics import format_value
 
 __all__ = [
     "VoltageGrid",
@@ -177,7 +178,9 @@ def generate_simulated(
 
     Raises invalid-parameter if the grid or any kicked setting falls
     outside the simulable device range, or if mean_total is not a
-    positive photon count.
+    positive photon count.  Raises degenerate-data, naming the budget, if
+    any acquisition (one input's triple) draws zero photons: its
+    frequencies are undefined, and redrawing it would bias the noise.
     """
     if replicas < 1:
         raise InvalidParameterError("replicas must be >= 1")
@@ -194,15 +197,22 @@ def generate_simulated(
     p_kick = voltage_probabilities(kicked, device.coeffs, device.tritter)
     targets = np.concatenate([base, kicked], axis=-1)
 
-    blocks = []
-    for _ in range(replicas):
-        if mean_total is None:
-            blocks.append(np.concatenate([p_base, p_kick], axis=-1))
-        else:
-            fb = estimate_probabilities(sample_counts(p_base, mean_total, rng))
-            fk = estimate_probabilities(sample_counts(p_kick, mean_total, rng))
-            blocks.append(np.concatenate([fb, fk], axis=-1))
-    features = np.concatenate(blocks, axis=0)
+    if mean_total is None:
+        features = np.tile(np.concatenate([p_base, p_kick], axis=-1), (replicas, 1))
+    else:
+        counts = np.concatenate([
+            np.concatenate([sample_counts(p_base, mean_total, rng),
+                            sample_counts(p_kick, mean_total, rng)], axis=-1)
+            for _ in range(replicas)
+        ])
+        empty = int(np.count_nonzero(counts.reshape(-1, 3).sum(axis=-1) == 0))
+        if empty:
+            raise DegenerateDataError(
+                f"{empty} of {counts.size // 3} acquisitions drew zero photons at a "
+                f"budget of {mean_total:g} photons per input; cannot normalize"
+            )
+        features = np.concatenate([estimate_probabilities(counts[:, :6]),
+                                   estimate_probabilities(counts[:, 6:])], axis=-1)
     return Dataset(
         features=features,
         targets=np.tile(targets, (replicas, 1)),
@@ -234,38 +244,57 @@ def normalize_targets(train: Dataset):
     return scaled, scaling
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips,
-    # always >= 9 significant digits when they matter.
-    return repr(float(x))
+# Rows the writer gathers and joins at a time: keeps its temporaries near
+# a megabyte whatever the dataset size.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh, rows):
+    """Write a 2-D float array as CSV lines in `format_value`'s text form.
+
+    Shot-noise frequencies repeat a lot, so each distinct float64 bit
+    pattern is formatted once: the unique patterns are taken over the
+    uint64 view (so -0.0 and 0.0 stay apart) and every cell is looked up
+    among them, one block of rows at a time.  The text of a Python float
+    under `format_value` is its `repr`, called here directly because this
+    loop runs once per distinct value.
+    """
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    distinct = np.unique(bits)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    for start in range(0, bits.shape[0], _WRITE_BLOCK_ROWS):
+        cells = text[np.searchsorted(distinct, bits[start:start + _WRITE_BLOCK_ROWS])]
+        fh.writelines(",".join(row) + "\n" for row in cells.tolist())
 
 
 def write_csv(dataset: Dataset, path):
-    """Serialize a dataset; lossless (floats round-trip bit-exactly)."""
+    """Serialize a dataset; lossless (floats round-trip bit-exactly).
+
+    Refuses normalized targets and a provenance that spans lines.
+    """
     if dataset.normalization is not None:
         raise InvalidParameterError("refusing to serialize normalized targets; save the raw dataset")
-    lines = [
-        f"# provenance = {dataset.provenance}",
-        f"# dv1 = {_fmt(dataset.kick.dv1)}",
-        f"# dv2 = {_fmt(dataset.kick.dv2)}",
-        f"# mean_total = {'none' if dataset.mean_total is None else _fmt(dataset.mean_total)}",
-        DATASET_HEADER,
-    ]
-    for t, f in zip(dataset.targets, dataset.features):
-        row = [t[0], t[1], t[2], t[3], *f]
-        lines.append(",".join(_fmt(x) for x in row))
+    check_one_line("provenance", dataset.provenance)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# provenance = {dataset.provenance}\n"
+                 f"# dv1 = {format_value(dataset.kick.dv1)}\n"
+                 f"# dv2 = {format_value(dataset.kick.dv2)}\n"
+                 f"# mean_total = {format_value(dataset.mean_total)}\n"
+                 f"{DATASET_HEADER}\n")
+        _write_rows(fh, np.hstack([dataset.targets, dataset.features]))
 
 
 def _parse_rows(path, header, n_cols):
     """Shared CSV scanner: returns (metadata, rows, row_linenos).
 
-    Every data field must parse as a finite float; a nan or inf is
-    reported with its line number.
+    Comment, metadata and blank lines are skipped line by line; the data
+    lines are parsed together by `np.loadtxt`, which accepts what
+    Python's `float()` does except digit-group underscores and non-ASCII
+    digits.  A wrong column count, a non-numeric field and a nan or inf
+    are reported with their line number.
     """
     meta: dict[str, str] = {}
-    rows = []
+    lines = []
     linenos = []
     saw_header = False
     for lineno, raw in text_lines(path):
@@ -285,25 +314,42 @@ def _parse_rows(path, header, n_cols):
                 )
             saw_header = True
             continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
+        if line.count(",") != n_cols - 1:
             raise FileFormatError(
-                f"expected {n_cols} columns, got {len(parts)}", line=lineno
+                f"expected {n_cols} columns, got {line.count(',') + 1}", line=lineno
             )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise FileFormatError(f"non-numeric field in {line!r}", line=lineno)
+        lines.append(line)
         linenos.append(lineno)
     if not saw_header:
         raise FileFormatError(f"missing header line {header!r} in {path}")
-    if not rows:
+    if not lines:
         raise FileFormatError(f"no data rows in {path}")
-    rows = np.array(rows)
+    try:
+        rows = _parse_floats(lines)
+    except ValueError:
+        bad = _first_bad_line(lines)
+        raise FileFormatError(f"non-numeric field in {lines[bad]!r}", line=linenos[bad])
     bad = np.nonzero(~np.isfinite(rows).all(axis=1))[0]
     if bad.size:
         raise FileFormatError("non-finite field (nan or inf)", line=linenos[bad[0]])
     return meta, rows, linenos
+
+
+def _parse_floats(lines):
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+
+
+def _first_bad_line(lines):
+    """Index of the first line `_parse_floats` rejects, by bisection."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] hold a bad one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_floats(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 def _check_probability_block(block, linenos, first_col):
@@ -359,16 +405,11 @@ def read_csv(path) -> Dataset:
 
 def write_measurement_csv(voltages, probs, path, comment: str | None = None):
     """Raw per-setting grid file in the measurement schema."""
-    voltages = np.asarray(voltages, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(MEASUREMENT_HEADER)
-    for v, p in zip(voltages, probs):
-        lines.append(",".join(_fmt(x) for x in (*v, *p)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(MEASUREMENT_HEADER + "\n")
+        _write_rows(fh, np.hstack([voltages, probs]))
 
 
 def read_measurement_csv(path):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_one_line
 from .data import Dataset, KickConfig, TargetScaling
 from .errors import (
     CheckpointError,
@@ -342,8 +343,10 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
     `tensor <name> <rows> <cols>` line followed by one line holding the
     hex digits of its little-endian float64 data in C order, so every bit
     round-trips.  The trailing line carries a SHA-256 of the file bytes
-    above it, so truncation or bit rot is caught at load time.
+    above it, so truncation or bit rot is caught at load time.  A
+    provenance that spans lines is refused.
     """
+    check_one_line("provenance", provenance)
     sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         _MAGIC,

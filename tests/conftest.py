@@ -10,7 +10,9 @@ directory and compares bytes.
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tricalib import cli
 
@@ -18,6 +20,32 @@ from tricalib import cli
 def run_cli(argv):
     """Invoke the CLI in-process and return its exit code."""
     return cli.main(argv)
+
+
+def same_bits(a, b):
+    """Shape and every float64 bit equal: tells -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def mutate_bytes(data, kind, line, offset, byte):
+    """Flip bits of, insert before or delete the byte at `offset` of line
+    `line` (both taken modulo what exists) of `data`."""
+    lines = data.splitlines(keepends=True)
+    target = lines[line % len(lines)]
+    at = offset % (len(target) + (kind == "insert"))
+    if kind == "flip":
+        target = target[:at] + bytes([target[at] ^ byte]) + target[at + 1:]
+    elif kind == "insert":
+        target = target[:at] + bytes([byte]) + target[at:]
+    else:
+        target = target[:at] + target[at + 1:]
+    lines[line % len(lines)] = target
+    return b"".join(lines)
+
+
+# (kind, line, offset, byte) arguments of `mutate_bytes`
+BYTE_MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                          st.integers(0, 40), st.integers(0, 4095), st.integers(1, 255))
 
 
 def _coerce(val):

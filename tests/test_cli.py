@@ -453,6 +453,25 @@ def test_exit_code_inf_targets(toy, tmp_path, capsys):
         "line 12: non-finite field")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661"])
+def test_exit_code_python_only_float_spelling(toy, tmp_path, capsys, text):
+    """Underscores and non-ASCII digits are not CSV numbers: exit 5."""
+    _train_rejects_edited_dataset(
+        toy, tmp_path, capsys, lambda ls: _set_fields(ls, 10, (5,), text),
+        "line 10: non-numeric field")
+
+
+def test_exit_code_zero_count_acquisitions(tmp_path, capsys):
+    """A budget too low for every triple to see a photon is exit 4; the
+    message names the budget and how many acquisitions came up empty."""
+    out = tmp_path / "d.csv"
+    assert run_cli(["gen-dataset", "--counts", "5", "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error[degenerate-data]: 81 of 11236 acquisitions drew zero photons "
+                   "at a budget of 5 photons per input; cannot normalize\n"), err
+    assert not out.exists()
+
+
 def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):
     def edit(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("# mean_total = "))

@@ -1,9 +1,16 @@
 """Grids, kick-augmented dataset generation, splits, normalization,
 CSV round-trips, and experimental ingestion."""
 
+import io
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tricalib import data as datamod
 from tricalib.config import default_device_config
 from tricalib.data import (
     Dataset,
@@ -22,11 +29,14 @@ from tricalib.data import (
 )
 from tricalib.device import voltage_probabilities
 from tricalib.errors import (
+    CalibrationError,
     DegenerateDataError,
     FileFormatError,
     IngestionError,
     InvalidParameterError,
 )
+
+from conftest import BYTE_MUTATION, mutate_bytes, same_bits
 
 DEV = default_device_config()
 
@@ -274,7 +284,7 @@ def test_header_mismatch_rejected(tmp_path):
 
 def test_wrong_column_count_reports_line(tmp_path):
     path = corrupt(tmp_path, lambda ls: ls.__setitem__(6, ls[6] + ",0.5"))
-    with pytest.raises(FileFormatError, match="line 7"):
+    with pytest.raises(FileFormatError, match="line 7: expected 16 columns, got 17"):
         read_csv(path)
 
 
@@ -294,7 +304,7 @@ def test_non_numeric_field_rejected(tmp_path):
         parts[7] = "abc"
         ls[5] = ",".join(parts)
     path = corrupt(tmp_path, mangle)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="line 6: non-numeric field in '.*,abc,"):
         read_csv(path)
 
 
@@ -368,6 +378,179 @@ def test_measurement_non_finite_rejected(tmp_path):
                     "inf,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n")
     with pytest.raises(FileFormatError, match="line 3: non-finite"):
         read_measurement_csv(path)
+
+
+@pytest.mark.parametrize("bad", [[0], [3], [8], [2, 7], [5, 6, 8]])
+def test_non_numeric_field_reports_first_bad_line(tmp_path, bad):
+    """Every data line is parsed in one call; the error still names the
+    first bad line, wherever it is among the others."""
+    def mangle(ls):
+        ls.insert(6, "# a comment between rows")
+        ls.insert(9, "")
+        for row in bad:
+            at = 5 + row + (row >= 1) + (row >= 3)  # skip the inserted lines
+            ls[at] = ls[at].replace(",", ",x", 1)
+    path = corrupt(tmp_path, mangle)
+    first = 6 + bad[0] + (bad[0] >= 1) + (bad[0] >= 3)
+    with pytest.raises(FileFormatError, match=f"line {first}: non-numeric field"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", "0x1p0", ""])
+def test_python_only_float_spellings_rejected(tmp_path, field):
+    """Digit-group underscores and non-ASCII digits, which Python's float()
+    would take, are not numbers in a CSV file."""
+    path = tmp_path / "m.csv"
+    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
+                    "1.0,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n"
+                    f"{field},1.0,0.2,0.3,0.5,0.3,0.3,0.4\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="line 3: non-numeric field"):
+        read_measurement_csv(path)
+
+
+def test_whitespace_around_fields_accepted(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
+                    " 1.0 ,\t2.5,0.2 , 0.3,0.5,0.3,0.3,0.4\n")
+    v, p = read_measurement_csv(path)
+    assert v.tolist() == [[1.0, 2.5]] and p.shape == (1, 6)
+
+
+@pytest.mark.parametrize("provenance", ["run 1\nrun 2", "run 1\r", "\r\n"])
+def test_multiline_provenance_refused(tmp_path, provenance):
+    """A line break in the provenance would split its metadata line."""
+    ds = replace(small_dataset(mean_total=None, n=3), provenance=provenance)
+    path = tmp_path / "d.csv"
+    with pytest.raises(InvalidParameterError, match="provenance must be one line"):
+        write_csv(ds, path)
+    assert not path.exists()
+
+
+def test_zero_count_acquisitions_name_the_budget():
+    with pytest.raises(DegenerateDataError,
+                       match=r"^30 of 324 acquisitions drew zero photons at a budget "
+                             r"of 2 photons per input; cannot normalize$"):
+        small_dataset(mean_total=2.0, n=9)
+
+
+# ------------------------------------------------------- CSV bit-exactness
+
+
+def reference_rows(rows):
+    """The writer's output as it was when every cell was formatted on its own."""
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+
+
+_TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY / 3, -_TINY, _MAX, -_MAX]))
+PROBABILITY = (st.floats(min_value=0.0, max_value=1.0)
+               | st.sampled_from([0.0, -0.0, 5e-324, _TINY / 3, _TINY, 1.0]))
+
+
+def cells(data, shape, elements):
+    """An array of `shape` drawn from `elements`: either a few values
+    repeated all over, or every cell a distinct bit pattern."""
+    n = shape[0] * shape[1]
+    if data.draw(st.booleans(), label="repeated"):
+        pool = data.draw(st.lists(elements, min_size=1, max_size=3))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        values = data.draw(st.lists(elements, min_size=n, max_size=n,
+                                    unique_by=lambda x: np.float64(x).tobytes()))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), block=st.integers(1, 4))
+def test_write_rows_matches_per_cell_repr(data, n, block):
+    """Same bytes as formatting every cell on its own, across row blocks."""
+    rows = cells(data, (n, data.draw(st.integers(1, 5))),
+                 FINITE | st.sampled_from([np.nan, np.inf, -np.inf]))
+    out = io.StringIO()
+    with mock.patch.object(datamod, "_WRITE_BLOCK_ROWS", block):
+        datamod._write_rows(out, rows)
+    assert out.getvalue() == reference_rows(rows)
+
+
+def test_write_rows_keeps_signed_zeros_apart():
+    out = io.StringIO()
+    datamod._write_rows(out, np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    assert out.getvalue() == "0.0,-0.0\n-0.0,0.0\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       dv=st.tuples(*[st.floats(min_value=5e-324, max_value=1e-12)] * 2),
+       mean_total=st.none() | st.floats(min_value=5e-324, max_value=_MAX))
+def test_dataset_csv_round_trip_property(tmp_path_factory, data, n, dv, mean_total):
+    """write -> read is the identity on every bit; writing again gives the
+    same bytes.  Kick offsets below 1e-9 V let the targets take any finite
+    value and still pass the kick-consistency check."""
+    base = cells(data, (n, 2), FINITE)
+    ds = Dataset(features=cells(data, (n, 12), PROBABILITY),
+                 targets=np.hstack([base, base + np.array(dv)]),
+                 kick=KickConfig(*dv), provenance="property", mean_total=mean_total)
+    root = tmp_path_factory.mktemp("csv")
+    write_csv(ds, root / "a.csv")
+    back = read_csv(root / "a.csv")
+    assert same_bits(back.features, ds.features) and same_bits(back.targets, ds.targets)
+    assert (back.kick, back.provenance, back.mean_total) == (ds.kick, "property", mean_total)
+    write_csv(back, root / "b.csv")
+    assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_measurement_csv_round_trip_property(tmp_path_factory, data, n):
+    volts, probs = cells(data, (n, 2), FINITE), cells(data, (n, 6), PROBABILITY)
+    root = tmp_path_factory.mktemp("csv")
+    write_measurement_csv(volts, probs, root / "a.csv", comment="property")
+    v, p = read_measurement_csv(root / "a.csv")
+    assert same_bits(v, volts) and same_bits(p, probs)
+    write_measurement_csv(v, p, root / "b.csv", comment="property")
+    assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_bases(tmp_path_factory):
+    """A small dataset file and measurement file, and a path for their mutants."""
+    root = tmp_path_factory.mktemp("csv_fuzz")
+    write_csv(small_dataset(n=3), root / "d.csv")
+    settings_ = build_grid(1.0, 4.0, 3).settings()
+    write_measurement_csv(settings_, voltage_probabilities(settings_, DEV.coeffs, DEV.tritter),
+                          root / "m.csv", comment="fuzz")
+    return {"dataset": (root / "d.csv").read_bytes(),
+            "measurement": (root / "m.csv").read_bytes(), "mutant": root / "mutant.csv"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=st.sampled_from(["dataset", "measurement"]),
+       mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3))
+# '.' -> '_' in the v1 of the second data row makes '1_0', which float() reads as 10
+@example(schema="measurement", mutations=[("flip", 3, 1, ord(".") ^ ord("_"))])
+def test_csv_byte_mutation_fuzz(csv_fuzz_bases, schema, mutations):
+    """Flipped, inserted or deleted bytes give a CalibrationError or arrays
+    of the schema's shape that are all finite, probabilities in [0, 1]."""
+    data = csv_fuzz_bases[schema]
+    for mutation in mutations:
+        data = mutate_bytes(data, *mutation)
+    path = csv_fuzz_bases["mutant"]
+    path.write_bytes(data)
+    try:
+        if schema == "dataset":
+            ds = read_csv(path)
+            volts, probs = ds.targets, ds.features
+            assert ds.kick.dv1 > 0 and ds.kick.dv2 > 0
+        else:
+            volts, probs = read_measurement_csv(path)
+    except CalibrationError:
+        return
+    width = 12 if schema == "dataset" else 6
+    assert volts.shape == (len(probs), width // 3) and probs.shape[1:] == (width,)
+    assert np.isfinite(volts).all() and np.isfinite(probs).all()
+    assert ((probs >= 0.0) & (probs <= 1.0)).all()
 
 
 # ---------------------------------------------------------------- ingestion

@@ -38,6 +38,8 @@ from tricalib.net import (
     train,
 )
 
+from conftest import BYTE_MUTATION, mutate_bytes, same_bits
+
 DEV = default_device_config()
 
 
@@ -541,10 +543,6 @@ def rewrite_with_checksum(path, lines):
     path.write_text(payload + f"checksum {digest}\n")
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def test_checkpoint_round_trip_bitwise(tmp_path):
     path, params, scaling, kick = trained_toy(tmp_path)
     ck = load_checkpoint(path)
@@ -591,6 +589,17 @@ def test_checkpoint_round_trip_property(tmp_path_factory, data, sizes):
     for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
         assert same_bits(W, rW) and same_bits(b, rb)
     assert same_bits(scaling.lo, ck.scaling.lo) and same_bits(scaling.hi, ck.scaling.hi)
+
+
+@pytest.mark.parametrize("provenance", ["run 1\nrun 2", "run 1\r", "\n"])
+def test_checkpoint_multiline_provenance_refused(tmp_path, provenance):
+    """A line break in the provenance would split its header line."""
+    params = [(np.ones((4, 12)), np.zeros(4))]
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(InvalidParameterError, match="provenance must be one line"):
+        save_checkpoint(path, params, KickConfig(0.5, 0.25),
+                        TargetScaling(lo=np.zeros(4), hi=np.ones(4)), provenance=provenance)
+    assert not path.exists()
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
@@ -752,28 +761,8 @@ def fuzz_base(tmp_path_factory):
     return path.read_bytes(), path.with_name("mutant.ckpt")
 
 
-def _mutate(data, kind, line, offset, byte):
-    """Flip bits of, insert before or delete the byte at `offset` of line
-    `line` (both taken modulo what exists) of `data`."""
-    lines = data.splitlines(keepends=True)
-    target = lines[line % len(lines)]
-    at = offset % (len(target) + (kind == "insert"))
-    if kind == "flip":
-        target = target[:at] + bytes([target[at] ^ byte]) + target[at + 1:]
-    elif kind == "insert":
-        target = target[:at] + bytes([byte]) + target[at:]
-    else:
-        target = target[:at] + target[at + 1:]
-    lines[line % len(lines)] = target
-    return b"".join(lines)
-
-
-_MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
-                      st.integers(0, 40), st.integers(0, 4095), st.integers(1, 255))
-
-
 @settings(max_examples=300, deadline=None)
-@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3), recompute=st.booleans())
+@given(mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3), recompute=st.booleans())
 # Line 8 is W0's data line: a newline at a float64 boundary splits it, and
 # '3' -> '7' in W0[0, 0]'s top byte makes 0x7fff000000000000, a NaN.
 @example(mutations=[("insert", 8, 16, ord("\n"))], recompute=True)
@@ -786,12 +775,12 @@ def test_checkpoint_byte_mutation_fuzz(fuzz_base, mutations, recompute):
     if recompute:
         payload = base[:base.rindex(b"checksum ")]
         for mutation in mutations:
-            payload = _mutate(payload, *mutation)
+            payload = mutate_bytes(payload, *mutation)
         data = payload + f"checksum {hashlib.sha256(payload).hexdigest()}\n".encode()
     else:
         data = base
         for mutation in mutations:
-            data = _mutate(data, *mutation)
+            data = mutate_bytes(data, *mutation)
     path.write_bytes(data)
     try:
         ck = load_checkpoint(path)

@@ -5,10 +5,11 @@ setting (the measurement schema), not as ready-made training examples.
 `ingest_experimental` pairs each setting with the setting one kick away
 on the same grid and drops border settings without a partner.
 
-There is no real instrument in this demo, so we stand one up: the
-`surface` renderer writes noise-free model probabilities in exactly the
-measurement schema.  Everything downstream (ingestion, training,
-evaluation) then runs as it would on lab data.
+There is no real instrument in this demo, so we stand one up:
+`write_measurement_csv` stores noise-free model probabilities in the
+measurement schema, as `tricalib simulate --grid N --counts 0 -o` does.
+Everything downstream (ingestion, training, evaluation) then runs as it
+would on lab data.
 
 Run:  python3 demos/05_measured_grid_ingestion.py
 """
@@ -19,22 +20,31 @@ from pathlib import Path
 import numpy as np
 
 from tricalib.config import default_device_config
-from tricalib.data import build_grid, ingest_experimental, kick_from_steps, write_csv
-from tricalib.experiments import render_probability_surfaces, train_on_dataset
+from tricalib.data import (
+    build_grid,
+    ingest_experimental,
+    kick_from_steps,
+    write_csv,
+    write_measurement_csv,
+)
+from tricalib.device import voltage_probabilities
+from tricalib.experiments import train_on_dataset
 from tricalib.metrics import repeated_test_evaluation
 from tricalib.net import TrainConfig, forward
 
 dev = default_device_config()
 work = Path(tempfile.mkdtemp(prefix="tricalib_ingest_"))
 
-# 1. "measure" a 31x31 grid; results.csv is in the measurement schema
-render_probability_surfaces(dev, 1.0, 7.0, 31, work / "measured")
-measured = work / "measured" / "results.csv"
+# 1. "measure" a 31x31 grid into a file in the measurement schema
+grid = build_grid(1.0, 7.0, 31)
+settings = grid.settings()
+measured = work / "measured.csv"
+write_measurement_csv(settings, voltage_probabilities(settings, dev.coeffs, dev.tritter),
+                      measured, comment="noise-free model probabilities")
 print(f"measured grid file: {measured}")
 print("  " + measured.read_text().splitlines()[1])  # the schema header
 
 # 2. ingest: pair settings one kick apart, drop unpartnered borders
-grid = build_grid(1.0, 7.0, 31)
 kick = kick_from_steps(grid, 2, 2)
 dataset, n_dropped = ingest_experimental(measured, kick)
 print(f"\ningested {len(dataset)} examples "

@@ -10,7 +10,7 @@ One binary, nine subcommands:
     sweep-grid    grid-size study (fresh dataset and trainings per size)
     ablate-kicks  paired kicked vs unkicked comparison
     epoch-curves  per-epoch validation trajectory of one training
-    surface       probability surfaces, or predicted-vs-true scatter with -m
+    surface       predicted-vs-true scatter of a model on a dataset
 
 Config files can be overridden by flags; flags win.  All randomness is
 controlled by explicit seed flags, and identical command lines with
@@ -43,7 +43,6 @@ from .experiments import (
     run_grid_sweep,
     run_kick_ablation,
     run_prediction_surface,
-    render_probability_surfaces,
     train_config_pairs,
     train_on_dataset,
     uniform_feature_pool,
@@ -67,13 +66,15 @@ OS_ERROR_EXIT = 10
 
 
 def _parse_floats_arg(text, n, what):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise InvalidParameterError(f"{what} needs {n} comma-separated values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array(cfgmod.split_floats(text))
     except ValueError:
         raise InvalidParameterError(f"{what} contains a non-numeric value: {text!r}")
+    if len(values) != n:
+        raise InvalidParameterError(f"{what} needs {n} comma-separated values, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(f"{what} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_int_list(text, what):
@@ -316,13 +317,6 @@ def cmd_epoch_curves(args):
 
 def cmd_surface(args):
     device = cfgmod.resolve_device_config(args.device_config)
-    if args.model is None:
-        render_probability_surfaces(device, args.grid_min, args.grid_max,
-                                    args.resolution, args.output)
-        print(f"probability surfaces in {args.output}")
-        return 0
-    if args.input is None:
-        raise InvalidParameterError("prediction surface needs a dataset: -i data.csv")
     ckpt = load_checkpoint(args.model)
     ds = datamod.read_csv(args.input)
     mean_total = _mean_total(args.counts, device, ds)
@@ -436,12 +430,9 @@ def build_parser():
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)
 
-    sp = add("surface", cmd_surface, "probability surfaces, or predictions with -m")
-    sp.add_argument("--resolution", type=int, default=60)
-    sp.add_argument("--grid-min", type=float, default=cfgmod.GRID_V_MIN)
-    sp.add_argument("--grid-max", type=float, default=cfgmod.GRID_V_MAX)
-    sp.add_argument("-m", "--model", default=None, help="checkpoint -> prediction mode")
-    sp.add_argument("-i", "--input", default=None, help="dataset CSV (prediction mode)")
+    sp = add("surface", cmd_surface, "predicted vs true voltages of a model")
+    sp.add_argument("-m", "--model", required=True, help="checkpoint path")
+    sp.add_argument("-i", "--input", required=True, help="dataset CSV")
     sp.add_argument("--n-new", type=int, default=100)
     sp.add_argument("--seed", type=int, default=DEFAULT_EVAL_SEED)
     sp.add_argument("--counts", type=float, default=-1)

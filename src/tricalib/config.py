@@ -27,6 +27,7 @@ import numpy as np
 
 from .device import ResponseCoefficients
 from .errors import FileFormatError, InvalidParameterError
+from .metrics import format_value
 
 __all__ = [
     "DeviceConfig",
@@ -34,6 +35,7 @@ __all__ = [
     "read_device_config",
     "write_device_config",
     "resolve_device_config",
+    "split_floats",
     "CONFIG_DIR_ENV",
     "CONFIG_FILE_NAME",
     "GRID_V_MIN",
@@ -79,7 +81,9 @@ class DeviceConfig:
             t = np.asarray(self.tritter, dtype=complex)
             if t.shape != (3, 3):
                 raise InvalidParameterError("tritter override must be a 3x3 matrix")
-            if np.abs(t.conj().T @ t - np.eye(3)).max() > 1e-6:
+            if not np.isfinite(t).all():
+                raise InvalidParameterError("tritter override must be finite")
+            if not np.abs(t.conj().T @ t - np.eye(3)).max() <= 1e-6:
                 raise InvalidParameterError("tritter override is not unitary")
             object.__setattr__(self, "tritter", t)
 
@@ -115,12 +119,13 @@ def default_device_config() -> DeviceConfig:
     return DeviceConfig(coeffs=coeffs, v_min=0.0, v_max=8.0, mean_total=1000.0)
 
 
-def _parse_floats(text: str, lineno: int):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise FileFormatError(f"expected numbers, got {text!r}", line=lineno) from exc
+def split_floats(text: str):
+    """The numbers of a comma- or space-separated list.
+
+    A token that is not a number raises ValueError; each caller maps it
+    onto its own error category.
+    """
+    return [float(p) for p in text.replace(",", " ").split()]
 
 
 def text_lines(path):
@@ -157,7 +162,10 @@ def read_device_config(path) -> DeviceConfig:
             raise FileFormatError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise FileFormatError(f"duplicate key {key!r}", line=lineno)
-        values[key] = _parse_floats(rest.strip(), lineno)
+        try:
+            values[key] = split_floats(rest)
+        except ValueError as exc:
+            raise FileFormatError(f"expected numbers, got {rest.strip()!r}", line=lineno) from exc
 
     def need(key, count):
         if key not in values:
@@ -187,7 +195,7 @@ def read_device_config(path) -> DeviceConfig:
 
 
 def _fmt(values) -> str:
-    return ", ".join(repr(float(x)) for x in np.asarray(values, dtype=float).ravel())
+    return ", ".join(map(format_value, np.asarray(values, dtype=float).ravel()))
 
 
 def write_device_config(cfg: DeviceConfig, path):

@@ -404,7 +404,9 @@ def read_csv(path) -> Dataset:
 
 
 def write_measurement_csv(voltages, probs, path, comment: str | None = None):
-    """Raw per-setting grid file in the measurement schema."""
+    """Raw per-setting grid file in the measurement schema; refuses a
+    comment that spans lines."""
+    check_one_line("comment", comment or "")
     with open(path, "w", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")

@@ -1,5 +1,5 @@
 """End-to-end study harnesses: grid-size sweep, kick ablation, epoch
-curves, prediction surfaces, and probability-surface rendering.
+curves and the prediction surface.
 
 Every harness is deterministic given its seeds, reads one resolved
 configuration, and writes a results directory containing
@@ -29,7 +29,6 @@ from .data import (
     kick_from_steps,
     normalize_targets,
     split,
-    write_measurement_csv,
 )
 from .device import estimate_probabilities, sample_counts, voltage_probabilities
 from .errors import InvalidParameterError
@@ -52,7 +51,6 @@ __all__ = [
     "run_kick_ablation",
     "run_epoch_curves",
     "run_prediction_surface",
-    "render_probability_surfaces",
 ]
 
 DEFAULT_SWEEP_SIZES = (10, 15, 20, 30, 40, 53)
@@ -452,28 +450,3 @@ def run_prediction_surface(params, scaling, kick: KickConfig, dataset: Dataset,
     ])
     return rows
 
-
-def render_probability_surfaces(device: DeviceConfig, grid_min: float,
-                                grid_max: float, resolution: int, out_dir):
-    """Noise-free P(i->j) over the voltage plane, for fringe plots.
-
-    results.csv uses the measurement schema, so the rendered surface can
-    also serve as a synthetic measured-grid input elsewhere.
-    """
-    _ensure_dir(out_dir)
-    grid = build_grid(grid_min, grid_max, resolution)
-    settings = grid.settings()
-    probs = voltage_probabilities(settings, device.coeffs, device.tritter)
-    write_report(os.path.join(out_dir, "config.echo"), [
-        ("harness", "surface"),
-        ("grid_min", grid_min), ("grid_max", grid_max),
-        ("resolution", resolution),
-    ])
-    write_measurement_csv(settings, probs, os.path.join(out_dir, "results.csv"),
-                          comment="noise-free model probabilities")
-    write_report(os.path.join(out_dir, "report.txt"), [
-        ("rows", settings.shape[0]),
-        ("max_row_sum_error", float(np.abs(
-            probs[:, :3].sum(axis=1) - 1.0).max())),
-    ])
-    return settings, probs

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     TrainingDivergedError,
 )
-from .metrics import cosine_similarity, nrmse
+from .metrics import cosine_similarity, format_value, nrmse
 
 __all__ = [
     "TrainConfig",
@@ -310,8 +310,6 @@ def predict(params, features, scaling: TargetScaling, kick: KickConfig):
 # checkpoint container: versioned self-describing text with a content checksum
 
 _MAGIC = "tricalib-checkpoint"
-# Format 3 stores each tensor as one line of hex float64; formats 1 and 2
-# stored decimal rows, and format 1 also Adam's t, m and v.  Both still load.
 _FORMAT = 3
 _TENSOR_DTYPE = "<f8"
 
@@ -326,7 +324,7 @@ class Checkpoint:
 
 
 def _fmt_vec(vec) -> str:
-    return " ".join(repr(float(x)) for x in vec)
+    return " ".join(map(format_value, np.asarray(vec, dtype=float).ravel()))
 
 
 def _tensor_lines(name, arr, out):
@@ -352,7 +350,7 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
         _MAGIC,
         f"format {_FORMAT}",
         "sizes " + " ".join(str(s) for s in sizes),
-        f"kick {repr(float(kick.dv1))} {repr(float(kick.dv2))}",
+        "kick " + _fmt_vec((kick.dv1, kick.dv2)),
         "scale_lo " + _fmt_vec(scaling.lo),
         "scale_hi " + _fmt_vec(scaling.hi),
         f"provenance {provenance}",
@@ -379,11 +377,6 @@ class _LineReader:
         self.pos += 1
         return line
 
-    def skip(self, count, what):
-        if self.pos + count > len(self.lines):
-            raise CheckpointError(f"truncated checkpoint: expected {what}")
-        self.pos += count
-
     def field(self, label):
         """The text after `label` on the next line, which must start with it."""
         line = self.next(f"{label} line")
@@ -399,15 +392,11 @@ def _finite(values, what):
     return values
 
 
-def _tensor_head(reader: _LineReader, name, rows, cols):
+def _read_tensor(reader: _LineReader, name, rows, cols):
+    """A `tensor` line, then one line of hex little-endian float64."""
     head = reader.next(f"tensor {name}")
     if head != f"tensor {name} {rows} {cols}":
         raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head!r}")
-
-
-def _read_hex_tensor(reader: _LineReader, name, rows, cols):
-    """Format 3 body: one line of hex little-endian float64."""
-    _tensor_head(reader, name, rows, cols)
     try:
         raw = bytearray.fromhex(reader.next(f"data of {name}"))
     except ValueError as exc:
@@ -418,30 +407,15 @@ def _read_hex_tensor(reader: _LineReader, name, rows, cols):
     return _finite(np.frombuffer(raw, dtype=_TENSOR_DTYPE).reshape(rows, cols), f"tensor {name}")
 
 
-def _read_decimal_tensor(reader: _LineReader, name, rows, cols):
-    """Format 1 and 2 body: one line of decimal numbers per row."""
-    _tensor_head(reader, name, rows, cols)
-    data = np.empty((rows, cols))
-    for r in range(rows):
-        parts = reader.next(f"row {r} of {name}").split()
-        if len(parts) != cols:
-            raise CheckpointError(f"malformed checkpoint: tensor {name} row {r} has {len(parts)} values")
-        try:
-            data[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise CheckpointError(f"malformed checkpoint: bad number in tensor {name}") from exc
-    return _finite(data, f"tensor {name}")
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a format 3 checkpoint, or a format 1 or 2 one (decimal rows;
-    format 1's Adam state is skipped).
+    """Read a format 3 checkpoint.
 
     The checksum is verified over the raw file bytes before any text is
-    decoded.  Raises CheckpointError on a bad magic, version or checksum,
-    on a truncated or malformed layout, on a tensor body of the wrong
-    length, on any non-finite number and on content after the last
-    tensor.
+    decoded.  Raises CheckpointError on a bad magic or checksum, on any
+    format but 3 (formats 1 and 2 held decimal rows; retrain to replace
+    such a file), on a truncated or malformed layout, on a tensor body of
+    the wrong length, on any non-finite number and on content after the
+    last tensor.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -460,8 +434,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     reader = _LineReader(text.split("\n")[1:-1])
     fmt = reader.next("format line")
-    if fmt not in ("format 1", "format 2", f"format {_FORMAT}"):
-        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads formats 1 to {_FORMAT})")
+    if fmt != f"format {_FORMAT}":
+        raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads format {_FORMAT} only)")
     try:
         sizes = [int(s) for s in reader.field("sizes").split()]
         dv1, dv2 = map(float, reader.field("kick").split())
@@ -469,8 +443,6 @@ def load_checkpoint(path) -> Checkpoint:
         lo = _finite(np.array([float(x) for x in reader.field("scale_lo").split()]), "scale_lo")
         hi = _finite(np.array([float(x) for x in reader.field("scale_hi").split()]), "scale_hi")
         provenance = reader.field("provenance")
-        if fmt == "format 1":
-            int(reader.field("adam_t"))
     except (ValueError, InvalidParameterError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
     if len(sizes) < 2 or min(sizes) < 1 or not lo.size == hi.size == sizes[-1]:
@@ -478,17 +450,9 @@ def load_checkpoint(path) -> Checkpoint:
                               f"{lo.size}/{hi.size} scaling entries")
     scaling = TargetScaling(lo=lo, hi=hi)
 
-    read_tensor = _read_hex_tensor if fmt == f"format {_FORMAT}" else _read_decimal_tensor
-    shapes = list(enumerate(zip(sizes[:-1], sizes[1:])))
-    params = [(read_tensor(reader, f"W{li}", n_out, n_in),
-               read_tensor(reader, f"b{li}", 1, n_out)[0])
-              for li, (n_in, n_out) in shapes]
-    if fmt == "format 1":
-        for label in ("m", "v"):
-            for li, (n_in, n_out) in shapes:
-                for name, rows, cols in ((f"{label}W{li}", n_out, n_in), (f"{label}b{li}", 1, n_out)):
-                    _tensor_head(reader, name, rows, cols)
-                    reader.skip(rows, f"{rows} rows of {name}")
+    params = [(_read_tensor(reader, f"W{li}", n_out, n_in),
+               _read_tensor(reader, f"b{li}", 1, n_out)[0])
+              for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]))]
     if reader.pos != len(reader.lines):
         raise CheckpointError(f"malformed checkpoint: unexpected content after the last tensor: "
                               f"{reader.lines[reader.pos][:60]!r}")

@@ -22,12 +22,12 @@ from tricalib.data import (
     read_measurement_csv,
     write_csv,
 )
-from tricalib.device import ResponseCoefficients
+from tricalib.device import ResponseCoefficients, tritter_unitary, voltage_probabilities
 from tricalib.errors import FileFormatError
 from tricalib.experiments import VAL_FRACTION, SweepConfig
 from tricalib.net import TrainConfig, load_checkpoint
 
-from conftest import read_report, run_cli
+from conftest import read_report, run_cli, same_bits
 
 FAST = ["--epochs", "6", "--patience", "6", "--hidden", "24,24"]
 REPO = Path(__file__).resolve().parents[1]
@@ -87,12 +87,22 @@ def test_simulate_negative_counts_inherit_device_budget(tmp_path, capsys):
 
 
 def test_simulate_grid_writes_measurement_csv(tmp_path):
+    """The noise-free grid file holds the model probabilities bit for bit."""
     out = tmp_path / "grid.csv"
-    assert run_cli(["simulate", "--grid", "6", "--grid-min", "1.0",
-                    "--grid-max", "5.0", "-o", str(out)]) == 0
+    assert run_cli(["simulate", "--grid", "7", "--grid-min", "0.0",
+                    "--grid-max", "6.0", "--counts", "0", "-o", str(out)]) == 0
     volts, probs = read_measurement_csv(out)
-    assert volts.shape == (36, 2)
-    assert probs.shape == (36, 6)
+    assert volts.shape == (49, 2)
+    assert probs.shape == (49, 6)
+    assert same_bits(volts, build_grid(0.0, 6.0, 7).settings())
+    dev = default_device_config()
+    assert same_bits(probs, voltage_probabilities(volts, dev.coeffs, dev.tritter))
+    assert probs.min() >= 0.0 and probs.max() <= 1.0
+    np.testing.assert_allclose(probs[:, :3].sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(probs[:, 3:].sum(axis=1), 1.0, atol=1e-12)
+    # zero volts means zero phase: the device routes 1->1 and 2->3
+    corner = np.flatnonzero((volts == 0.0).all(axis=1))[0]
+    np.testing.assert_allclose(probs[corner], [1, 0, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_simulate_needs_volts_or_output():
@@ -181,6 +191,10 @@ def test_predict_rejects_bad_probs(toy):
     assert run_cli(["predict", "-m", str(toy["model"]), "--probs", eleven]) == 3
     bad = ",".join(["0.1"] * 11 + ["1.5"])
     assert run_cli(["predict", "-m", str(toy["model"]), "--probs", bad]) == 3
+    # every comparison with NaN is False, so a range check alone lets it by
+    for value in ("nan", "inf"):
+        bad = ",".join([value] + ["0.1"] * 11)
+        assert run_cli(["predict", "-m", str(toy["model"]), "--probs", bad]) == 3
 
 
 # ----------------------------------------------------------------- evaluate
@@ -295,24 +309,22 @@ def test_epoch_curves_cli(toy, tmp_path):
     assert len(lines) == 5  # header + 4 epochs
 
 
-def test_surface_render_cli(tmp_path):
-    out = tmp_path / "surf"
-    assert run_cli(["surface", "--resolution", "5", "--grid-min", "1",
-                    "--grid-max", "5", "-o", str(out)]) == 0
-    volts, probs = read_measurement_csv(out / "results.csv")
-    assert volts.shape == (25, 2)
-    assert probs.min() >= 0.0 and probs.max() <= 1.0
-
-
 def test_surface_prediction_cli(toy, tmp_path):
     out = tmp_path / "pred"
     assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
                     "--n-new", "8", "--seed", "3", "-o", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 9
-    # prediction mode without a dataset is a usage error, not a crash
-    assert run_cli(["surface", "-m", str(toy["model"]),
-                    "-o", str(tmp_path / "nope")]) == 3
+    # a model and a dataset are required, and the rendering flags are gone:
+    # argparse usage errors, not crashes
+    nope = ["-o", str(tmp_path / "nope")]
+    for argv in (["-m", str(toy["model"]), *nope],
+                 ["-i", str(toy["ds"]), *nope],
+                 ["-m", str(toy["model"]), "-i", str(toy["ds"]), "--resolution", "5", *nope]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["surface", *argv])
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "nope").exists()
 
 
 # ------------------------------------------------------------ device config
@@ -346,6 +358,21 @@ def test_exit_code_non_utf8_device_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[file-format]: ") and "is not UTF-8 text" in err, err
     assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+def test_exit_code_non_finite_tritter_device_config(tmp_path, capsys):
+    """A NaN in the tritter override is exit 3, not `probabilities = nan`."""
+    from dataclasses import replace
+
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(replace(default_device_config(), tritter=tritter_unitary()), cfg_path)
+    text = cfg_path.read_text()
+    at = text.index("tritter = ") + len("tritter = ")
+    cfg_path.write_text(text[:at] + "nan" + text[text.index(",", at):])
+    assert run_cli(["simulate", "--volts", "3,4", "--device-config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert "probabilities" not in captured.out
+    assert captured.err.startswith("error[invalid-parameter]: tritter override must be finite")
 
 
 # --------------------------------------------------------------- exit codes
@@ -399,6 +426,19 @@ def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, messa
     assert "v1 =" not in captured.out
     assert captured.err.startswith("error[checkpoint]: ") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["format 1", "format 2"])
+def test_exit_code_decimal_checkpoint_format(toy, tmp_path, capsys, fmt):
+    """Checkpoint formats 1 and 2 (decimal rows) are no longer read: exit 7,
+    and the message names the one format that is."""
+    payload = toy["model"].read_text().replace("format 3", fmt, 1).rpartition("checksum ")[0]
+    bad = tmp_path / "old.ckpt"
+    bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
+    assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error[checkpoint]: unsupported checkpoint format"), err
+    assert f"'{fmt}'" in err and "format 3" in err, err
 
 
 def test_exit_code_non_utf8_checkpoint(toy, tmp_path, capsys):

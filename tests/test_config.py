@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tricalib.config import (
     CONFIG_DIR_ENV,
@@ -13,7 +15,9 @@ from tricalib.config import (
     write_device_config,
 )
 from tricalib.device import ResponseCoefficients, tritter_unitary
-from tricalib.errors import FileFormatError, InvalidParameterError
+from tricalib.errors import CalibrationError, FileFormatError, InvalidParameterError
+
+from conftest import BYTE_MUTATION, mutate_bytes
 
 
 def test_default_config_sanity():
@@ -60,6 +64,23 @@ def test_non_unitary_tritter_rejected():
     with pytest.raises(InvalidParameterError):
         DeviceConfig(coeffs=default_device_config().coeffs,
                      tritter=np.ones((3, 3), dtype=complex))
+
+
+def _tritter_with(entry, value):
+    t = tritter_unitary().copy()
+    t[entry] = value
+    return t
+
+
+@pytest.mark.parametrize("tritter", [
+    _tritter_with((0, 0), np.nan),
+    _tritter_with((2, 1), complex(0.5, np.inf)),
+    # finite, but t^H t overflows to inf - inf = nan, which no `>` catches
+    np.full((3, 3), 1e200 * (1 + 1j)),
+], ids=["nan", "inf-imag", "overflow"])
+def test_non_finite_tritter_rejected(tritter):
+    with pytest.raises(InvalidParameterError, match="tritter override"):
+        DeviceConfig(coeffs=default_device_config().coeffs, tritter=tritter)
 
 
 def test_invalid_ranges_rejected():
@@ -150,3 +171,37 @@ def test_resolve_lookup_order(tmp_path, monkeypatch):
 def test_resolve_env_dir_without_file_falls_back(tmp_path, monkeypatch):
     monkeypatch.setenv(CONFIG_DIR_ENV, str(tmp_path))
     assert resolve_device_config().v_max == 8.0
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_base(tmp_path_factory):
+    """A config file with every key, the tritter included, and a path for
+    its mutants."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    cfg = DeviceConfig(coeffs=default_device_config().coeffs, tritter=tritter_unitary())
+    write_device_config(cfg, root / "base.cfg")
+    return (root / "base.cfg").read_bytes(), root / "mutant.cfg"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3))
+# three flips turn the imaginary part of the tritter's first entry, "0.0",
+# into "nan", which a unitarity test by `>` alone lets through
+@example(mutations=[("flip", 7, 30, ord("0") ^ ord("n")), ("flip", 7, 31, ord(".") ^ ord("a")),
+                    ("flip", 7, 32, ord("0") ^ ord("n"))])
+def test_device_config_byte_mutation_fuzz(config_fuzz_base, mutations):
+    """Flipped, inserted or deleted bytes give a CalibrationError or a
+    config whose every number is finite."""
+    data, path = config_fuzz_base
+    for mutation in mutations:
+        data = mutate_bytes(data, *mutation)
+    path.write_bytes(data)
+    try:
+        cfg = read_device_config(path)
+    except CalibrationError:
+        return
+    numbers = [cfg.coeffs.alpha, cfg.coeffs.alpha_nl, cfg.coeffs.resistances,
+               cfg.v_min, cfg.v_max, cfg.mean_total]
+    if cfg.tritter is not None:
+        numbers.append(cfg.tritter)
+    assert all(np.isfinite(x).all() for x in numbers)

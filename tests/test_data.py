@@ -426,6 +426,17 @@ def test_multiline_provenance_refused(tmp_path, provenance):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("comment", ["run 1\nrun 2", "run 1\r"])
+def test_multiline_measurement_comment_refused(tmp_path, comment):
+    """A line break in the comment would give a file its own reader rejects."""
+    settings_ = build_grid(1.0, 4.0, 3).settings()
+    probs = voltage_probabilities(settings_, DEV.coeffs, DEV.tritter)
+    path = tmp_path / "m.csv"
+    with pytest.raises(InvalidParameterError, match="comment must be one line"):
+        write_measurement_csv(settings_, probs, path, comment=comment)
+    assert not path.exists()
+
+
 def test_zero_count_acquisitions_name_the_budget():
     with pytest.raises(DegenerateDataError,
                        match=r"^30 of 324 acquisitions drew zero photons at a budget "

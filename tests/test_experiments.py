@@ -10,7 +10,6 @@ from tricalib.data import (
     build_grid,
     generate_simulated,
     kick_from_steps,
-    read_measurement_csv,
 )
 from tricalib.device import voltage_probabilities
 from tricalib.errors import InvalidParameterError
@@ -21,7 +20,6 @@ from tricalib.experiments import (
     run_grid_sweep,
     run_kick_ablation,
     run_prediction_surface,
-    render_probability_surfaces,
     train_on_dataset,
 )
 from tricalib.net import TrainConfig
@@ -317,26 +315,3 @@ def test_library_rejects_negative_photon_budget(tmp_path, harness):
     with pytest.raises(InvalidParameterError, match="mean_total"):
         calls[harness]()
 
-
-# -------------------------------------------------------- rendered surfaces
-
-
-def test_render_surfaces_values_and_zero_corner(tmp_path):
-    out = tmp_path / "surf"
-    settings, probs = render_probability_surfaces(DEV, 0.0, 6.0, 7, out)
-    assert settings.shape == (49, 2)
-    assert probs.shape == (49, 6)
-    assert probs.min() >= 0.0 and probs.max() <= 1.0
-    np.testing.assert_allclose(probs[:, :3].sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(probs[:, 3:].sum(axis=1), 1.0, atol=1e-12)
-    # zero volts means zero phase: the device routes 1->1 and 2->3
-    corner = np.flatnonzero((settings == 0.0).all(axis=1))[0]
-    np.testing.assert_allclose(probs[corner], [1, 0, 0, 0, 0, 1], atol=1e-12)
-
-
-def test_render_surfaces_reload_as_measurement(tmp_path):
-    out = tmp_path / "surf2"
-    settings, probs = render_probability_surfaces(DEV, 1.0, 5.0, 5, out)
-    v_read, p_read = read_measurement_csv(out / "results.csv")
-    assert np.array_equal(v_read, settings)
-    assert np.array_equal(p_read, probs)

@@ -627,12 +627,15 @@ def test_checkpoint_bit_flip_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_foreign_format_version_rejected(tmp_path):
+@pytest.mark.parametrize("fmt", ["format 1", "format 2", "format 999"])
+def test_checkpoint_foreign_format_version_rejected(tmp_path, fmt):
+    """Only format 3 loads; the decimal formats 1 and 2 are refused like
+    any other version, and the message names the format that is read."""
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
-    lines[1] = "format 999"
+    lines[1] = fmt
     rewrite_with_checksum(path, lines)
-    with pytest.raises(CheckpointError, match="format"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format.*format 3"):
         load_checkpoint(path)
 
 
@@ -656,47 +659,39 @@ def test_checkpoint_non_finite_value_rejected(tmp_path, label, value, message):
         load_checkpoint(path)
 
 
-def handmade_checkpoint(path, fmt, params, kick, scaling, provenance="handmade"):
-    """Write `params` to the documented layout of format `fmt` by hand:
-    decimal rows in formats 1 and 2, one hex float64 line in format 3;
-    format 1 also holds Adam's t and moments (here zeros)."""
+def handmade_checkpoint(path, params, kick, scaling):
+    """Write `params` to the documented format 3 layout by hand: one line
+    of hex float64 per tensor."""
     sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         "tricalib-checkpoint",
-        f"format {fmt}",
+        "format 3",
         "sizes " + " ".join(map(str, sizes)),
         f"kick {float(kick.dv1)!r} {float(kick.dv2)!r}",
         "scale_lo " + " ".join(repr(float(x)) for x in scaling.lo),
         "scale_hi " + " ".join(repr(float(x)) for x in scaling.hi),
-        f"provenance {provenance}",
+        "provenance handmade",
     ]
-    if fmt == 1:
-        lines.append("adam_t 7")
-    blocks = [(f"{kind}{li}", np.atleast_2d(arr))
-              for li, pair in enumerate(params) for kind, arr in zip("Wb", pair)]
-    if fmt == 1:
-        blocks += [(label + name, np.zeros_like(arr)) for label in ("m", "v") for name, arr in blocks]
-    for name, arr in blocks:
-        lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-        if fmt == 3:
+    for li, pair in enumerate(params):
+        for kind, arr in zip("Wb", pair):
+            arr = np.atleast_2d(arr)
+            lines.append(f"tensor {kind}{li} {arr.shape[0]} {arr.shape[1]}")
             lines.append(arr.astype("<f8").tobytes().hex())
-        else:
-            lines += [" ".join(repr(float(x)) for x in row) for row in arr]
     rewrite_with_checksum(path, lines)
 
 
-@pytest.mark.parametrize("fmt", [1, 2, 3])
+@pytest.mark.parametrize("fmt", [3])
 def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
-    """A file assembled by hand to the documented layout must load: format 3
-    holds the weights as hex float64, format 2 as decimal rows, format 1
-    also Adam's t and moments, which the loader skips."""
+    """A file assembled by hand to the documented layout of the one format
+    read must load."""
     rng = np.random.default_rng(0)
     W0, b0 = rng.normal(size=(2, 12)), np.zeros(2)
     W1, b1 = rng.normal(size=(4, 2)), np.zeros(4)
     path = tmp_path / "handmade.ckpt"
-    handmade_checkpoint(path, fmt, [(W0, b0), (W1, b1)], KickConfig(0.5, 0.5),
+    handmade_checkpoint(path, [(W0, b0), (W1, b1)], KickConfig(0.5, 0.5),
                         TargetScaling(lo=np.zeros(4), hi=np.ones(4)))
 
+    assert path.read_text().splitlines()[1] == f"format {fmt}"
     ck = load_checkpoint(path)
     assert ck.sizes == [12, 2, 4]
     feats = rng.uniform(size=12)
@@ -708,8 +703,8 @@ def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
 
 @pytest.mark.parametrize("extra", ["line", "moments"])
 def test_checkpoint_trailing_content_rejected(tmp_path, extra):
-    """Nothing may follow the last tensor, which also keeps a format 1 body
-    (its moment blocks) from loading under a `format 2` label."""
+    """Nothing may follow the last tensor, neither a stray line nor whole
+    extra tensor blocks (here Adam moments)."""
     path, params, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
     if extra == "line":
@@ -723,26 +718,6 @@ def test_checkpoint_trailing_content_rejected(tmp_path, extra):
     rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match="after the last tensor"):
         load_checkpoint(path)
-
-
-@pytest.mark.parametrize("fmt", [1, 2])
-def test_decimal_checkpoint_resaved_as_format_3_is_bitwise_equal(tmp_path, fmt):
-    """A format 1 or 2 file and its format 3 re-save hold the same bits and
-    give the same predictions."""
-    _, params, scaling, kick = trained_toy(tmp_path)
-    old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
-    handmade_checkpoint(old, fmt, params, kick, scaling, provenance="toy")
-    ck_old = load_checkpoint(old)
-    save_checkpoint(new, ck_old.params, ck_old.kick, ck_old.scaling, ck_old.provenance)
-    assert new.read_text().splitlines()[1] == "format 3"
-    ck_new = load_checkpoint(new)
-    for (W, b), (oW, ob), (nW, nb) in zip(params, ck_old.params, ck_new.params, strict=True):
-        assert same_bits(W, oW) and same_bits(W, nW) and same_bits(b, ob) and same_bits(b, nb)
-    assert ck_new.kick == ck_old.kick and ck_new.provenance == "toy"
-    feats = np.random.default_rng(4).uniform(size=(7, 12))
-    for got, want in zip(predict(ck_new.params, feats, ck_new.scaling, ck_new.kick),
-                         predict(ck_old.params, feats, ck_old.scaling, ck_old.kick), strict=True):
-        assert same_bits(got, want)
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,10 @@ command line:
     tricalib evaluate -m model.ckpt -i train.csv -o eval/
 
 This script does the same thing at desk scale through the library API
-so the moving parts are visible, then inverts a fresh noisy measurement
-that was never in the training set.
+so the moving parts are visible, then inverts fresh noisy measurements
+at settings that were never in the training set: `exact_features` gives
+their exact kicked probabilities and `fresh_noise` draws the shot noise,
+the same two steps `generate_simulated` takes for every grid setting.
 
 Run:  python3 demos/02_train_small_model.py
 """
@@ -17,9 +19,9 @@ Run:  python3 demos/02_train_small_model.py
 import numpy as np
 
 from tricalib.config import default_device_config
-from tricalib.data import build_grid, generate_simulated, kick_from_steps
-from tricalib.device import estimate_probabilities, sample_counts, voltage_probabilities
+from tricalib.data import build_grid, exact_features, generate_simulated, kick_from_steps
 from tricalib.experiments import train_on_dataset
+from tricalib.metrics import fresh_noise
 from tricalib.net import TrainConfig, predict
 
 dev = default_device_config()
@@ -43,14 +45,9 @@ print(f"validation cosine = {report.val_cosine[best]:.5f}")
 
 print("\n== invert fresh measurements at settings the net never saw ==")
 truth = rng.uniform(1.5, 6.0, size=(5, 2))
-for v_true in truth:
-    base = voltage_probabilities(v_true, dev.coeffs, dev.tritter)
-    kicked = voltage_probabilities(v_true + kick.offset(), dev.coeffs, dev.tritter)
-    probs = np.concatenate([base, kicked])
-    noisy = np.concatenate([
-        estimate_probabilities(sample_counts(probs[:6], dev.mean_total, rng)),
-        estimate_probabilities(sample_counts(probs[6:], dev.mean_total, rng)),
-    ])
+exact = exact_features(np.concatenate([truth, truth + kick.offset()], axis=-1), dev)
+for v_true, probs in zip(truth, exact):
+    noisy = fresh_noise(probs, dev.mean_total, rng)
     v1, v2, residual = predict(params, noisy, scaling, kick)
     err = np.hypot(v1 - v_true[0], v2 - v_true[1])
     print(f"  true ({v_true[0]:5.2f}, {v_true[1]:5.2f}) V -> "

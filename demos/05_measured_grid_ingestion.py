@@ -61,7 +61,7 @@ print(f"trained {report.epochs_run} epochs, "
       f"val cosine {report.val_cosine[best]:.5f}")
 
 # 4. repeated noisy test protocol on the stored grid points
-ev = repeated_test_evaluation(
+ev, _, _ = repeated_test_evaluation(
     lambda feats: scaling.invert(forward(params, feats)),
     dataset.features, dataset.targets,
     mean_total=dev.mean_total, span=scaling.pooled_span(),

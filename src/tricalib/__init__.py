@@ -30,7 +30,6 @@ from .data import (
     generate_simulated,
     ingest_experimental,
     kick_from_steps,
-    normalize_targets,
     read_csv,
     read_measurement_csv,
     split,
@@ -106,7 +105,6 @@ __all__ = [
     "kick_from_steps",
     "load_checkpoint",
     "loss",
-    "normalize_targets",
     "nrmse",
     "output_probabilities",
     "phases_from_voltages",

@@ -28,12 +28,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data as datamod
-from .device import (
-    estimate_probabilities,
-    phases_from_voltages,
-    sample_counts,
-    voltage_probabilities,
-)
+from .device import phases_from_voltages, sample_counts, voltage_probabilities
 from .errors import CalibrationError, InvalidParameterError
 from .experiments import (
     VAL_FRACTION,
@@ -50,6 +45,7 @@ from .experiments import (
 )
 from .metrics import (
     format_value,
+    fresh_noise,
     repeated_test_evaluation,
     write_report,
     write_rows_csv,
@@ -162,10 +158,8 @@ def cmd_simulate(args):
     settings = grid.settings()
     if settings.max() > device.v_max or settings.min() < device.v_min:
         raise InvalidParameterError("grid exceeds the device voltage range")
-    probs = voltage_probabilities(settings, device.coeffs, device.tritter)
-    if mean_total is not None:
-        rng = np.random.default_rng(args.seed)
-        probs = estimate_probabilities(sample_counts(probs, mean_total, rng))
+    probs = fresh_noise(voltage_probabilities(settings, device.coeffs, device.tritter),
+                        mean_total, np.random.default_rng(args.seed))
     datamod.write_measurement_csv(settings, probs, args.output,
                                   comment="simulated measurement grid")
     print(f"wrote {settings.shape[0]} settings to {args.output}")
@@ -250,8 +244,7 @@ def cmd_evaluate(args):
     ev, rep_nrmse, rep_cosine = repeated_test_evaluation(
         lambda feats: ckpt.scaling.invert(forward(ckpt.params, feats)),
         pool_probs, pool_targets, mean_total, span,
-        rep_count=args.reps, rep_size=args.rep_size, rng=rng,
-        return_samples=True)
+        rep_count=args.reps, rep_size=args.rep_size, rng=rng)
     os.makedirs(args.output, exist_ok=True)
     write_rows_csv(os.path.join(args.output, "reps.csv"),
                    ["rep", "nrmse", "cosine"],

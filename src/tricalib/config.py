@@ -119,13 +119,24 @@ def default_device_config() -> DeviceConfig:
     return DeviceConfig(coeffs=coeffs, v_min=0.0, v_max=8.0, mean_total=1000.0)
 
 
+def parse_float_rows(lines):
+    """Parse comma-separated lines of numbers into an (n, k) float array.
+
+    `np.loadtxt` accepts what Python's `float()` does except digit-group
+    underscores and non-ASCII digits, so every reader of numbers spells
+    them alike.  A field that is not a number raises ValueError.
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+
+
 def split_floats(text: str):
     """The numbers of a comma- or space-separated list.
 
-    A token that is not a number raises ValueError; each caller maps it
-    onto its own error category.
+    A token that is not a number (as `parse_float_rows` reads numbers)
+    raises ValueError; each caller maps it onto its own error category.
     """
-    return [float(p) for p in text.replace(",", " ").split()]
+    tokens = text.replace(",", " ").split()
+    return parse_float_rows([",".join(tokens)])[0].tolist() if tokens else []
 
 
 def text_lines(path):

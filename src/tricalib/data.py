@@ -29,15 +29,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig, check_one_line, text_lines
-from .device import estimate_probabilities, sample_counts, voltage_probabilities
+from .config import DeviceConfig, check_one_line, parse_float_rows, text_lines
+from .device import voltage_probabilities
 from .errors import (
     DegenerateDataError,
     FileFormatError,
     IngestionError,
     InvalidParameterError,
 )
-from .metrics import format_value
+from .metrics import format_value, fresh_noise
 
 __all__ = [
     "VoltageGrid",
@@ -46,9 +46,9 @@ __all__ = [
     "TargetScaling",
     "build_grid",
     "kick_from_steps",
+    "exact_features",
     "generate_simulated",
     "split",
-    "normalize_targets",
     "write_csv",
     "read_csv",
     "write_measurement_csv",
@@ -130,11 +130,10 @@ class Dataset:
     """Immutable example collection plus the metadata needed to reuse it."""
 
     features: np.ndarray  # (N, 12) probabilities in [0, 1]
-    targets: np.ndarray  # (N, 4) volts (or [0,1]-scaled when normalized)
+    targets: np.ndarray  # (N, 4) volts
     kick: KickConfig
     provenance: str = "simulated"
     mean_total: float | None = None  # None means noise-free features
-    normalization: TargetScaling | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -162,6 +161,13 @@ def kick_from_steps(grid: VoltageGrid, steps1: int, steps2: int) -> KickConfig:
     return KickConfig(dv1=steps1 * step1, dv2=steps2 * step2)
 
 
+def exact_features(targets, device: DeviceConfig):
+    """The 12 exact model probabilities at (N, 4) base-and-kicked voltages."""
+    return np.concatenate(
+        [voltage_probabilities(targets[:, :2], device.coeffs, device.tritter),
+         voltage_probabilities(targets[:, 2:4], device.coeffs, device.tritter)], axis=-1)
+
+
 def generate_simulated(
     grid: VoltageGrid,
     kick: KickConfig,
@@ -173,14 +179,14 @@ def generate_simulated(
     """One example per grid setting (times `replicas` noise draws).
 
     Probabilities are estimated from Poisson counts with `mean_total`
-    expected photons per input, like a real acquisition would.  Pass
+    expected photons per input, like a real acquisition would: each
+    replica is one `fresh_noise` draw of the exact features.  Pass
     mean_total=None for exact model probabilities (no shot noise).
 
     Raises invalid-parameter if the grid or any kicked setting falls
     outside the simulable device range, or if mean_total is not a
     positive photon count.  Raises degenerate-data, naming the budget, if
-    any acquisition (one input's triple) draws zero photons: its
-    frequencies are undefined, and redrawing it would bias the noise.
+    any acquisition of a replica draws zero photons (see `fresh_noise`).
     """
     if replicas < 1:
         raise InvalidParameterError("replicas must be >= 1")
@@ -193,28 +199,11 @@ def generate_simulated(
             "kicked settings exceed the simulable device range "
             f"({kicked.max():.6g} V > {device.v_max:.6g} V)"
         )
-    p_base = voltage_probabilities(base, device.coeffs, device.tritter)
-    p_kick = voltage_probabilities(kicked, device.coeffs, device.tritter)
     targets = np.concatenate([base, kicked], axis=-1)
-
-    if mean_total is None:
-        features = np.tile(np.concatenate([p_base, p_kick], axis=-1), (replicas, 1))
-    else:
-        counts = np.concatenate([
-            np.concatenate([sample_counts(p_base, mean_total, rng),
-                            sample_counts(p_kick, mean_total, rng)], axis=-1)
-            for _ in range(replicas)
-        ])
-        empty = int(np.count_nonzero(counts.reshape(-1, 3).sum(axis=-1) == 0))
-        if empty:
-            raise DegenerateDataError(
-                f"{empty} of {counts.size // 3} acquisitions drew zero photons at a "
-                f"budget of {mean_total:g} photons per input; cannot normalize"
-            )
-        features = np.concatenate([estimate_probabilities(counts[:, :6]),
-                                   estimate_probabilities(counts[:, 6:])], axis=-1)
+    exact = exact_features(targets, device)
     return Dataset(
-        features=features,
+        features=np.concatenate([fresh_noise(exact, mean_total, rng)
+                                 for _ in range(replicas)]),
         targets=np.tile(targets, (replicas, 1)),
         kick=kick,
         provenance="simulated",
@@ -231,17 +220,6 @@ def split(dataset: Dataset, validation_fraction: float, rng: np.random.Generator
     n_val = min(max(n_val, 1), n - 1)
     perm = rng.permutation(n)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
-
-
-def normalize_targets(train: Dataset):
-    """Scale train targets to [0, 1] per dimension; returns the record too.
-
-    The scaling is fitted on the training split only.  Apply it to
-    other splits with `scaling.transform`.
-    """
-    scaling = TargetScaling.fit(train.targets)
-    scaled = replace(train, targets=scaling.transform(train.targets), normalization=scaling)
-    return scaled, scaling
 
 
 # Rows the writer gathers and joins at a time: keeps its temporaries near
@@ -270,11 +248,13 @@ def _write_rows(fh, rows):
 def write_csv(dataset: Dataset, path):
     """Serialize a dataset; lossless (floats round-trip bit-exactly).
 
-    Refuses normalized targets and a provenance that spans lines.
+    Refuses a provenance that spans lines or starts or ends with
+    whitespace, which the reader would strip.
     """
-    if dataset.normalization is not None:
-        raise InvalidParameterError("refusing to serialize normalized targets; save the raw dataset")
     check_one_line("provenance", dataset.provenance)
+    if dataset.provenance != dataset.provenance.strip():
+        raise InvalidParameterError(
+            f"provenance must not start or end with whitespace, got {dataset.provenance!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# provenance = {dataset.provenance}\n"
                  f"# dv1 = {format_value(dataset.kick.dv1)}\n"
@@ -288,10 +268,9 @@ def _parse_rows(path, header, n_cols):
     """Shared CSV scanner: returns (metadata, rows, row_linenos).
 
     Comment, metadata and blank lines are skipped line by line; the data
-    lines are parsed together by `np.loadtxt`, which accepts what
-    Python's `float()` does except digit-group underscores and non-ASCII
-    digits.  A wrong column count, a non-numeric field and a nan or inf
-    are reported with their line number.
+    lines are parsed together by `parse_float_rows`.  A wrong column
+    count, a non-numeric field and a nan or inf are reported with their
+    line number.
     """
     meta: dict[str, str] = {}
     lines = []
@@ -325,7 +304,7 @@ def _parse_rows(path, header, n_cols):
     if not lines:
         raise FileFormatError(f"no data rows in {path}")
     try:
-        rows = _parse_floats(lines)
+        rows = parse_float_rows(lines)
     except ValueError:
         bad = _first_bad_line(lines)
         raise FileFormatError(f"non-numeric field in {lines[bad]!r}", line=linenos[bad])
@@ -335,17 +314,13 @@ def _parse_rows(path, header, n_cols):
     return meta, rows, linenos
 
 
-def _parse_floats(lines):
-    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-
-
 def _first_bad_line(lines):
-    """Index of the first line `_parse_floats` rejects, by bisection."""
+    """Index of the first line `parse_float_rows` rejects, by bisection."""
     lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] hold a bad one
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _parse_floats(lines[lo:mid])
+            parse_float_rows(lines[lo:mid])
             lo = mid
         except ValueError:
             hi = mid

@@ -25,12 +25,12 @@ from .data import (
     Dataset,
     KickConfig,
     build_grid,
+    exact_features,
     generate_simulated,
     kick_from_steps,
-    normalize_targets,
     split,
 )
-from .device import estimate_probabilities, sample_counts, voltage_probabilities
+from .device import voltage_probabilities
 from .errors import InvalidParameterError
 from .metrics import (
     fresh_noise,
@@ -79,17 +79,14 @@ def _combine(base_seed: int, size: int, run: int) -> int:
 
 def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
                      val_fraction: float = VAL_FRACTION):
-    """Split, normalize on the train side, train.
+    """Split, then train (which fits the target scaling on the train split).
 
-    Returns (params, report, scaling, val_split) where val_split still
-    carries raw volt targets.
+    Returns (params, report, scaling, val_split); val_split carries volt
+    targets.
     """
-    train_raw, val_raw = split(dataset, val_fraction, np.random.default_rng(split_seed))
-    train_ds, scaling = normalize_targets(train_raw)
-    val_ds = replace(val_raw, targets=scaling.transform(val_raw.targets),
-                     normalization=scaling)
-    params, _, report = train(train_ds, val_ds, cfg)
-    return params, report, scaling, val_raw
+    train_ds, val_ds = split(dataset, val_fraction, np.random.default_rng(split_seed))
+    params, scaling, report = train(train_ds, val_ds, cfg)
+    return params, report, scaling, val_ds
 
 
 def train_config_pairs(cfg: TrainConfig):
@@ -115,9 +112,7 @@ def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
     the best available stand-in for the truth.
     """
     if dataset.provenance == "simulated":
-        base = voltage_probabilities(dataset.targets[:, :2], device.coeffs, device.tritter)
-        kicked = voltage_probabilities(dataset.targets[:, 2:4], device.coeffs, device.tritter)
-        return np.concatenate([base, kicked], axis=-1)
+        return exact_features(dataset.targets, device)
     return dataset.features
 
 
@@ -133,11 +128,8 @@ def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.
     lo = dataset.targets[:, :2].min(axis=0)
     hi = dataset.targets[:, :2].max(axis=0)
     base = rng.uniform(lo, hi, size=(len(dataset), 2))
-    kicked = base + dataset.kick.offset()
-    probs = np.concatenate(
-        [voltage_probabilities(base, device.coeffs, device.tritter),
-         voltage_probabilities(kicked, device.coeffs, device.tritter)], axis=-1)
-    return probs, np.concatenate([base, kicked], axis=-1)
+    targets = np.concatenate([base, base + dataset.kick.offset()], axis=-1)
+    return exact_features(targets, device), targets
 
 
 # get/set pairs of the OpenBLAS thread count, as numpy 2 wheels
@@ -249,7 +241,7 @@ def run_grid_sweep(
         params, report, scaling, _ = train_on_dataset(
             datasets[size], cfg, split_seed, val_fraction)
         # cosine goes over the full 4-target concatenation of the test draw
-        ev = repeated_test_evaluation(
+        ev, _, _ = repeated_test_evaluation(
             lambda feats: scaling.invert(forward(params, feats)),
             test_probs,
             test_targets,
@@ -341,15 +333,10 @@ def run_kick_ablation(
     kick = kick_from_steps(grid, kick_steps, kick_steps)
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
     kicked_ds = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
-    base_probs = voltage_probabilities(kicked_ds.targets[:, :2], device.coeffs,
-                                       device.tritter)
-    if mean_total is None:
-        bare_feats = base_probs
-        bare_budget = None
-    else:
-        bare_budget = 2.0 * mean_total
-        bare_feats = estimate_probabilities(
-            sample_counts(base_probs, bare_budget, rng))
+    bare_budget = None if mean_total is None else 2.0 * mean_total
+    bare_feats = fresh_noise(
+        voltage_probabilities(kicked_ds.targets[:, :2], device.coeffs, device.tritter),
+        bare_budget, rng)
     bare_ds = replace(kicked_ds, features=bare_feats,
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import estimate_probabilities, sample_counts
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import DegenerateDataError, InvalidParameterError, UndefinedMetricError
 
 __all__ = [
     "nrmse",
@@ -58,9 +58,14 @@ def cosine_similarity(y, yhat) -> float:
 
 
 def mean_and_sd(values) -> tuple[float, float]:
-    """Mean and sample SD (ddof=1) of a sample; the SD is 0.0 below two values."""
+    """Mean and sample SD (ddof=1) of a sample.
+
+    The SD is exactly 0.0 below two values and when all values are equal,
+    where `np.std` can leave a few ulps because their sum rounds.
+    """
     x = np.asarray(values, dtype=float)
-    return float(x.mean()), 0.0 if x.size < 2 else float(x.std(ddof=1))
+    equal = x.size < 2 or (x == x[0]).all()
+    return float(x.mean()), 0.0 if equal else float(x.std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,32 @@ class EvaluationReport:
 
 
 def fresh_noise(probs, mean_total, rng):
-    """Re-draw the shot noise of a 12-column probability block.
+    """Photon-count estimates of exact probabilities: the one shot-noise path.
 
-    Counts are sampled per six-outcome measurement and renormalized;
-    mean_total=None returns the block unchanged (noise-free).
+    `probs` holds six-outcome measurements side by side along its last
+    axis (6 columns, or 12 for a base and a kicked one).  Each is drawn
+    as Poisson counts with `mean_total` expected photons per input, block
+    by block from left to right, and every input triple is renormalized
+    by its own total.  mean_total=None returns `probs` unchanged
+    (noise-free).
+
+    Raises degenerate-data, naming the budget, if any acquisition (one
+    input's triple) draws zero photons: its frequencies are undefined,
+    and redrawing it would bias the noise.
     """
     if mean_total is None:
         return probs
-    feats = np.empty_like(probs)
-    feats[:, :6] = estimate_probabilities(sample_counts(probs[:, :6], mean_total, rng))
-    feats[:, 6:] = estimate_probabilities(sample_counts(probs[:, 6:], mean_total, rng))
-    return feats
+    counts = np.concatenate([sample_counts(probs[..., col:col + 6], mean_total, rng)
+                             for col in range(0, probs.shape[-1], 6)], axis=-1)
+    try:
+        return estimate_probabilities(counts.reshape(counts.shape[:-1] + (-1, 6))
+                                      ).reshape(counts.shape)
+    except DegenerateDataError:
+        empty = int(np.count_nonzero(counts.reshape(-1, 3).sum(axis=-1) == 0))
+        raise DegenerateDataError(
+            f"{empty} of {counts.size // 3} acquisitions drew zero photons at a "
+            f"budget of {mean_total:g} photons per input; cannot normalize"
+        ) from None
 
 
 def repeated_test_evaluation(
@@ -100,7 +120,6 @@ def repeated_test_evaluation(
     rep_size: int = 100,
     *,
     rng: np.random.Generator,
-    return_samples: bool = False,
 ):
     """Metric statistics over repeated noisy test draws.
 
@@ -108,8 +127,8 @@ def repeated_test_evaluation(
     re-draws their Poisson counts (mean_total=None skips the noise),
     predicts, and evaluates both metrics on the concatenated vectors.
     `predict_fn` maps an (n, 12) feature block to (n, 4) voltages.
-    Returns an EvaluationReport, or with return_samples=True the tuple
-    (report, per_rep_nrmse, per_rep_cosine).
+    Returns (report, per_rep_nrmse, per_rep_cosine): an EvaluationReport
+    and the two per-repetition metric arrays.
     """
     pool_probs = np.asarray(pool_probs, dtype=float)
     pool_targets = np.asarray(pool_targets, dtype=float)
@@ -135,9 +154,7 @@ def repeated_test_evaluation(
         n_examples_per_rep=rep_size,
         degenerate_spread=rep_count < 2,
     )
-    if return_samples:
-        return report, nr, cs
-    return report
+    return report, nr, cs
 
 
 def format_value(x) -> str:

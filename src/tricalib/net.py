@@ -29,7 +29,6 @@ from .metrics import cosine_similarity, format_value, nrmse
 __all__ = [
     "TrainConfig",
     "TrainReport",
-    "AdamState",
     "layer_sizes",
     "init_he",
     "forward",
@@ -223,21 +222,21 @@ def _copy_params(params):
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     """Mini-batch training with validation-loss early stopping.
 
-    Both datasets must carry [0, 1]-normalized targets produced with the
-    train split's scaling record (train_ds.normalization).  Stops after
-    `patience` epochs without validation improvement or at `max_epochs`,
-    whichever comes first.  Returns (params, adam, report): the
-    parameters of the best validation epoch, the live Adam state at the
-    end of the run (not a copy, and not the best epoch's) and the
-    per-epoch report.
+    Both datasets carry targets in volts.  The network learns them
+    mapped onto [0, 1] by a `TargetScaling` fitted on the train split
+    only, and the validation metrics are taken back in volts.  Stops
+    after `patience` epochs without validation improvement or at
+    `max_epochs`, whichever comes first.  Returns (params, scaling,
+    report): the parameters of the best validation epoch, the fitted
+    scaling and the per-epoch report.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InvalidParameterError("training and validation sets must be nonempty")
-    scaling = train_ds.normalization
-    if scaling is None:
-        raise InvalidParameterError("train dataset is not normalized; call normalize_targets")
-    X, Y = train_ds.features, train_ds.targets
-    Xv, Yv = val_ds.features, val_ds.targets
+    scaling = TargetScaling.fit(train_ds.targets)
+    X, Y = train_ds.features, scaling.transform(train_ds.targets)
+    Xv, Yv = val_ds.features, scaling.transform(val_ds.targets)
+    # Round-tripped rather than the raw targets, so both sides of each
+    # validation metric pass through the same scaling.
     y_val_volts = scaling.invert(Yv)
     span = scaling.pooled_span()
 
@@ -285,7 +284,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
             if stale >= config.patience:
                 break
     report.wall_clock = time.perf_counter() - t0
-    return best_params, state, report
+    return best_params, scaling, report
 
 
 def predict(params, features, scaling: TargetScaling, kick: KickConfig):

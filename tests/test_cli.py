@@ -501,14 +501,42 @@ def test_exit_code_python_only_float_spelling(toy, tmp_path, capsys, text):
         "line 10: non-numeric field")
 
 
-def test_exit_code_zero_count_acquisitions(tmp_path, capsys):
-    """A budget too low for every triple to see a photon is exit 4; the
-    message names the budget and how many acquisitions came up empty."""
-    out = tmp_path / "d.csv"
-    assert run_cli(["gen-dataset", "--counts", "5", "-o", str(out)]) == 4
+def test_exit_code_python_only_float_spelling_flag(capsys):
+    """Flags spell numbers as the CSV readers do: a non-ASCII digit is exit 3."""
+    assert run_cli(["simulate", "--volts", "\u0663,4"]) == 3
+    captured = capsys.readouterr()
+    assert "phases" not in captured.out
+    assert captured.err.startswith("error[invalid-parameter]: --volts contains a non-numeric")
+
+
+def test_exit_code_python_only_float_spelling_device_config(tmp_path, capsys):
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(default_device_config(), cfg_path)
+    text = cfg_path.read_text()
+    assert "\nalpha = 6.0, 3.0, 3.0, 6.0\n" in text
+    cfg_path.write_text(text.replace("alpha = 6.0, 3.0, 3.0, 6.0", "alpha = 6_0, 3, 3, 6"))
+    assert run_cli(["simulate", "--volts", "3,4", "--device-config", str(cfg_path)]) == 5
     err = capsys.readouterr().err
-    assert err == ("error[degenerate-data]: 81 of 11236 acquisitions drew zero photons "
-                   "at a budget of 5 photons per input; cannot normalize\n"), err
+    assert err.startswith("error[file-format]: ") and "expected numbers, got '6_0, 3, 3, 6'" in err, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-dataset", "--counts", "5"], "81 of 11236 acquisitions drew zero photons "
+                                       "at a budget of 5 photons per input"),
+    (["evaluate", "-m", "{model}", "-i", "{ds}", "--counts", "0.01"],
+     "398 of 400 acquisitions drew zero photons at a budget of 0.01 photons per input"),
+    (["simulate", "--grid", "10", "--counts", "0.001"],
+     "200 of 200 acquisitions drew zero photons at a budget of 0.001 photons per input"),
+], ids=["gen-dataset", "evaluate", "simulate"])
+def test_exit_code_zero_count_acquisitions(toy, tmp_path, capsys, argv, message):
+    """A budget too low for every triple to see a photon is exit 4 in
+    every command that draws noise; the message names the budget and how
+    many acquisitions came up empty."""
+    out = tmp_path / "out"
+    argv = [a.format(model=toy["model"], ds=toy["ds"]) for a in argv]
+    assert run_cli([*argv, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error[degenerate-data]: {message}; cannot normalize\n", err
     assert not out.exists()
 
 

@@ -17,10 +17,10 @@ from tricalib.data import (
     KickConfig,
     TargetScaling,
     build_grid,
+    exact_features,
     generate_simulated,
     ingest_experimental,
     kick_from_steps,
-    normalize_targets,
     read_csv,
     read_measurement_csv,
     split,
@@ -28,6 +28,8 @@ from tricalib.data import (
     write_measurement_csv,
 )
 from tricalib.device import voltage_probabilities
+from tricalib.metrics import fresh_noise
+from tricalib.net import TrainConfig, train
 from tricalib.errors import (
     CalibrationError,
     DegenerateDataError,
@@ -201,18 +203,20 @@ def test_split_fraction_validation():
 
 def test_normalize_endpoints_and_inverse():
     ds = small_dataset(mean_total=None)
-    scaled, scaling = normalize_targets(ds)
-    assert scaled.targets.min(axis=0) == pytest.approx(np.zeros(4), abs=0)
-    assert scaled.targets.max(axis=0) == pytest.approx(np.ones(4), abs=0)
-    back = scaling.invert(scaled.targets)
+    scaling = TargetScaling.fit(ds.targets)
+    scaled = scaling.transform(ds.targets)
+    assert scaled.min(axis=0) == pytest.approx(np.zeros(4), abs=0)
+    assert scaled.max(axis=0) == pytest.approx(np.ones(4), abs=0)
+    back = scaling.invert(scaled)
     assert np.abs(back - ds.targets).max() < 1e-12
 
 
 def test_normalization_fitted_on_train_only():
+    """`train` fits its scaling on the train split, not on validation."""
     ds = small_dataset(mean_total=None)
     tr = ds.subset(np.arange(0, len(ds) // 2))
     va = ds.subset(np.arange(len(ds) // 2, len(ds)))
-    _, scaling = normalize_targets(tr)
+    _, scaling, _ = train(tr, va, TrainConfig(max_epochs=1, patience=1, hidden=(4,)))
     lo, hi = tr.targets.min(axis=0), tr.targets.max(axis=0)
     assert np.array_equal(scaling.lo, lo) and np.array_equal(scaling.hi, hi)
     # the validation split may land outside [0, 1] and that is fine
@@ -225,7 +229,10 @@ def test_normalize_constant_dimension_rejected():
     targets = np.ones((5, 4))
     ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5))
     with pytest.raises(DegenerateDataError):
-        normalize_targets(ds)
+        TargetScaling.fit(ds.targets)
+    with pytest.raises(DegenerateDataError):
+        train(ds.subset([0, 1, 2]), ds.subset([3, 4]),
+              TrainConfig(max_epochs=1, patience=1, hidden=(4,)))
 
 
 def test_pooled_span():
@@ -258,12 +265,6 @@ def test_noise_free_metadata_round_trip(tmp_path):
     path = tmp_path / "d.csv"
     write_csv(ds, path)
     assert read_csv(path).mean_total is None
-
-
-def test_normalized_dataset_refused(tmp_path):
-    scaled, _ = normalize_targets(small_dataset(mean_total=None))
-    with pytest.raises(InvalidParameterError):
-        write_csv(scaled, tmp_path / "d.csv")
 
 
 def corrupt(tmp_path, mutate):
@@ -426,6 +427,16 @@ def test_multiline_provenance_refused(tmp_path, provenance):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("provenance", [" padded ", " lead", "trail\t"])
+def test_padded_provenance_refused(tmp_path, provenance):
+    """The reader strips metadata values, so padding would not round-trip."""
+    ds = replace(small_dataset(mean_total=None, n=3), provenance=provenance)
+    path = tmp_path / "d.csv"
+    with pytest.raises(InvalidParameterError, match="whitespace"):
+        write_csv(ds, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("comment", ["run 1\nrun 2", "run 1\r"])
 def test_multiline_measurement_comment_refused(tmp_path, comment):
     """A line break in the comment would give a file its own reader rejects."""
@@ -435,6 +446,27 @@ def test_multiline_measurement_comment_refused(tmp_path, comment):
     with pytest.raises(InvalidParameterError, match="comment must be one line"):
         write_measurement_csv(settings_, probs, path, comment=comment)
     assert not path.exists()
+
+
+def test_exact_features_are_the_model_at_both_settings():
+    targets = np.array([[1.0, 2.0, 1.5, 2.5], [3.0, 0.5, 3.5, 1.0]])
+    got = exact_features(targets, DEV)
+    assert np.array_equal(got[:, :6], voltage_probabilities(targets[:, :2], DEV.coeffs))
+    assert np.array_equal(got[:, 6:], voltage_probabilities(targets[:, 2:], DEV.coeffs))
+
+
+def test_replicas_are_consecutive_fresh_noise_draws():
+    """Each replica is one `fresh_noise` draw of the exact features, in
+    order from one generator: this pins the dataset's draw order."""
+    grid = build_grid(2.0, 5.0, 6)
+    kick = kick_from_steps(grid, 1, 1)
+    ds = generate_simulated(grid, kick, DEV, np.random.default_rng(8),
+                            mean_total=700.0, replicas=3)
+    exact = exact_features(ds.targets[:36], DEV)
+    rng = np.random.default_rng(8)
+    want = np.concatenate([fresh_noise(exact, 700.0, rng) for _ in range(3)])
+    assert np.array_equal(ds.features.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(ds.targets, np.tile(ds.targets[:36], (3, 1)))
 
 
 def test_zero_count_acquisitions_name_the_budget():

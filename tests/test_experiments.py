@@ -54,7 +54,6 @@ def test_train_on_dataset_returns_raw_val_split():
     params, report, scaling, val_raw = train_on_dataset(
         toy_dataset(), TOY_CFG, split_seed=0)
     assert val_raw.targets.min() >= 2.0  # volts, not the [0, 1] scale
-    assert val_raw.normalization is None
     assert report.epochs_run >= 1
     assert scaling.pooled_span() > 0.0
 

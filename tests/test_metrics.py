@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tricalib.config import default_device_config
 from tricalib.data import build_grid, generate_simulated, kick_from_steps
-from tricalib.errors import InvalidParameterError, UndefinedMetricError
+from tricalib.device import estimate_probabilities, sample_counts
+from tricalib.errors import DegenerateDataError, InvalidParameterError, UndefinedMetricError
 from tricalib.metrics import (
     cosine_similarity,
     format_value,
@@ -137,6 +138,34 @@ def test_fresh_noise_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_cols", [6, 12])
+def test_fresh_noise_draw_order(n_cols):
+    """Blocks are drawn left to right, one `sample_counts` call each, so a
+    given seed reproduces the per-block draws bit for bit."""
+    probs = small_pool()[0][:, :n_cols]
+    rng = np.random.default_rng(3)
+    want = np.concatenate(
+        [estimate_probabilities(sample_counts(probs[:, c:c + 6], 900.0, rng))
+         for c in range(0, n_cols, 6)], axis=-1)
+    got = fresh_noise(probs, 900.0, np.random.default_rng(3))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fresh_noise_single_measurement_vector():
+    probs = small_pool()[0][4]
+    got = fresh_noise(probs, 900.0, np.random.default_rng(5))
+    want = fresh_noise(probs[None], 900.0, np.random.default_rng(5))[0]
+    assert got.shape == (12,) and np.array_equal(got, want)
+
+
+def test_fresh_noise_zero_photons_name_the_budget():
+    probs = small_pool()[0]
+    with pytest.raises(DegenerateDataError,
+                       match=r"^\d+ of 196 acquisitions drew zero photons at a budget "
+                             r"of 0\.5 photons per input; cannot normalize$"):
+        fresh_noise(probs, 0.5, np.random.default_rng(0))
+
+
 # ------------------------------------------------- repeated test evaluation
 
 
@@ -149,7 +178,7 @@ def test_repeated_evaluation_perfect_oracle():
     def predict_fn(feats):
         return np.array([table[row.tobytes()] for row in feats])
 
-    report = repeated_test_evaluation(
+    report, _, _ = repeated_test_evaluation(
         predict_fn, probs, targets, None, span=3.0,
         rep_count=20, rep_size=10, rng=np.random.default_rng(5))
     assert report.nrmse == 0.0
@@ -169,7 +198,7 @@ def test_repeated_evaluation_noise_raises_error():
         # noisy features no longer match the table, so answer a constant
         return np.tile(targets.mean(axis=0), (feats.shape[0], 1))
 
-    report = repeated_test_evaluation(
+    report, _, _ = repeated_test_evaluation(
         truth_at_clean_rows, probs, targets, 500.0, span=3.0,
         rep_count=10, rep_size=10, rng=np.random.default_rng(6))
     assert report.nrmse > 0.0
@@ -179,7 +208,7 @@ def test_repeated_evaluation_noise_raises_error():
 
 def test_repeated_evaluation_single_rep_degenerate():
     probs, targets = small_pool()
-    report = repeated_test_evaluation(
+    report, _, _ = repeated_test_evaluation(
         lambda f: np.tile(targets.mean(axis=0), (f.shape[0], 1)),
         probs, targets, None, span=3.0,
         rep_count=1, rep_size=5, rng=np.random.default_rng(7))
@@ -193,8 +222,7 @@ def test_repeated_evaluation_samples_match_summary():
     report, nr, cs = repeated_test_evaluation(
         lambda f: np.tile(targets.mean(axis=0), (f.shape[0], 1)),
         probs, targets, 300.0, span=3.0,
-        rep_count=15, rep_size=8, rng=np.random.default_rng(8),
-        return_samples=True)
+        rep_count=15, rep_size=8, rng=np.random.default_rng(8))
     assert nr.shape == cs.shape == (15,)
     assert report.nrmse == float(nr.mean())
     assert report.nrmse_spread == float(nr.std(ddof=1))
@@ -220,9 +248,11 @@ def test_repeated_evaluation_pool_bounds():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=60))
 def test_mean_and_sd_bitwise_numpy(values):
+    # equal values are the one exception: their SD is exactly 0.0
     mean, sd = mean_and_sd(values)
+    want_sd = 0.0 if len(set(values)) == 1 else np.std(values, ddof=1)
     assert np.float64(mean).view(np.uint64) == np.float64(np.mean(values)).view(np.uint64)
-    assert np.float64(sd).view(np.uint64) == np.float64(np.std(values, ddof=1)).view(np.uint64)
+    assert np.float64(sd).view(np.uint64) == np.float64(want_sd).view(np.uint64)
 
 
 def test_mean_and_sd_single_value_has_zero_sd():
@@ -233,10 +263,16 @@ def test_mean_and_sd_single_value_has_zero_sd():
 @given(st.integers(-2**20, 2**20), st.integers(-30, 30), st.integers(2, 64))
 def test_mean_and_sd_identical_values_have_zero_sd(k, exponent, n):
     # n copies of k * 2**exponent sum exactly, so the mean is the value
-    # itself; values whose sum rounds (50 copies of 0.999) give an SD of
-    # a few ulps instead, exactly as np.std does
+    # itself
     value = math.ldexp(k, exponent)
     assert mean_and_sd([value] * n) == (value, 0.0)
+
+
+@pytest.mark.parametrize("values", [[0.1] * 3, [0.999] * 50])
+def test_mean_and_sd_equal_values_whose_sum_rounds_have_zero_sd(values):
+    # np.std leaves a few ulps here (1.7e-17 for three copies of 0.1)
+    assert np.std(values, ddof=1) != 0.0
+    assert mean_and_sd(values)[1] == 0.0
 
 
 # ------------------------------------------------------------ report output

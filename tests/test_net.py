@@ -2,7 +2,6 @@
 training loop, prediction, and the checkpoint format."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from tricalib.data import (
     build_grid,
     generate_simulated,
     kick_from_steps,
-    normalize_targets,
     split,
 )
 from tricalib.errors import CheckpointError, InvalidParameterError, TrainingDivergedError
@@ -50,11 +48,8 @@ def toy_dataset(n=5, mean_total=None, seed=0):
                               mean_total=mean_total)
 
 
-def normalized_splits(ds, split_seed=0, fraction=0.2):
-    tr, va = split(ds, fraction, np.random.default_rng(split_seed))
-    trn, scaling = normalize_targets(tr)
-    van = replace(va, targets=scaling.transform(va.targets), normalization=scaling)
-    return trn, van, scaling
+def splits(ds, split_seed=0, fraction=0.2):
+    return split(ds, fraction, np.random.default_rng(split_seed))
 
 
 # ----------------------------------------------------------- initialization
@@ -372,20 +367,24 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     # From step 2 on, the first layer's gradient is exactly zero, as for
     # ReLU units that no input activates. Its first moments then decay
     # by beta1 per step and fall below the smallest normal double after
-    # about 6 650 steps; `train` returns the Adam state at the end of its
-    # run, which is later than that.
+    # about 6 650 steps; the Adam state captured here is the one at the
+    # end of the run, which is later than that.
     real_step = net.adam_step
+    captured = []
 
     def step_with_dead_first_layer(params, grads, state, config):
+        if not captured:
+            captured.append(state)
         if state.t > 0:
             for g in grads[0]:
                 g[...] = 0.0
         return real_step(params, grads, state, config)
 
     monkeypatch.setattr(net, "adam_step", step_with_dead_first_layer)
-    trn, van, _ = normalized_splits(toy_dataset(n=6))
+    tr, va = splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=300, patience=300, batch_size=1, seed=0, hidden=(8, 8))
-    _, adam, _ = train(trn, van, cfg)
+    train(tr, va, cfg)
+    adam = captured[0]
     assert adam.t > 7000
     tiny = np.finfo(float).tiny
     for m_pair in adam.m:
@@ -412,18 +411,11 @@ def test_train_config_validation():
 # ----------------------------------------------------------------- training
 
 
-def test_train_requires_normalized_targets():
-    ds = toy_dataset()
-    tr, va = split(ds, 0.2, np.random.default_rng(0))
-    with pytest.raises(InvalidParameterError):
-        train(tr, va, TrainConfig(max_epochs=2, patience=2))
-
-
 def test_train_deterministic_report():
-    trn, van, _ = normalized_splits(toy_dataset(n=6))
+    tr, va = splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=8, patience=8, seed=4, hidden=(16, 16))
-    _, _, rep1 = train(trn, van, cfg)
-    _, _, rep2 = train(trn, van, cfg)
+    _, _, rep1 = train(tr, va, cfg)
+    _, _, rep2 = train(tr, va, cfg)
     assert rep1.train_loss == rep2.train_loss
     assert rep1.val_loss == rep2.val_loss
     assert rep1.val_nrmse == rep2.val_nrmse
@@ -432,9 +424,9 @@ def test_train_deterministic_report():
 
 
 def test_train_report_lengths_match_epochs():
-    trn, van, _ = normalized_splits(toy_dataset(n=6))
+    tr, va = splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=6, patience=6, seed=0, hidden=(12,))
-    _, _, rep = train(trn, van, cfg)
+    _, _, rep = train(tr, va, cfg)
     assert rep.epochs_run == len(rep.val_loss) == len(rep.val_nrmse) == len(rep.val_cosine)
     assert 0 <= rep.best_epoch < rep.epochs_run
 
@@ -447,19 +439,19 @@ def test_train_early_stop_on_plateau():
     targets = np.tile([2.0, 3.0, 2.5, 3.5], (30, 1))
     targets += np.random.default_rng(1).normal(0, 1e-6, targets.shape)
     ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5))
-    trn, van, _ = normalized_splits(ds, fraction=0.3)
-    _, _, rep = train(trn, van, TrainConfig(max_epochs=200, patience=1,
+    tr, va = splits(ds, fraction=0.3)
+    _, _, rep = train(tr, va, TrainConfig(max_epochs=200, patience=1,
                                             seed=0, hidden=(8,)))
     assert rep.epochs_run < 200
     assert rep.best_epoch <= rep.epochs_run - 1
 
 
 def test_train_returns_best_epoch_weights():
-    trn, van, scaling = normalized_splits(toy_dataset(n=7))
+    tr, va = splits(toy_dataset(n=7))
     cfg = TrainConfig(max_epochs=30, patience=30, seed=1, hidden=(32, 32))
-    params, _, rep = train(trn, van, cfg)
-    out = forward(params, van.features)
-    val_loss = float(np.sqrt(((out - van.targets) ** 2).mean(axis=1)).mean())
+    params, scaling, rep = train(tr, va, cfg)
+    out = forward(params, va.features)
+    val_loss = float(np.sqrt(((out - scaling.transform(va.targets)) ** 2).mean(axis=1)).mean())
     assert val_loss == pytest.approx(rep.val_loss[rep.best_epoch], rel=1e-12)
     assert rep.val_loss[rep.best_epoch] == min(rep.val_loss)
 
@@ -472,19 +464,19 @@ def test_training_loss_decreases_over_ten_seeds():
     kick = kick_from_steps(grid, 5, 5)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(7),
                             mean_total=1000.0)
-    trn, van, _ = normalized_splits(ds, split_seed=20, fraction=0.15)
+    tr, va = splits(ds, split_seed=20, fraction=0.15)
     for seed in range(10):
-        _, _, rep = train(trn, van, TrainConfig(max_epochs=10, patience=10, seed=seed))
+        _, _, rep = train(tr, va, TrainConfig(max_epochs=10, patience=10, seed=seed))
         assert rep.train_loss[9] < rep.train_loss[0]
 
 
 def test_train_divergence_reports_epoch():
-    trn, van, _ = normalized_splits(toy_dataset(n=5))
+    tr, va = splits(toy_dataset(n=5))
     cfg = TrainConfig(max_epochs=5, patience=5, seed=0, learning_rate=1e160,
                       hidden=(8,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
-            train(trn, van, cfg)
+            train(tr, va, cfg)
     assert err.value.epoch is not None
 
 
@@ -528,12 +520,12 @@ def test_predict_vectorized():
 
 
 def trained_toy(tmp_path):
-    trn, van, scaling = normalized_splits(toy_dataset(n=6))
+    tr, va = splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=5, patience=5, seed=2, hidden=(10, 10))
-    params, _, _ = train(trn, van, cfg)
+    params, scaling, _ = train(tr, va, cfg)
     path = tmp_path / "toy.ckpt"
-    save_checkpoint(path, params, trn.kick, scaling, provenance="toy")
-    return path, params, scaling, trn.kick
+    save_checkpoint(path, params, tr.kick, scaling, provenance="toy")
+    return path, params, scaling, tr.kick
 
 
 def rewrite_with_checksum(path, lines):

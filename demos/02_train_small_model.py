@@ -36,7 +36,7 @@ print(f"dataset: {len(dataset)} examples, "
       f"{dataset.features.shape[1]} features, mean_total {dataset.mean_total}")
 
 cfg = TrainConfig(max_epochs=80, patience=20, seed=0, hidden=(100, 100))
-params, report, scaling, _ = train_on_dataset(dataset, cfg, split_seed=0)
+params, scaling, report, _ = train_on_dataset(dataset, cfg, split_seed=0)
 best = report.best_epoch
 print(f"trained {report.epochs_run} epochs in {report.wall_clock:.1f} s, "
       f"best epoch {best}")

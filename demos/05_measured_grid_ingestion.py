@@ -54,7 +54,7 @@ write_csv(dataset, work / "ingested.csv")
 
 # 3. train on the ingested dataset exactly as on a simulated one
 cfg = TrainConfig(max_epochs=60, patience=15, seed=3, hidden=(100, 100))
-params, report, scaling, _ = train_on_dataset(dataset, cfg, split_seed=20)
+params, scaling, report, _ = train_on_dataset(dataset, cfg, split_seed=20)
 best = report.best_epoch
 print(f"trained {report.epochs_run} epochs, "
       f"val NRMSE {report.val_nrmse[best]:.4f}, "

@@ -1,15 +1,14 @@
 """Command line front end.
 
-One binary, nine subcommands:
+One binary, eight subcommands:
 
     simulate      probabilities (optionally counts) at a voltage point or grid
     gen-dataset   simulate a kick-augmented training dataset -> CSV
-    train         fit the regressor on a dataset CSV -> checkpoint + report
+    train         fit the regressor on a dataset CSV -> checkpoint, report, curves
     predict       invert one 12-probability feature vector -> voltages
     evaluate      repeated noisy test protocol for a trained model
     sweep-grid    grid-size study (fresh dataset and trainings per size)
     ablate-kicks  paired kicked vs unkicked comparison
-    epoch-curves  per-epoch validation trajectory of one training
     surface       predicted-vs-true scatter of a model on a dataset
 
 Config files can be overridden by flags; flags win.  All randomness is
@@ -34,14 +33,12 @@ from .experiments import (
     VAL_FRACTION,
     SweepConfig,
     exact_feature_pool,
-    run_epoch_curves,
     run_grid_sweep,
     run_kick_ablation,
     run_prediction_surface,
     train_config_pairs,
     train_on_dataset,
     uniform_feature_pool,
-    write_epoch_curves,
 )
 from .metrics import (
     format_value,
@@ -187,14 +184,21 @@ def _file_sha256(path):
 def cmd_train(args):
     ds = datamod.read_csv(args.input)
     cfg = _train_config(args, args.seed)
-    params, report, scaling, val_raw = train_on_dataset(
+    model_dir = os.path.dirname(args.output) or "."
+    # created before training, so an unwritable path fails in seconds
+    os.makedirs(model_dir, exist_ok=True)
+    params, scaling, report, val_raw = train_on_dataset(
         ds, cfg, args.split_seed, args.val_fraction)
     provenance = _file_sha256(args.input)
     save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
 
-    report_dir = args.report_dir or (os.path.dirname(args.output) or ".")
+    report_dir = args.report_dir or model_dir
     os.makedirs(report_dir, exist_ok=True)
-    write_epoch_curves(os.path.join(report_dir, "curves.csv"), report)
+    write_rows_csv(os.path.join(report_dir, "curves.csv"),
+                   ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
+                   [(ep, report.train_loss[ep], report.val_loss[ep],
+                     report.val_nrmse[ep], report.val_cosine[ep])
+                    for ep in range(report.epochs_run)])
     best = report.best_epoch
     write_report(os.path.join(report_dir, "report.txt"), [
         ("command", "train"),
@@ -299,15 +303,6 @@ def cmd_ablate_kicks(args):
     return 0
 
 
-def cmd_epoch_curves(args):
-    ds = datamod.read_csv(args.input)
-    cfg = _train_config(args, args.seed)
-    report = run_epoch_curves(ds, cfg, args.split_seed, args.output,
-                              val_fraction=args.val_fraction)
-    print(f"epochs_run = {report.epochs_run}, best_epoch = {report.best_epoch}")
-    return 0
-
-
 def cmd_surface(args):
     device = cfgmod.resolve_device_config(args.device_config)
     ckpt = load_checkpoint(args.model)
@@ -330,13 +325,15 @@ def build_parser():
                     "three-mode interferometer.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, help_text):
+    # device=False for the commands that never read the device model
+    def add(name, func, help_text, device=True):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--device-config", default=None,
-                        help=f"device config file (default: "
-                             f"${cfgmod.CONFIG_DIR_ENV}/{cfgmod.CONFIG_FILE_NAME} "
-                             f"or built-in defaults)")
+        if device:
+            sp.add_argument("--device-config", default=None,
+                            help=f"device config file (default: "
+                                 f"${cfgmod.CONFIG_DIR_ENV}/{cfgmod.CONFIG_FILE_NAME} "
+                                 f"or built-in defaults)")
         return sp
 
     sp = add("simulate", cmd_simulate, "model probabilities at a point or grid")
@@ -358,16 +355,16 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=DEFAULT_DATA_SEED)
     sp.add_argument("-o", "--output", required=True, help="dataset CSV path")
 
-    sp = add("train", cmd_train, "train the regressor on a dataset CSV")
+    sp = add("train", cmd_train, "train the regressor on a dataset CSV", device=False)
     sp.add_argument("-i", "--input", required=True, help="dataset CSV")
-    sp.add_argument("-o", "--output", required=True, help="checkpoint path")
+    sp.add_argument("-o", "--output", required=True, help="checkpoint path (dir is created)")
     sp.add_argument("--report-dir", default=None,
                     help="where report.txt and curves.csv go (default: checkpoint dir)")
     sp.add_argument("--seed", type=int, default=DEFAULT_TRAIN_SEED)
     sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
     _add_train_flags(sp)
 
-    sp = add("predict", cmd_predict, "invert one feature vector")
+    sp = add("predict", cmd_predict, "invert one feature vector", device=False)
     sp.add_argument("-m", "--model", required=True, help="checkpoint path")
     sp.add_argument("--probs", required=True,
                     help="12 comma-separated probabilities (base then kicked)")
@@ -412,13 +409,6 @@ def build_parser():
                          "-1 = device config, 0 = noise-free")
     sp.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
     sp.add_argument("--train-seed", type=int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
-    sp.add_argument("-o", "--output", required=True)
-    _add_train_flags(sp)
-
-    sp = add("epoch-curves", cmd_epoch_curves, "per-epoch validation trajectory")
-    sp.add_argument("-i", "--input", required=True, help="dataset CSV")
-    sp.add_argument("--seed", type=int, default=DEFAULT_TRAIN_SEED)
     sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)

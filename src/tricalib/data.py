@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig, check_one_line, parse_float_rows, text_lines
+from .config import DeviceConfig, check_one_line, parse_float_rows, split_floats, text_lines
 from .device import voltage_probabilities
 from .errors import (
     DegenerateDataError,
@@ -335,6 +335,14 @@ def _check_probability_block(block, linenos, first_col):
         )
 
 
+def _one_float(text):
+    """The single number of a metadata value, spelled as the data rows are."""
+    values = split_floats(text)
+    if len(values) != 1:
+        raise ValueError(f"expected one number, got {text!r}")
+    return values[0]
+
+
 def read_csv(path) -> Dataset:
     """Load a dataset CSV; validates schema, ranges and kick consistency."""
     meta, rows, linenos = _parse_rows(path, DATASET_HEADER, 16)
@@ -342,7 +350,7 @@ def read_csv(path) -> Dataset:
     _check_probability_block(features, linenos, 4)
     if "dv1" in meta and "dv2" in meta:
         try:
-            kick = KickConfig(dv1=float(meta["dv1"]), dv2=float(meta["dv2"]))
+            kick = KickConfig(dv1=_one_float(meta["dv1"]), dv2=_one_float(meta["dv2"]))
         except (ValueError, InvalidParameterError) as exc:
             raise FileFormatError(
                 f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
@@ -362,7 +370,7 @@ def read_csv(path) -> Dataset:
     text = meta.get("mean_total", "none")
     if text != "none":
         try:
-            mean_total = float(text)
+            mean_total = _one_float(text)
         except ValueError:
             pass
         if mean_total is None or not 0.0 < mean_total < np.inf:

@@ -1,5 +1,5 @@
-"""End-to-end study harnesses: grid-size sweep, kick ablation, epoch
-curves and the prediction surface.
+"""End-to-end study harnesses: grid-size sweep, kick ablation and the
+prediction surface.
 
 Every harness is deterministic given its seeds, reads one resolved
 configuration, and writes a results directory containing
@@ -49,7 +49,6 @@ __all__ = [
     "uniform_feature_pool",
     "run_grid_sweep",
     "run_kick_ablation",
-    "run_epoch_curves",
     "run_prediction_surface",
 ]
 
@@ -81,27 +80,18 @@ def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
                      val_fraction: float = VAL_FRACTION):
     """Split, then train (which fits the target scaling on the train split).
 
-    Returns (params, report, scaling, val_split); val_split carries volt
-    targets.
+    Returns (params, scaling, report, val_split), `train`'s result plus
+    the validation split, which carries volt targets.
     """
     train_ds, val_ds = split(dataset, val_fraction, np.random.default_rng(split_seed))
     params, scaling, report = train(train_ds, val_ds, cfg)
-    return params, report, scaling, val_ds
+    return params, scaling, report, val_ds
 
 
 def train_config_pairs(cfg: TrainConfig):
     """The `key = value` pairs of the training settings a result file records."""
     return [("max_epochs", cfg.max_epochs), ("batch_size", cfg.batch_size),
             ("learning_rate", cfg.learning_rate), ("patience", cfg.patience)]
-
-
-def write_epoch_curves(path, report):
-    """One CSV row per epoch run: losses and validation metrics."""
-    write_rows_csv(
-        path, ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
-        [(ep, report.train_loss[ep], report.val_loss[ep],
-          report.val_nrmse[ep], report.val_cosine[ep])
-         for ep in range(report.epochs_run)])
 
 
 def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
@@ -238,7 +228,7 @@ def run_grid_sweep(
 
     def one_run(size, run):
         cfg = replace(train_cfg, seed=_combine(train_seed, size, run))
-        params, report, scaling, _ = train_on_dataset(
+        params, scaling, report, _ = train_on_dataset(
             datasets[size], cfg, split_seed, val_fraction)
         # cosine goes over the full 4-target concatenation of the test draw
         ev, _, _ = repeated_test_evaluation(
@@ -341,7 +331,7 @@ def run_kick_ablation(
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
 
     def val_rmse_volts(dataset):
-        params, report, scaling, val_raw = train_on_dataset(
+        params, scaling, report, val_raw = train_on_dataset(
             dataset, train_cfg, split_seed, val_fraction)
         yhat = scaling.invert(forward(params, val_raw.features))
         err = yhat - val_raw.targets
@@ -375,30 +365,6 @@ def run_kick_ablation(
         ("improvement_fraction", improvement),
     ])
     return rmse_with, rmse_without, improvement
-
-
-def run_epoch_curves(dataset: Dataset, train_cfg: TrainConfig, split_seed: int,
-                     out_dir, val_fraction: float = VAL_FRACTION):
-    """Train once and dump the per-epoch validation trajectory."""
-    _ensure_dir(out_dir)
-    _, report, _, _ = train_on_dataset(dataset, train_cfg, split_seed, val_fraction)
-    write_report(os.path.join(out_dir, "config.echo"), [
-        ("harness", "epoch-curves"),
-        ("examples", len(dataset)),
-        ("provenance", dataset.provenance),
-        ("val_fraction", val_fraction),
-        ("split_seed", split_seed), ("train_seed", train_cfg.seed),
-        *train_config_pairs(train_cfg),
-    ])
-    write_epoch_curves(os.path.join(out_dir, "results.csv"), report)
-    write_report(os.path.join(out_dir, "report.txt"), [
-        ("epochs_run", report.epochs_run),
-        ("best_epoch", report.best_epoch),
-        ("best_val_loss", report.val_loss[report.best_epoch]),
-        ("best_val_nrmse", report.val_nrmse[report.best_epoch]),
-        ("best_val_cosine", report.val_cosine[report.best_epoch]),
-    ])
-    return report
 
 
 def run_prediction_surface(params, scaling, kick: KickConfig, dataset: Dataset,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_one_line
+from .config import check_one_line, split_floats
 from .data import Dataset, KickConfig, TargetScaling
 from .errors import (
     CheckpointError,
@@ -45,15 +45,17 @@ __all__ = [
 
 DEFAULT_HIDDEN = (200, 200, 200)
 
+# Adam's decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 250
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     patience: int = 25
     seed: int = 0
     hidden: tuple = DEFAULT_HIDDEN
@@ -63,10 +65,8 @@ class TrainConfig:
             raise InvalidParameterError("epochs, batch size and patience must be >= 1")
         if self.patience > self.max_epochs:
             raise InvalidParameterError("patience cannot exceed max_epochs")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise InvalidParameterError("learning rate and epsilon must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidParameterError("adam betas must lie in [0, 1)")
+        if self.learning_rate <= 0:
+            raise InvalidParameterError("learning rate must be > 0")
         if any(h < 1 for h in self.hidden) or not self.hidden:
             raise InvalidParameterError("hidden layer sizes must be >= 1")
 
@@ -178,7 +178,7 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), evaluated in that order with
     two scratch arrays per tensor.
     """
-    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
@@ -206,7 +206,7 @@ def _flush_subnormal(pairs):
     double in magnitude (-0.0 becomes 0.0).
 
     A first moment whose gradient stays exactly zero (a dead ReLU unit)
-    decays by beta1 per step into the subnormal range and stays there,
+    decays by ADAM_BETA1 per step into the subnormal range and stays there,
     and subnormal arithmetic is several times slower on common CPUs.
     """
     tiny = np.finfo(float).tiny
@@ -437,10 +437,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads format {_FORMAT} only)")
     try:
         sizes = [int(s) for s in reader.field("sizes").split()]
-        dv1, dv2 = map(float, reader.field("kick").split())
+        dv1, dv2 = split_floats(reader.field("kick"))
         kick = KickConfig(dv1=dv1, dv2=dv2)
-        lo = _finite(np.array([float(x) for x in reader.field("scale_lo").split()]), "scale_lo")
-        hi = _finite(np.array([float(x) for x in reader.field("scale_hi").split()]), "scale_hi")
+        lo = _finite(np.array(split_floats(reader.field("scale_lo"))), "scale_lo")
+        hi = _finite(np.array(split_floats(reader.field("scale_hi"))), "scale_hi")
         provenance = reader.field("provenance")
     except (ValueError, InvalidParameterError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc

@@ -1,9 +1,11 @@
 """Command line front end at toy scale: every subcommand, the output
 conventions, and the exit-code contract."""
 
+import argparse
 import hashlib
 import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from tricalib.data import (
 )
 from tricalib.device import ResponseCoefficients, tritter_unitary, voltage_probabilities
 from tricalib.errors import FileFormatError
-from tricalib.experiments import VAL_FRACTION, SweepConfig
+from tricalib.experiments import VAL_FRACTION, SweepConfig, train_on_dataset
 from tricalib.net import TrainConfig, load_checkpoint
 
 from conftest import read_report, run_cli, same_bits
@@ -176,6 +178,36 @@ def test_train_provenance_is_input_hash(toy):
     assert ck.provenance == hashlib.sha256(toy["ds"].read_bytes()).hexdigest()
 
 
+def test_train_epoch_curves_rows_and_best(toy, tmp_path):
+    """curves.csv holds one row per epoch run with the library's losses bit
+    for bit, and report.txt names the best of them."""
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(tmp_path / "m.ckpt"),
+                    "--epochs", "15", "--patience", "15", "--seed", "2",
+                    "--split-seed", "0", "--hidden", "16,16"]) == 0
+    cfg = TrainConfig(max_epochs=15, patience=15, seed=2, hidden=(16, 16))
+    _, _, report, _ = train_on_dataset(read_csv(toy["ds"]), cfg, split_seed=0)
+
+    lines = (tmp_path / "curves.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss,val_nrmse,val_cosine"
+    rep = read_report(tmp_path / "report.txt")
+    assert len(lines) - 1 == rep["epochs_run"] == report.epochs_run
+    val_loss = [float(line.split(",")[2]) for line in lines[1:]]
+    assert val_loss == report.val_loss  # repr round-trips bit for bit
+    assert rep["best_epoch"] == report.best_epoch
+    assert rep["best_val_loss"] == min(val_loss)
+    assert rep["best_val_loss"] < val_loss[0]  # it learned something
+
+
+def test_train_creates_checkpoint_dir(toy, tmp_path):
+    """The checkpoint's directory is made before training, and the report
+    files land beside the checkpoint."""
+    model = tmp_path / "sub" / "dir" / "m.ckpt"
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(model),
+                    "--epochs", "1", "--patience", "1", "--hidden", "8"]) == 0
+    assert sorted(p.name for p in model.parent.iterdir()) == [
+        "curves.csv", "m.ckpt", "report.txt"]
+
+
 def test_predict_round_trip(toy, capsys):
     feats = read_csv(toy["ds"]).features[0]
     probs_arg = ",".join(repr(float(p)) for p in feats)
@@ -301,14 +333,6 @@ def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
     assert not out.exists()
 
 
-def test_epoch_curves_cli(toy, tmp_path):
-    out = tmp_path / "curves"
-    assert run_cli(["epoch-curves", "-i", str(toy["ds"]), "--epochs", "4",
-                    "--patience", "4", "--hidden", "12", "-o", str(out)]) == 0
-    lines = (out / "results.csv").read_text().splitlines()
-    assert len(lines) == 5  # header + 4 epochs
-
-
 def test_surface_prediction_cli(toy, tmp_path):
     out = tmp_path / "pred"
     assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
@@ -328,6 +352,53 @@ def test_surface_prediction_cli(toy, tmp_path):
 
 
 # ------------------------------------------------------------ device config
+
+
+# the flags each subcommand needs to parse; no file named here is read
+MINIMAL_ARGV = {
+    "simulate": ["--volts", "3,4"],
+    "gen-dataset": ["-o", "d.csv"],
+    "train": ["-i", "d.csv", "-o", "m.ckpt"],
+    "predict": ["-m", "m.ckpt", "--probs", "0.5"],
+    "evaluate": ["-m", "m.ckpt", "-i", "d.csv", "-o", "out"],
+    "sweep-grid": ["-o", "out"],
+    "ablate-kicks": ["-o", "out"],
+    "surface": ["-m", "m.ckpt", "-i", "d.csv", "-o", "out"],
+}
+
+
+def _subcommand_names():
+    ap = cli.build_parser()
+    return set(next(a.choices for a in ap._actions
+                    if isinstance(a, argparse._SubParsersAction)))
+
+
+def test_device_config_only_where_it_is_read(tmp_path, monkeypatch, capsys):
+    """Every subcommand that takes --device-config reads it first (a missing
+    file exits 10); train and predict read no device, so they reject it."""
+    monkeypatch.chdir(tmp_path)
+    assert _subcommand_names() == set(MINIMAL_ARGV)
+    missing = str(tmp_path / "missing.cfg")
+    for name, argv in MINIMAL_ARGV.items():
+        argv = [name, *argv, "--device-config", missing]
+        if name in ("train", "predict"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            assert exc.value.code == 2, name
+            assert "unrecognized arguments: --device-config" in capsys.readouterr().err
+        else:
+            assert run_cli(argv) == 10, name
+            assert "missing.cfg" in capsys.readouterr().err, name
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_subcommand_lists_agree():
+    """build_parser(), the README's Subcommands table and the cli module
+    docstring name the same subcommands."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Subcommands\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `([a-z-]+)` \|", table, re.M)) == _subcommand_names()
+    assert set(re.findall(r"^    ([a-z][a-z-]*)  ", cli.__doc__, re.M)) == _subcommand_names()
 
 
 def test_device_config_override_changes_phases(tmp_path, capsys):
@@ -571,7 +642,7 @@ def test_non_utf8_measurement_csv_is_a_file_format_error(tmp_path):
     assert exc.value.exit_code == 5
 
 
-@pytest.mark.parametrize("dv1", ["nan", "-0.5"])
+@pytest.mark.parametrize("dv1", ["nan", "-0.5", "1_0"])
 def test_exit_code_bad_kick_header(toy, tmp_path, capsys, dv1):
     def edit(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("# dv1 = "))
@@ -584,8 +655,7 @@ def test_parser_defaults_come_from_the_library():
     ap = cli.build_parser()
     for argv in (["train", "-i", "d.csv", "-o", "m.ckpt"],
                  ["sweep-grid", "-o", "out"],
-                 ["ablate-kicks", "-o", "out"],
-                 ["epoch-curves", "-i", "d.csv", "-o", "out"]):
+                 ["ablate-kicks", "-o", "out"]):
         args = ap.parse_args(argv)
         assert cli._train_config(args, seed=0) == TrainConfig(seed=0), argv[0]
         assert args.val_fraction == VAL_FRACTION, argv[0]

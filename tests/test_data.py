@@ -324,7 +324,7 @@ def test_non_finite_field_rejected_with_line(tmp_path, cols, text):
         read_csv(path)
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5", "1_000", "١٠٠٠"])
 def test_bad_mean_total_metadata_rejected(tmp_path, value):
     path = corrupt(tmp_path, lambda ls: ls.__setitem__(3, f"# mean_total = {value}"))
     with pytest.raises(FileFormatError, match=f"mean_total metadata '{value}'"):

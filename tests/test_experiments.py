@@ -16,7 +16,6 @@ from tricalib.errors import InvalidParameterError
 from tricalib.experiments import (
     SweepConfig,
     exact_feature_pool,
-    run_epoch_curves,
     run_grid_sweep,
     run_kick_ablation,
     run_prediction_surface,
@@ -51,7 +50,7 @@ def tree_bytes(out_dir):
 
 
 def test_train_on_dataset_returns_raw_val_split():
-    params, report, scaling, val_raw = train_on_dataset(
+    params, scaling, report, val_raw = train_on_dataset(
         toy_dataset(), TOY_CFG, split_seed=0)
     assert val_raw.targets.min() >= 2.0  # volts, not the [0, 1] scale
     assert report.epochs_run >= 1
@@ -125,26 +124,6 @@ def test_kick_ablation_byte_deterministic(tmp_path):
         run_kick_ablation(DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3,
                           split_seed=0, out_dir=out, mean_total=1000.0)
     assert tree_bytes(a) == tree_bytes(b)
-
-
-# ------------------------------------------------------------- epoch curves
-
-
-def test_epoch_curves_rows_and_best(tmp_path):
-    out = tmp_path / "curves"
-    cfg = TrainConfig(max_epochs=15, patience=15, seed=2, hidden=(16, 16))
-    report = run_epoch_curves(toy_dataset(), cfg, split_seed=0, out_dir=out)
-
-    header, rows = read_csv_rows(out / "results.csv")
-    assert header == ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"]
-    assert len(rows) == report.epochs_run
-    val_loss = [float(r[2]) for r in rows]
-    assert val_loss == report.val_loss  # repr round-trips bit for bit
-
-    rep = read_report(out / "report.txt")
-    assert rep["best_epoch"] == report.best_epoch
-    assert rep["best_val_loss"] == min(report.val_loss)
-    assert rep["best_val_loss"] < report.val_loss[0]  # it learned something
 
 
 # --------------------------------------------------------------- grid sweep
@@ -258,7 +237,7 @@ def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count,
 
 def test_prediction_surface_rows(tmp_path):
     ds = toy_dataset()
-    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     out = tmp_path / "pred"
     rows = run_prediction_surface(params, scaling, ds.kick, ds, DEV,
                                   n_new=12, seed=9, out_dir=out,
@@ -281,7 +260,7 @@ def test_prediction_surface_rows(tmp_path):
 
 def test_prediction_surface_bounds(tmp_path):
     ds = toy_dataset()
-    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     with pytest.raises(InvalidParameterError):
         run_prediction_surface(params, scaling, ds.kick, ds, DEV,
                                n_new=0, seed=0, out_dir=tmp_path / "x",
@@ -298,7 +277,7 @@ def test_library_rejects_negative_photon_budget(tmp_path, harness):
     """A negative budget is the CLI's "inherit" flag value; the CLI resolves
     it, so the library must fail on it rather than reinterpret it."""
     ds = toy_dataset()
-    params, _, scaling, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
+    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     calls = {
         "generate_simulated": lambda: generate_simulated(
             build_grid(2.0, 5.0, 9), ds.kick, DEV, np.random.default_rng(0),

@@ -15,7 +15,9 @@ Config files can be overridden by flags; flags win.  All randomness is
 controlled by explicit seed flags, and identical command lines with
 identical inputs produce byte-identical output files.  Failures exit
 with the category codes documented in `tricalib.errors` (argparse usage
-errors exit 2, missing files and other OS errors exit 10).
+errors exit 2, missing files and other OS errors exit 10).  Numeric
+flags spell numbers as the file readers do (`config.parse_int` and
+`config.parse_float`), so `--epochs 1_0` is a usage error.
 """
 
 import argparse
@@ -73,7 +75,7 @@ def _parse_floats_arg(text, n, what):
 def _parse_int_list(text, what):
     """A comma-separated integer flag such as --hidden or --sizes."""
     try:
-        values = tuple(int(p) for p in text.split(",") if p)
+        values = tuple(cfgmod.parse_int(p) for p in text.split(",") if p)
     except ValueError:
         raise InvalidParameterError(f"bad {what} list {text!r}")
     if not values:
@@ -111,22 +113,23 @@ def _train_config(args, seed):
 
 def _add_train_flags(sp):
     cfg = TrainConfig()
-    sp.add_argument("--epochs", type=int, default=cfg.max_epochs,
+    sp.add_argument("--epochs", type=cfgmod.parse_int, default=cfg.max_epochs,
                     help="maximum training epochs")
-    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
-    sp.add_argument("--lr", type=float, default=cfg.learning_rate, help="Adam learning rate")
-    sp.add_argument("--patience", type=int, default=cfg.patience,
+    sp.add_argument("--batch-size", type=cfgmod.parse_int, default=cfg.batch_size)
+    sp.add_argument("--lr", type=cfgmod.parse_float, default=cfg.learning_rate,
+                    help="Adam learning rate")
+    sp.add_argument("--patience", type=cfgmod.parse_int, default=cfg.patience,
                     help="epochs without validation improvement before stopping")
     sp.add_argument("--hidden", default=",".join(str(h) for h in cfg.hidden),
                     help="comma-separated hidden layer widths")
-    sp.add_argument("--val-fraction", type=float, default=VAL_FRACTION)
+    sp.add_argument("--val-fraction", type=cfgmod.parse_float, default=VAL_FRACTION)
 
 
 def _add_grid_flags(sp, n_default=cfgmod.GRID_N):
-    sp.add_argument("--grid", type=int, default=n_default,
+    sp.add_argument("--grid", type=cfgmod.parse_int, default=n_default,
                     help="grid points per voltage axis")
-    sp.add_argument("--grid-min", type=float, default=cfgmod.GRID_V_MIN)
-    sp.add_argument("--grid-max", type=float, default=cfgmod.GRID_V_MAX)
+    sp.add_argument("--grid-min", type=cfgmod.parse_float, default=cfgmod.GRID_V_MIN)
+    sp.add_argument("--grid-max", type=cfgmod.parse_float, default=cfgmod.GRID_V_MAX)
 
 
 # ---------------------------------------------------------------- handlers
@@ -339,20 +342,20 @@ def build_parser():
     sp = add("simulate", cmd_simulate, "model probabilities at a point or grid")
     sp.add_argument("--volts", help="one setting 'v1,v2'; prints to stdout")
     _add_grid_flags(sp, n_default=50)
-    sp.add_argument("--counts", type=float, default=0,
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=0,
                     help="photon budget; 0 = exact probabilities, -1 = device config")
-    sp.add_argument("--seed", type=int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
     sp.add_argument("-o", "--output", help="measurement CSV path (grid mode)")
 
     sp = add("gen-dataset", cmd_gen_dataset, "simulate a kick-augmented dataset")
     _add_grid_flags(sp)
-    sp.add_argument("--kick-steps", type=int, default=cfgmod.KICK_STEPS,
+    sp.add_argument("--kick-steps", type=cfgmod.parse_int, default=cfgmod.KICK_STEPS,
                     help="kick offset in grid steps (both axes)")
-    sp.add_argument("--counts", type=float, default=-1,
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
                     help="photon budget per input; -1 = device config, 0 = noise-free")
-    sp.add_argument("--replicas", type=int, default=1,
+    sp.add_argument("--replicas", type=cfgmod.parse_int, default=1,
                     help="independent noise draws per grid setting")
-    sp.add_argument("--seed", type=int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
     sp.add_argument("-o", "--output", required=True, help="dataset CSV path")
 
     sp = add("train", cmd_train, "train the regressor on a dataset CSV", device=False)
@@ -360,8 +363,8 @@ def build_parser():
     sp.add_argument("-o", "--output", required=True, help="checkpoint path (dir is created)")
     sp.add_argument("--report-dir", default=None,
                     help="where report.txt and curves.csv go (default: checkpoint dir)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
     _add_train_flags(sp)
 
     sp = add("predict", cmd_predict, "invert one feature vector", device=False)
@@ -373,10 +376,10 @@ def build_parser():
     sp.add_argument("-m", "--model", required=True)
     sp.add_argument("-i", "--input", required=True, help="dataset CSV (test pool)")
     sp.add_argument("-o", "--output", required=True, help="results directory")
-    sp.add_argument("--reps", type=int, default=500)
-    sp.add_argument("--rep-size", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--counts", type=float, default=-1,
+    sp.add_argument("--reps", type=cfgmod.parse_int, default=500)
+    sp.add_argument("--rep-size", type=cfgmod.parse_int, default=100)
+    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
                     help="photon budget for fresh noise; -1 = dataset/device, 0 = none")
     sp.add_argument("--sampling", choices=("grid", "uniform"), default="grid",
                     help="test points: dataset grid points, or uniform off-grid draws")
@@ -384,18 +387,18 @@ def build_parser():
     sp = add("sweep-grid", cmd_sweep_grid, "grid-size study")
     sweep = SweepConfig()
     sp.add_argument("--sizes", default=",".join(str(s) for s in sweep.grid_sizes))
-    sp.add_argument("--trainings", type=int, default=sweep.trainings_per_size,
+    sp.add_argument("--trainings", type=cfgmod.parse_int, default=sweep.trainings_per_size,
                     help="trainings per size")
-    sp.add_argument("--test-size", type=int, default=sweep.test_size)
-    sp.add_argument("--grid-min", type=float, default=cfgmod.GRID_V_MIN)
-    sp.add_argument("--grid-max", type=float, default=cfgmod.GRID_V_MAX)
-    sp.add_argument("--kick-steps", type=int, default=cfgmod.KICK_STEPS)
-    sp.add_argument("--counts", type=float, default=-1)
-    sp.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
-    sp.add_argument("--train-seed", type=int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--eval-seed", type=int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--test-size", type=cfgmod.parse_int, default=sweep.test_size)
+    sp.add_argument("--grid-min", type=cfgmod.parse_float, default=cfgmod.GRID_V_MIN)
+    sp.add_argument("--grid-max", type=cfgmod.parse_float, default=cfgmod.GRID_V_MAX)
+    sp.add_argument("--kick-steps", type=cfgmod.parse_int, default=cfgmod.KICK_STEPS)
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1)
+    sp.add_argument("--data-seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--train-seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--eval-seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
+    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--jobs", type=cfgmod.parse_int, default=1,
                     help="trainings run at once, in threads with BLAS pinned to one "
                          "thread while they run; results do not depend on it")
     sp.add_argument("-o", "--output", required=True)
@@ -403,22 +406,22 @@ def build_parser():
 
     sp = add("ablate-kicks", cmd_ablate_kicks, "kicked vs unkicked comparison")
     _add_grid_flags(sp)
-    sp.add_argument("--kick-steps", type=int, default=cfgmod.KICK_STEPS)
-    sp.add_argument("--counts", type=float, default=-1,
+    sp.add_argument("--kick-steps", type=cfgmod.parse_int, default=cfgmod.KICK_STEPS)
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
                     help="per-acquisition photon budget (bare variant gets 2x); "
                          "-1 = device config, 0 = noise-free")
-    sp.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
-    sp.add_argument("--train-seed", type=int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--data-seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--train-seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)
 
     sp = add("surface", cmd_surface, "predicted vs true voltages of a model")
     sp.add_argument("-m", "--model", required=True, help="checkpoint path")
     sp.add_argument("-i", "--input", required=True, help="dataset CSV")
-    sp.add_argument("--n-new", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--counts", type=float, default=-1)
+    sp.add_argument("--n-new", type=cfgmod.parse_int, default=100)
+    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1)
     sp.add_argument("-o", "--output", required=True)
     return ap
 

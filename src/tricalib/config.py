@@ -21,6 +21,7 @@ defaults above.
 """
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "write_device_config",
     "resolve_device_config",
     "split_floats",
+    "parse_float",
+    "parse_int",
     "CONFIG_DIR_ENV",
     "CONFIG_FILE_NAME",
     "GRID_V_MIN",
@@ -137,6 +140,30 @@ def split_floats(text: str):
     """
     tokens = text.replace(",", " ").split()
     return parse_float_rows([",".join(tokens)])[0].tolist() if tokens else []
+
+
+def parse_float(text: str) -> float:
+    """One number, spelled as `split_floats` reads numbers."""
+    values = split_floats(text)
+    if len(values) != 1:
+        raise ValueError(f"expected one number, got {text!r}")
+    return values[0]
+
+
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign.
+
+    Python's `int()` also reads digit-group underscores and non-ASCII
+    digits, which no reader of numbers here accepts; they raise
+    ValueError like any other non-integer.
+    """
+    text = text.strip()
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def text_lines(path):

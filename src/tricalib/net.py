@@ -1,6 +1,12 @@
 """From-scratch feed-forward regressor: He init, ReLU hidden layers,
 linear output, exact backpropagation, Adam, early stopping.
 
+`forward`, `backward` and `adam_step` compute in the dtype of the
+weights they are given.  `train` runs its whole loop in float32, which
+moves half the bytes of float64 per Adam pass and per matmul, and
+validates and returns float64 copies of those weights, which hold the
+float32 values exactly; prediction and checkpoints are float64.
+
 The network maps the 12 kick-augmented probabilities to the 4 target
 voltages (scaled to [0, 1] for training).  Parameters are a list of
 (weight, bias) pairs, weights stored (out, in).  The training loss is
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_one_line, split_floats
+from .config import check_one_line, parse_int, split_floats
 from .data import Dataset, KickConfig, TargetScaling
 from .errors import (
     CheckpointError,
@@ -128,9 +134,14 @@ def _forward_cached(params, X):
     return acts, zs
 
 
+def _in_weight_dtype(params, X):
+    """X as an array of the weights' dtype, so the network computes in it."""
+    return np.asarray(X, dtype=params[0][0].dtype)
+
+
 def forward(params, X):
     """Network output for a single feature vector or an (N, n_in) batch."""
-    X = np.asarray(X, dtype=float)
+    X = _in_weight_dtype(params, X)
     single = X.ndim == 1
     out = _forward_cached(params, np.atleast_2d(X))[0][-1]
     return out[0] if single else out
@@ -160,8 +171,8 @@ def _grads_from_cache(params, acts, zs, Y):
 
 def backward(params, X, Y):
     """Gradient of `loss` w.r.t. every weight and bias."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X = np.atleast_2d(_in_weight_dtype(params, X))
+    Y = np.atleast_2d(_in_weight_dtype(params, Y))
     acts, zs = _forward_cached(params, X)
     return _grads_from_cache(params, acts, zs, Y)[0]
 
@@ -203,20 +214,20 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
 
 def _flush_subnormal(pairs):
     """Zero every entry of the (W, b) arrays below the smallest normal
-    double in magnitude (-0.0 becomes 0.0).
+    number of its own dtype in magnitude (-0.0 becomes 0.0).
 
     A first moment whose gradient stays exactly zero (a dead ReLU unit)
-    decays by ADAM_BETA1 per step into the subnormal range and stays there,
-    and subnormal arithmetic is several times slower on common CPUs.
+    decays by ADAM_BETA1 per step into the subnormal range and stays there
+    (in float32 after about 800 steps), and subnormal arithmetic is
+    several times slower on common CPUs.
     """
-    tiny = np.finfo(float).tiny
     for arrays in pairs:
         for a in arrays:
-            a[np.abs(a) < tiny] = 0.0
+            a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
 
 
-def _copy_params(params):
-    return [(W.copy(), b.copy()) for W, b in params]
+def _cast(params, dtype):
+    return [(W.astype(dtype), b.astype(dtype)) for W, b in params]
 
 
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
@@ -229,11 +240,19 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     `max_epochs`, whichever comes first.  Returns (params, scaling,
     report): the parameters of the best validation epoch, the fitted
     scaling and the per-epoch report.
+
+    Features, scaled targets, weights and Adam's moments are float32,
+    cast once here; the He draw stays float64 so the rng stream is that
+    of `init_he`.  Each epoch is validated on a float64 copy of the
+    weights, and the best such copy is returned, so the reported
+    validation metrics are exactly what the saved float64 weights
+    reproduce.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InvalidParameterError("training and validation sets must be nonempty")
     scaling = TargetScaling.fit(train_ds.targets)
-    X, Y = train_ds.features, scaling.transform(train_ds.targets)
+    X = train_ds.features.astype(np.float32)
+    Y = scaling.transform(train_ds.targets).astype(np.float32)
     Xv, Yv = val_ds.features, scaling.transform(val_ds.targets)
     # Round-tripped rather than the raw targets, so both sides of each
     # validation metric pass through the same scaling.
@@ -241,11 +260,12 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     span = scaling.pooled_span()
 
     rng = np.random.default_rng(config.seed)
-    params = init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng)
+    params = _cast(init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng),
+                   np.float32)
     state = init_adam(params)
     report = TrainReport()
     best_loss = np.inf
-    best_params = _copy_params(params)
+    best_params = _cast(params, float)
     stale = 0
     t0 = time.perf_counter()
 
@@ -262,7 +282,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
         train_loss = loss_sum / n
         _flush_subnormal(state.m)
 
-        vout = forward(params, Xv)
+        params64 = _cast(params, float)
+        vout = forward(params64, Xv)
         val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(
@@ -276,7 +297,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
 
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = _copy_params(params)
+            best_params = params64
             report.best_epoch = epoch
             stale = 0
         else:
@@ -436,7 +457,7 @@ def load_checkpoint(path) -> Checkpoint:
     if fmt != f"format {_FORMAT}":
         raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads format {_FORMAT} only)")
     try:
-        sizes = [int(s) for s in reader.field("sizes").split()]
+        sizes = [parse_int(s) for s in reader.field("sizes").split()]
         dv1, dv2 = split_floats(reader.field("kick"))
         kick = KickConfig(dv1=dv1, dv2=dv2)
         lo = _finite(np.array(split_floats(reader.field("scale_lo"))), "scale_lo")

@@ -323,7 +323,7 @@ def test_sweep_grid_rejects_zero_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sizes", ["10,x", ","])
+@pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])
 def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
     out = tmp_path / "sweep"
     assert run_cli(["sweep-grid", "--sizes", sizes, "-o", str(out)]) == 3
@@ -512,6 +512,22 @@ def test_exit_code_decimal_checkpoint_format(toy, tmp_path, capsys, fmt):
     assert f"'{fmt}'" in err and "format 3" in err, err
 
 
+@pytest.mark.parametrize("sizes", ["12 2_4 24 4", "12 \u0662\u0664 24 4"],
+                         ids=["underscore", "non-ascii"])
+def test_exit_code_python_only_int_spelling_checkpoint(toy, tmp_path, capsys, sizes):
+    """`int()` would read these layer sizes as 24; the checkpoint reader
+    spells integers as every reader spells numbers: exit 7."""
+    payload = toy["model"].read_text().replace("sizes 12 24 24 4", f"sizes {sizes}", 1)
+    payload = payload.rpartition("checksum ")[0]
+    bad = tmp_path / "sizes.ckpt"
+    bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
+    assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
+    captured = capsys.readouterr()
+    assert "v1 =" not in captured.out
+    assert captured.err.startswith("error[checkpoint]: malformed checkpoint header"), captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_non_utf8_checkpoint(toy, tmp_path, capsys):
     """A byte that is not UTF-8 fails the byte-level checksum: exit 7."""
     data = toy["model"].read_bytes()
@@ -589,6 +605,36 @@ def test_exit_code_python_only_float_spelling_device_config(tmp_path, capsys):
     assert run_cli(["simulate", "--volts", "3,4", "--device-config", str(cfg_path)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error[file-format]: ") and "expected numbers, got '6_0, 3, 3, 6'" in err, err
+
+
+@pytest.mark.parametrize("hidden", ["2_4", "\u0661\u0666"], ids=["underscore", "non-ascii"])
+def test_exit_code_python_only_int_spelling_hidden(toy, tmp_path, capsys, hidden):
+    """--hidden spells integers as the CSV readers spell numbers: exit 3
+    before any training."""
+    out = tmp_path / "m.ckpt"
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(out),
+                    *FAST, "--hidden", hidden]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[invalid-parameter]: bad hidden layer list {hidden!r}\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "-i", "ds.csv", "-o", "m.ckpt", "--epochs", "1_0"],
+    ["train", "-i", "ds.csv", "-o", "m.ckpt", "--lr", "1_0e-3"],
+    ["gen-dataset", "-o", "ds.csv", "--counts", "1_000"],
+    ["gen-dataset", "-o", "ds.csv", "--grid", "\u0661\u0660"],
+    ["simulate", "--volts", "3,4", "--counts", "\u0661\u0660"],
+], ids=["int-underscore", "float-underscore", "counts-underscore",
+        "int-non-ascii", "float-non-ascii"])
+def test_exit_code_python_only_number_spelling_typed_flag(capsys, argv):
+    """Typed flags read numbers as the CSV readers do, so argparse refuses
+    a digit-group underscore or a non-ASCII digit as a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid parse_" in err and repr(argv[-1]) in err, err
 
 
 @pytest.mark.parametrize("argv, message", [

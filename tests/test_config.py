@@ -10,6 +10,8 @@ from tricalib.config import (
     CONFIG_FILE_NAME,
     DeviceConfig,
     default_device_config,
+    parse_float,
+    parse_int,
     read_device_config,
     resolve_device_config,
     write_device_config,
@@ -140,6 +142,30 @@ def test_bad_number_reports_line(tmp_path):
     write_lines(path, BASE_LINES[:2] + ["alpha_nl = 2.7, oops, 1.35, 2.7"] + BASE_LINES[3:])
     with pytest.raises(FileFormatError, match="line 3"):
         read_device_config(path)
+
+
+@pytest.mark.parametrize("text, value", [("12", 12), ("-3", -3), ("+4", 4), (" 7 ", 7),
+                                         ("007", 7)])
+def test_parse_int_reads_ascii_integers(text, value):
+    assert parse_int(text) == value and type(parse_int(text)) is int
+
+
+@pytest.mark.parametrize("text", ["2_00", "\u0661\u0666", "\uff11", "1.0", "1e3", "0x10",
+                                  "", "-", "1 2", "١"])
+def test_parse_int_refuses_what_int_alone_would_read(text):
+    """`int()` reads the first three; no reader of numbers here does."""
+    with pytest.raises(ValueError):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1,2", "", "abc"])
+def test_parse_float_refuses_non_numbers_and_lists(text):
+    with pytest.raises(ValueError):
+        parse_float(text)
+
+
+def test_parse_float_reads_one_number():
+    assert parse_float("1e-3") == 1e-3 and parse_float("-1") == -1.0
 
 
 def test_wrong_value_count_rejected(tmp_path):

@@ -224,6 +224,31 @@ def test_backward_matches_finite_differences():
     assert checked >= 10
 
 
+def test_backward_float32_matches_float64_finite_differences():
+    """Float32 weights and inputs give float32 gradients.  float32 keeps
+    24 significand bits (eps = 2**-23, about 1.2e-7), and each entry here
+    sums at most 12 rounded products, so the gradient may be off by a few
+    eps of its largest entry: the tolerance is 64 eps of max |gradient|.
+    The reference is the float64 central difference at the same values."""
+    eps32 = np.finfo(np.float32).eps
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 10:
+        params = [(W.astype(np.float32), b.astype(np.float32))
+                  for W, b in init_he([12, 8, 4], rng)]
+        X = rng.uniform(size=(6, 12)).astype(np.float32)
+        Y = rng.uniform(size=(6, 4)).astype(np.float32)
+        params64 = [(W.astype(float), b.astype(float)) for W, b in params]
+        if not kink_mask(params64, X.astype(float), tol=1e-4):
+            continue
+        grads = backward(params, X, Y)
+        assert all(a.dtype == np.float32 for pair in grads for a in pair)
+        g = flatten(grads).astype(float)
+        gn = numeric_gradient(params64, X.astype(float), Y.astype(float))
+        assert np.abs(g - gn).max() <= 64 * eps32 * np.abs(gn).max()
+        checked += 1
+
+
 def test_backward_dead_unit_gets_no_gradient():
     # hidden unit 1 has a hugely negative bias, so it never activates
     # and its incoming weights receive exactly zero gradient
@@ -354,24 +379,30 @@ def test_adam_step_bitwise_matches_reference_expression():
 
 
 def test_flush_subnormal_zeroes_only_subnormals():
-    tiny = np.finfo(float).tiny
-    sub = np.nextafter(0.0, 1.0)
-    W = np.array([[tiny, -tiny, 1.5, 0.0], [tiny / 2, -tiny / 2, sub, -sub]])
-    b = np.array([np.nextafter(tiny, 0.0), -1e-300, 3.0])
-    _flush_subnormal([(W, b)])
-    want_W = np.array([[tiny, -tiny, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    want_b = np.array([0.0, -1e-300, 3.0])
-    # compare bit patterns: flushed entries are +0.0, the rest untouched
-    assert np.array_equal(W.view(np.uint64), want_W.view(np.uint64))
-    assert np.array_equal(b.view(np.uint64), want_b.view(np.uint64))
+    """The threshold is the smallest normal number of each array's own
+    dtype: the float64 one would leave every float32 subnormal alone."""
+    for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
+        tiny = np.finfo(dtype).tiny
+        sub = np.nextafter(dtype(0), dtype(1))
+        below = np.nextafter(tiny, dtype(0))
+        W = np.array([[tiny, -tiny, 1.5, 0.0], [tiny / 2, -tiny / 2, sub, -sub]], dtype=dtype)
+        b = np.array([below, -tiny * 4, 3.0], dtype=dtype)
+        _flush_subnormal([(W, b)])
+        want_W = np.array([[tiny, -tiny, 1.5, 0.0], [0.0, 0.0, 0.0, 0.0]], dtype=dtype)
+        want_b = np.array([0.0, -tiny * 4, 3.0], dtype=dtype)
+        # compare bit patterns: flushed entries are +0.0, the rest untouched
+        assert W.dtype == b.dtype == dtype
+        assert np.array_equal(W.view(bits), want_W.view(bits)), dtype
+        assert np.array_equal(b.view(bits), want_b.view(bits)), dtype
 
 
 def test_train_returns_no_subnormal_first_moment(monkeypatch):
     # From step 2 on, the first layer's gradient is exactly zero, as for
-    # ReLU units that no input activates. Its first moments then decay
-    # by beta1 per step and fall below the smallest normal double after
-    # about 6 650 steps; the Adam state captured here is the one at the
-    # end of the run, which is later than that.
+    # ReLU units that no input activates. Its float32 first moments then
+    # decay by beta1 per step and fall below the smallest normal float32
+    # after about 800 steps (a float64 moment would take about 6 650);
+    # the Adam state captured here is the one at the end of the run,
+    # which is later than either.
     real_step = net.adam_step
     captured = []
 
@@ -389,13 +420,42 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     train(tr, va, cfg)
     adam = captured[0]
     assert adam.t > 7000
-    tiny = np.finfo(float).tiny
     for m_pair in adam.m:
         for m in m_pair:
+            assert m.dtype == np.float32
+            tiny = np.finfo(m.dtype).tiny
             assert not ((m != 0.0) & (np.abs(m) < tiny)).any()
     # the first layer had a gradient at step 1 (v > 0) and its m is now 0.0
     for m, v in zip(adam.m[0], adam.v[0]):
         assert (v > 0.0).any() and not m.any()
+
+
+def test_train_steps_adam_in_float32_only(monkeypatch):
+    """Every Adam step inside `train` sees float32 weights, gradients and
+    moments, so neither a float64 array nor a float64 scalar upcasts the
+    training loop; the tensors are still float32 after the step."""
+    real_step = net.adam_step
+    dtypes = set()
+
+    def recording_step(params, grads, state, config):
+        real_step(params, grads, state, config)
+        for group in (params, grads, state.m, state.v):
+            dtypes.update(a.dtype for pair in group for a in pair)
+        return params, state
+
+    monkeypatch.setattr(net, "adam_step", recording_step)
+    tr, va = splits(toy_dataset(n=6))
+    train(tr, va, TrainConfig(max_epochs=3, patience=3, seed=0, hidden=(8, 8)))
+    assert dtypes == {np.dtype(np.float32)}
+
+
+def test_train_returns_float64_holding_float32_values():
+    tr, va = splits(toy_dataset(n=6))
+    params, _, _ = train(tr, va, TrainConfig(max_epochs=4, patience=4, seed=0, hidden=(8, 8)))
+    for pair in params:
+        for a in pair:
+            assert a.dtype == np.float64
+            assert same_bits(a.astype(np.float32).astype(np.float64), a)
 
 
 def test_train_config_validation():

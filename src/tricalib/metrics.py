@@ -157,8 +157,7 @@ def repeated_test_evaluation(
     return report, nr, cs
 
 
-def format_value(x) -> str:
-    """Stable text form: shortest round-trip repr for floats, "none" for None."""
+def _format_value(x) -> str:
     if x is None:
         return "none"
     if isinstance(x, (bool, int, str)):
@@ -166,11 +165,21 @@ def format_value(x) -> str:
     return repr(float(x))
 
 
+def format_value(x) -> str:
+    """Stable text form: shortest round-trip repr for floats, "none" for None.
+
+    The writers below call `_format_value` per cell instead, so a wrapper
+    put around this public function (a tracer's span, say) costs nothing
+    per cell.
+    """
+    return _format_value(x)
+
+
 def write_report(path, pairs):
     """Line-oriented `key = value` report, deterministic byte for byte."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in pairs:
-            fh.write(f"{key} = {format_value(value)}\n")
+            fh.write(f"{key} = {_format_value(value)}\n")
 
 
 def write_rows_csv(path, header, rows):
@@ -178,4 +187,4 @@ def write_rows_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(x) for x in row) + "\n")
+            fh.write(",".join(map(_format_value, row)) + "\n")

@@ -17,6 +17,7 @@ the batch mean of per-example RMSE over the K outputs:
 which is what the validation monitor and the early stopping watch too.
 """
 
+import binascii
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -386,20 +387,28 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
 
 
 class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
+    """The lines of a checkpoint body, as memoryview slices of the file's
+    bytes: no line is copied until it is decoded."""
+
+    def __init__(self, raw, start, end):
+        self.raw, self.view = raw, memoryview(raw)
+        self.pos, self.end = start, end  # raw[end - 1] is the body's last newline
 
     def next(self, what):
-        if self.pos >= len(self.lines):
+        """The next line's bytes, without its newline."""
+        if self.pos >= self.end:
             raise CheckpointError(f"truncated checkpoint: expected {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
+        stop = self.raw.index(b"\n", self.pos, self.end)
+        line = self.view[self.pos:stop]
+        self.pos = stop + 1
         return line
+
+    def text(self, what):
+        return str(self.next(what), "utf-8")
 
     def field(self, label):
         """The text after `label` on the next line, which must start with it."""
-        line = self.next(f"{label} line")
+        line = self.text(f"{label} line")
         key, _, value = line.partition(" ")
         if key != label:
             raise CheckpointError(f"malformed checkpoint: expected {label!r} line, got {line[:60]!r}")
@@ -414,46 +423,52 @@ def _finite(values, what):
 
 def _read_tensor(reader: _LineReader, name, rows, cols):
     """A `tensor` line, then one line of hex little-endian float64."""
-    head = reader.next(f"tensor {name}")
+    head = reader.text(f"tensor {name}")
     if head != f"tensor {name} {rows} {cols}":
         raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head!r}")
-    try:
-        raw = bytearray.fromhex(reader.next(f"data of {name}"))
-    except ValueError as exc:
+    try:  # a2b_hex takes hex digits only; a writable copy for numpy
+        data = bytearray(binascii.a2b_hex(reader.next(f"data of {name}")))
+    except binascii.Error as exc:
         raise CheckpointError(f"malformed checkpoint: bad hex data in tensor {name}") from exc
-    if len(raw) != rows * cols * 8:
-        raise CheckpointError(f"malformed checkpoint: tensor {name} holds {len(raw)} bytes, "
+    if len(data) != rows * cols * 8:
+        raise CheckpointError(f"malformed checkpoint: tensor {name} holds {len(data)} bytes, "
                               f"expected {rows * cols * 8}")
-    return _finite(np.frombuffer(raw, dtype=_TENSOR_DTYPE).reshape(rows, cols), f"tensor {name}")
+    return _finite(np.frombuffer(data, dtype=_TENSOR_DTYPE).reshape(rows, cols), f"tensor {name}")
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a format 3 checkpoint.
 
-    The checksum is verified over the raw file bytes before any text is
-    decoded.  Raises CheckpointError on a bad magic or checksum, on any
-    format but 3 (formats 1 and 2 held decimal rows; retrain to replace
-    such a file), on a truncated or malformed layout, on a tensor body of
-    the wrong length, on any non-finite number and on content after the
-    last tensor.
+    Works on the file's bytes without copying them whole.  The checksum
+    is verified over the raw bytes before anything is decoded, and the
+    file is checked to be UTF-8 before any line is read.  Only the header
+    and `tensor` lines are then decoded as text; each data line goes from
+    hex digits straight to float64, so any other byte in it (whitespace
+    included) is bad hex.  Raises CheckpointError on a bad magic or
+    checksum, on any format but 3 (formats 1 and 2 held decimal rows;
+    retrain to replace such a file), on a truncated or malformed layout,
+    on a tensor body of the wrong length, on any non-finite number and on
+    content after the last tensor.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.partition(b"\n")[0] != _MAGIC.encode("ascii"):
+    magic = _MAGIC.encode("ascii")
+    if raw[:len(magic) + 1] not in (magic + b"\n", magic):  # the whole first line
         raise CheckpointError("not a tricalib checkpoint (bad magic)")
     body_end = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # start of the last line
-    payload, last = raw[:body_end], raw[body_end:]
+    body, last = memoryview(raw)[:body_end], raw[body_end:]
     if not last.startswith(b"checksum "):
         raise CheckpointError("truncated checkpoint: missing checksum line")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != last[len(b"checksum "):].strip():
+    if hashlib.sha256(body).hexdigest().encode("ascii") != last[len(b"checksum "):].strip():
         raise CheckpointError("checksum mismatch: checkpoint corrupted or truncated")
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"malformed checkpoint: not UTF-8 text ({exc.reason})") from exc
+    if not raw.isascii():  # the checksum line is ASCII, so only the body can fail
+        try:
+            str(body, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"malformed checkpoint: not UTF-8 text ({exc.reason})") from exc
 
-    reader = _LineReader(text.split("\n")[1:-1])
-    fmt = reader.next("format line")
+    reader = _LineReader(raw, len(magic) + 1, body_end)
+    fmt = reader.text("format line")
     if fmt != f"format {_FORMAT}":
         raise CheckpointError(f"unsupported checkpoint format: {fmt!r} (this build reads format {_FORMAT} only)")
     try:
@@ -473,8 +488,8 @@ def load_checkpoint(path) -> Checkpoint:
     params = [(_read_tensor(reader, f"W{li}", n_out, n_in),
                _read_tensor(reader, f"b{li}", 1, n_out)[0])
               for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]))]
-    if reader.pos != len(reader.lines):
+    if reader.pos != reader.end:
         raise CheckpointError(f"malformed checkpoint: unexpected content after the last tensor: "
-                              f"{reader.lines[reader.pos][:60]!r}")
+                              f"{reader.text('trailing content')[:60]!r}")
     return Checkpoint(params=params, sizes=sizes, kick=kick,
                       scaling=scaling, provenance=provenance)

@@ -489,7 +489,9 @@ def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
     (lambda data: data[:-2], "tensor W0 holds 2303 bytes, expected 2304"),  # one byte short
     (lambda data: "g" + data[1:], "bad hex data in tensor W0"),
     (lambda data: data[:-16] + "000000000000f0ff", "non-finite value in tensor W0"),  # -inf
-], ids=["one-byte-short", "non-hex", "minus-inf"])
+    (lambda data: " \t".join(data[i:i + 16] for i in range(0, len(data), 16)) + "  ",
+     "bad hex data in tensor W0"),  # whitespace between and after the float64s
+], ids=["one-byte-short", "non-hex", "minus-inf", "whitespace"])
 def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, message):
     bad = _rechecksummed_model(toy, tmp_path, edit)
     assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tricalib import metrics
 from tricalib.config import default_device_config
 from tricalib.data import build_grid, generate_simulated, kick_from_steps
 from tricalib.device import estimate_probabilities, sample_counts
@@ -310,3 +311,24 @@ def test_write_rows_csv_round_trips(tmp_path):
     assert len(lines) == 3
     idx, value, tag = lines[2].split(",")
     assert int(idx) == 2 and float(value) == 2.0 / 3.0 and tag == "sub"
+
+
+def test_writers_do_not_call_public_format_value(tmp_path, monkeypatch):
+    """A wrapper around `format_value` (as a tracer puts one) is not called
+    per cell by the writers, and their bytes are `format_value`'s text."""
+    pairs = [("val_nrmse", 0.1), ("best_epoch", 7), ("mean_total", None), ("tag", "sim")]
+    rows = [[1, 0.1, "full"], [2, 2.0 / 3.0, None], [True, -0.0, 1e-17]]
+    expected_report = "".join(f"{k} = {format_value(v)}\n" for k, v in pairs)
+    expected_csv = "a,b,c\n" + "".join(",".join(map(format_value, r)) + "\n" for r in rows)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return format_value(x)
+
+    monkeypatch.setattr(metrics, "format_value", counting)
+    metrics.write_report(tmp_path / "r.txt", pairs)
+    metrics.write_rows_csv(tmp_path / "r.csv", ["a", "b", "c"], rows)
+    assert calls == []
+    assert (tmp_path / "r.txt").read_bytes() == expected_report.encode()
+    assert (tmp_path / "r.csv").read_bytes() == expected_csv.encode()

@@ -2,6 +2,7 @@
 training loop, prediction, and the checkpoint format."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -617,6 +618,43 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert lines[i + 2].startswith(("tensor ", "checksum "))
 
 
+def test_checkpoint_functions_take_path():
+    """perfbench/tracing.py binds the `path` argument of both checkpoint
+    functions to count file bytes: renaming it must fail here, not crash a
+    traced benchmark run."""
+    for fn in (load_checkpoint, save_checkpoint):
+        assert "path" in inspect.signature(fn).parameters
+
+
+def test_checkpoint_default_size_round_trip_bitwise(tmp_path):
+    """save -> load of a default-size (12-200-200-200-4) network, whose data
+    lines are far longer than the toy models', is the identity on every bit."""
+    rng = np.random.default_rng(11)
+    params = [(W, rng.normal(size=b.shape))
+              for W, b in init_he(layer_sizes(12, 4), rng)]
+    scaling = TargetScaling(lo=rng.normal(size=4), hi=rng.normal(size=4))
+    path = tmp_path / "default.ckpt"
+    save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling, provenance="default")
+    ck = load_checkpoint(path)
+    assert ck.sizes == [12, 200, 200, 200, 4]
+    for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
+        assert same_bits(W, rW) and same_bits(b, rb)
+    assert same_bits(scaling.lo, ck.scaling.lo) and same_bits(scaling.hi, ck.scaling.hi)
+
+
+def test_checkpoint_loaded_arrays_are_owned_float64(tmp_path):
+    """Every loaded weight and bias is float64, C-contiguous and writable,
+    and shares memory with no other: callers may update them in place."""
+    path, *_ = trained_toy(tmp_path)
+    arrays = [arr for pair in load_checkpoint(path).params for arr in pair]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 _EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3,
                              np.finfo(float).max, -np.finfo(float).max])
 
@@ -792,14 +830,17 @@ def fuzz_base(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3), recompute=st.booleans())
-# Line 8 is W0's data line: a newline at a float64 boundary splits it, and
-# '3' -> '7' in W0[0, 0]'s top byte makes 0x7fff000000000000, a NaN.
+# Line 8 is W0's data line: a newline or a space at a float64 boundary
+# splits it, and '3' -> '7' in W0[0, 0]'s top byte makes 0x7fff000000000000,
+# a NaN.
 @example(mutations=[("insert", 8, 16, ord("\n"))], recompute=True)
+@example(mutations=[("insert", 8, 16, ord(" "))], recompute=True)
 @example(mutations=[("flip", 8, 14, ord("3") ^ ord("7"))], recompute=True)
 def test_checkpoint_byte_mutation_fuzz(fuzz_base, mutations, recompute):
     """Flipped, inserted or deleted bytes give a CheckpointError or a
-    checkpoint whose tensors match its sizes and are all finite, with the
-    checksum left as it is or recomputed so the mutation reaches the parser."""
+    checkpoint whose tensors match its sizes and are all finite, and whose
+    data lines hold exactly 16 hex digits per float64, with the checksum
+    left as it is or recomputed so the mutation reaches the parser."""
     base, path = fuzz_base
     if recompute:
         payload = base[:base.rindex(b"checksum ")]
@@ -821,4 +862,9 @@ def test_checkpoint_byte_mutation_fuzz(fuzz_base, mutations, recompute):
         assert np.isfinite(W).all() and np.isfinite(b).all()
     assert ck.scaling.lo.shape == ck.scaling.hi.shape == (ck.sizes[-1],)
     assert np.isfinite(ck.scaling.lo).all() and np.isfinite(ck.scaling.hi).all()
+    lines = data.split(b"\n")
+    heads = [i for i, line in enumerate(lines) if line.startswith(b"tensor ")]
+    assert len(heads) == 2 * len(ck.params)
+    for i, arr in zip(heads, (arr for pair in ck.params for arr in pair)):
+        assert len(lines[i + 1]) == 16 * arr.size
 

@@ -9,7 +9,7 @@ One binary, eight subcommands:
     evaluate      repeated noisy test protocol for a trained model
     sweep-grid    grid-size study (fresh dataset and trainings per size)
     ablate-kicks  paired kicked vs unkicked comparison
-    surface       predicted-vs-true scatter of a model on a dataset
+    surface       predicted-vs-true scatter: one evaluate grid draw, per point
 
 Config files can be overridden by flags; flags win.  All randomness is
 controlled by explicit seed flags, and identical command lines with
@@ -32,12 +32,10 @@ from . import data as datamod
 from .device import phases_from_voltages, sample_counts, voltage_probabilities
 from .errors import CalibrationError, InvalidParameterError
 from .experiments import (
-    VAL_FRACTION,
     SweepConfig,
     exact_feature_pool,
     run_grid_sweep,
     run_kick_ablation,
-    run_prediction_surface,
     train_config_pairs,
     train_on_dataset,
     uniform_feature_pool,
@@ -45,6 +43,8 @@ from .experiments import (
 from .metrics import (
     format_value,
     fresh_noise,
+    noisy_draw,
+    nrmse,
     repeated_test_evaluation,
     write_report,
     write_rows_csv,
@@ -122,7 +122,6 @@ def _add_train_flags(sp):
                     help="epochs without validation improvement before stopping")
     sp.add_argument("--hidden", default=",".join(str(h) for h in cfg.hidden),
                     help="comma-separated hidden layer widths")
-    sp.add_argument("--val-fraction", type=cfgmod.parse_float, default=VAL_FRACTION)
 
 
 def _add_grid_flags(sp, n_default=cfgmod.GRID_N):
@@ -190,8 +189,7 @@ def cmd_train(args):
     model_dir = os.path.dirname(args.output) or "."
     # created before training, so an unwritable path fails in seconds
     os.makedirs(model_dir, exist_ok=True)
-    params, scaling, report, val_raw = train_on_dataset(
-        ds, cfg, args.split_seed, args.val_fraction)
+    params, scaling, report, val_raw = train_on_dataset(ds, cfg, args.split_seed)
     provenance = _file_sha256(args.input)
     save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
 
@@ -237,11 +235,16 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_evaluate(args):
+def _load_evaluation(args):
+    """(device, checkpoint, dataset, photon budget) of evaluate and surface."""
     device = cfgmod.resolve_device_config(args.device_config)
     ckpt = load_checkpoint(args.model)
     ds = datamod.read_csv(args.input)
-    mean_total = _mean_total(args.counts, device, ds)
+    return device, ckpt, ds, _mean_total(args.counts, device, ds)
+
+
+def cmd_evaluate(args):
+    device, ckpt, ds, mean_total = _load_evaluation(args)
     rng = np.random.default_rng(args.seed)
     if args.sampling == "grid":
         pool_probs, pool_targets = exact_feature_pool(ds, device), ds.targets
@@ -287,7 +290,7 @@ def cmd_sweep_grid(args):
         data_seed=args.data_seed, train_seed=args.train_seed,
         eval_seed=args.eval_seed, split_seed=args.split_seed,
         out_dir=args.output, mean_total=_mean_total(args.counts, device),
-        val_fraction=args.val_fraction, jobs=args.jobs)
+        jobs=args.jobs)
     print(f"sweep results in {args.output}")
     return 0
 
@@ -298,8 +301,7 @@ def cmd_ablate_kicks(args):
     rmse_with, rmse_without, improvement = run_kick_ablation(
         device, cfg, args.grid_min, args.grid_max, args.grid, args.kick_steps,
         data_seed=args.data_seed, split_seed=args.split_seed,
-        out_dir=args.output, mean_total=_mean_total(args.counts, device),
-        val_fraction=args.val_fraction)
+        out_dir=args.output, mean_total=_mean_total(args.counts, device))
     print(f"rmse_with_kick = {format_value(rmse_with)}")
     print(f"rmse_without_kick = {format_value(rmse_without)}")
     print(f"improvement_fraction = {format_value(improvement)}")
@@ -307,13 +309,32 @@ def cmd_ablate_kicks(args):
 
 
 def cmd_surface(args):
-    device = cfgmod.resolve_device_config(args.device_config)
-    ckpt = load_checkpoint(args.model)
-    ds = datamod.read_csv(args.input)
-    mean_total = _mean_total(args.counts, device, ds)
-    run_prediction_surface(ckpt.params, ckpt.scaling, ckpt.kick, ds, device,
-                           n_new=args.n_new, seed=args.seed, out_dir=args.output,
-                           mean_total=mean_total)
+    """Repetition 0 of `evaluate --sampling grid --rep-size N`, per point."""
+    device, ckpt, ds, mean_total = _load_evaluation(args)
+    idx, probs = noisy_draw(exact_feature_pool(ds, device), mean_total, args.n_new,
+                            np.random.default_rng(args.seed))
+    v1, v2, residual = predict(ckpt.params, probs, ckpt.scaling, ckpt.kick)
+    truth = ds.targets[idx]
+    error = np.sqrt((v1 - truth[:, 0]) ** 2 + (v2 - truth[:, 1]) ** 2)
+    os.makedirs(args.output, exist_ok=True)
+    write_report(os.path.join(args.output, "config.echo"), [
+        ("harness", "prediction-surface"),
+        ("n_new", args.n_new), ("seed", args.seed),
+        ("mean_total", mean_total),
+        ("provenance", ds.provenance),
+    ])
+    write_rows_csv(
+        os.path.join(args.output, "results.csv"),
+        ["true_v1", "true_v2", "pred_v1", "pred_v2", "error", "consistency_residual"],
+        zip(truth[:, 0], truth[:, 1], v1, v2, error, residual))
+    write_report(os.path.join(args.output, "report.txt"), [
+        ("n_new", args.n_new),
+        ("rms_error_volts", float(np.sqrt((error**2).mean()))),
+        ("median_error_volts", float(np.median(error))),
+        ("median_consistency_residual_volts", float(np.median(residual))),
+        ("nrmse_pair", nrmse(truth[:, :2].ravel(), np.stack([v1, v2], axis=-1).ravel(),
+                             0.0, ckpt.scaling.pooled_span())),
+    ])
     print(f"prediction surface in {args.output}")
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig, check_one_line, parse_float_rows, split_floats, text_lines
+from .config import DeviceConfig, check_one_line, parse_float, parse_float_rows, text_lines
 from .device import voltage_probabilities
 from .errors import (
     DegenerateDataError,
@@ -335,14 +335,6 @@ def _check_probability_block(block, linenos, first_col):
         )
 
 
-def _one_float(text):
-    """The single number of a metadata value, spelled as the data rows are."""
-    values = split_floats(text)
-    if len(values) != 1:
-        raise ValueError(f"expected one number, got {text!r}")
-    return values[0]
-
-
 def read_csv(path) -> Dataset:
     """Load a dataset CSV; validates schema, ranges and kick consistency."""
     meta, rows, linenos = _parse_rows(path, DATASET_HEADER, 16)
@@ -350,7 +342,7 @@ def read_csv(path) -> Dataset:
     _check_probability_block(features, linenos, 4)
     if "dv1" in meta and "dv2" in meta:
         try:
-            kick = KickConfig(dv1=_one_float(meta["dv1"]), dv2=_one_float(meta["dv2"]))
+            kick = KickConfig(dv1=parse_float(meta["dv1"]), dv2=parse_float(meta["dv2"]))
         except (ValueError, InvalidParameterError) as exc:
             raise FileFormatError(
                 f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
@@ -370,7 +362,7 @@ def read_csv(path) -> Dataset:
     text = meta.get("mean_total", "none")
     if text != "none":
         try:
-            mean_total = _one_float(text)
+            mean_total = parse_float(text)
         except ValueError:
             pass
         if mean_total is None or not 0.0 < mean_total < np.inf:
@@ -450,18 +442,7 @@ def ingest_experimental(path, kick: KickConfig):
         if (i, j) in index:
             raise IngestionError(f"duplicate measurement at v = ({u!r}, {w!r})")
         index[(i, j)] = row
-    missing = [
-        (axis1[i], axis2[j])
-        for i in range(axis1.size)
-        for j in range(axis2.size)
-        if (i, j) not in index
-    ]
-    if missing:
-        shown = ", ".join(f"({a:.6g}, {b:.6g})" for a, b in missing[:5])
-        raise IngestionError(
-            f"measurement grid is missing {len(missing)} setting(s): {shown}"
-            + (", ..." if len(missing) > 5 else "")
-        )
+    # n1 * n2 rows and no setting twice: every setting of the grid is present
     s1 = _steps_on_axis(kick.dv1, step1, "dv1")
     s2 = _steps_on_axis(kick.dv2, step2, "dv2")
 

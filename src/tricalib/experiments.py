@@ -1,5 +1,4 @@
-"""End-to-end study harnesses: grid-size sweep, kick ablation and the
-prediction surface.
+"""End-to-end study harnesses: grid-size sweep and kick ablation.
 
 Every harness is deterministic given its seeds, reads one resolved
 configuration, and writes a results directory containing
@@ -23,7 +22,6 @@ import numpy as np
 from .config import DeviceConfig
 from .data import (
     Dataset,
-    KickConfig,
     build_grid,
     exact_features,
     generate_simulated,
@@ -35,12 +33,12 @@ from .errors import InvalidParameterError
 from .metrics import (
     fresh_noise,
     mean_and_sd,
-    nrmse,
+    noisy_draw,
     repeated_test_evaluation,
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, forward, predict, train
+from .net import TrainConfig, forward, train
 
 __all__ = [
     "SweepConfig",
@@ -49,7 +47,6 @@ __all__ = [
     "uniform_feature_pool",
     "run_grid_sweep",
     "run_kick_ablation",
-    "run_prediction_surface",
 ]
 
 DEFAULT_SWEEP_SIZES = (10, 15, 20, 30, 40, 53)
@@ -76,14 +73,14 @@ def _combine(base_seed: int, size: int, run: int) -> int:
     return base_seed * 1_000_000 + size * 1_000 + run
 
 
-def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int,
-                     val_fraction: float = VAL_FRACTION):
-    """Split, then train (which fits the target scaling on the train split).
+def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int):
+    """Split off VAL_FRACTION for validation, then train (which fits the
+    target scaling on the train split).
 
     Returns (params, scaling, report, val_split), `train`'s result plus
     the validation split, which carries volt targets.
     """
-    train_ds, val_ds = split(dataset, val_fraction, np.random.default_rng(split_seed))
+    train_ds, val_ds = split(dataset, VAL_FRACTION, np.random.default_rng(split_seed))
     params, scaling, report = train(train_ds, val_ds, cfg)
     return params, scaling, report, val_ds
 
@@ -172,11 +169,6 @@ def _one_blas_thread():
         set_(previous)
 
 
-def _ensure_dir(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def run_grid_sweep(
     device: DeviceConfig,
     sweep: SweepConfig,
@@ -190,16 +182,15 @@ def run_grid_sweep(
     split_seed: int,
     out_dir,
     mean_total: float | None,
-    val_fraction: float = VAL_FRACTION,
     jobs: int = 1,
 ):
     """Training-set-size study.
 
     The kick offset is fixed in volts (kick_steps steps of the largest
     grid) so every size trains and tests the same physical acquisition.
-    The 100-example test pool is drawn once from the largest grid and
-    held fixed; each run sees it with its own fresh shot noise.  Returns
-    the per-size summary rows.
+    The 100-example test pool is drawn once from the largest dataset's
+    settings, at their exact probabilities, and held fixed; each run sees
+    it with its own fresh shot noise.  Returns the per-size summary rows.
 
     Trainings run in a pool of `jobs` threads with OpenBLAS pinned to one
     thread until the last one finishes; every training has its own seeds,
@@ -207,18 +198,10 @@ def run_grid_sweep(
     """
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
-    _ensure_dir(out_dir)
     sizes = sweep.grid_sizes
     largest = sizes[-1]
     ref_grid = build_grid(grid_min, grid_max, largest)
     kick = kick_from_steps(ref_grid, kick_steps, kick_steps)
-
-    pool = generate_simulated(ref_grid, kick, device,
-                              np.random.default_rng(_combine(data_seed, largest, 999)),
-                              mean_total=None)
-    pick = np.random.default_rng(_combine(eval_seed, 0, 0)).choice(
-        len(pool), size=sweep.test_size, replace=False)
-    test_probs, test_targets = pool.features[pick], pool.targets[pick]
 
     datasets = {}
     for size in sizes:
@@ -226,10 +209,14 @@ def run_grid_sweep(
         rng = np.random.default_rng(_combine(data_seed, size, 0))
         datasets[size] = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
 
+    pick, test_probs = noisy_draw(exact_feature_pool(datasets[largest], device), None,
+                                  sweep.test_size, np.random.default_rng(_combine(eval_seed, 0, 0)))
+    test_targets = datasets[largest].targets[pick]
+    os.makedirs(out_dir, exist_ok=True)
+
     def one_run(size, run):
         cfg = replace(train_cfg, seed=_combine(train_seed, size, run))
-        params, scaling, report, _ = train_on_dataset(
-            datasets[size], cfg, split_seed, val_fraction)
+        params, scaling, report, _ = train_on_dataset(datasets[size], cfg, split_seed)
         # cosine goes over the full 4-target concatenation of the test draw
         ev, _, _ = repeated_test_evaluation(
             lambda feats: scaling.invert(forward(params, feats)),
@@ -263,7 +250,7 @@ def run_grid_sweep(
         ("kick_steps_of_largest_grid", kick_steps),
         ("kick_dv1", kick.dv1), ("kick_dv2", kick.dv2),
         ("mean_total", mean_total),
-        ("val_fraction", val_fraction),
+        ("val_fraction", VAL_FRACTION),
         ("data_seed", data_seed), ("train_seed", train_seed),
         ("eval_seed", eval_seed), ("split_seed", split_seed),
         ("seed_rule", "base*1000000 + size*1000 + run"),
@@ -301,7 +288,6 @@ def run_kick_ablation(
     split_seed: int,
     out_dir,
     mean_total: float | None,
-    val_fraction: float = VAL_FRACTION,
 ):
     """Paired comparison of the kicked network against a bare one.
 
@@ -318,7 +304,7 @@ def run_kick_ablation(
     Returns (rmse_with, rmse_without, improvement_fraction), validation
     RMSE in volts.
     """
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     grid = build_grid(grid_min, grid_max, grid_n)
     kick = kick_from_steps(grid, kick_steps, kick_steps)
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
@@ -331,8 +317,7 @@ def run_kick_ablation(
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
 
     def val_rmse_volts(dataset):
-        params, scaling, report, val_raw = train_on_dataset(
-            dataset, train_cfg, split_seed, val_fraction)
+        params, scaling, report, val_raw = train_on_dataset(dataset, train_cfg, split_seed)
         yhat = scaling.invert(forward(params, val_raw.features))
         err = yhat - val_raw.targets
         return float(np.sqrt((err**2).mean())), report.best_epoch
@@ -348,7 +333,7 @@ def run_kick_ablation(
         ("kick_dv1", kick.dv1), ("kick_dv2", kick.dv2),
         ("mean_total", mean_total),
         ("mean_total_bare", bare_budget),
-        ("val_fraction", val_fraction),
+        ("val_fraction", VAL_FRACTION),
         ("data_seed", data_seed), ("split_seed", split_seed),
         ("train_seed", train_cfg.seed),
         *train_config_pairs(train_cfg),
@@ -365,41 +350,4 @@ def run_kick_ablation(
         ("improvement_fraction", improvement),
     ])
     return rmse_with, rmse_without, improvement
-
-
-def run_prediction_surface(params, scaling, kick: KickConfig, dataset: Dataset,
-                           device: DeviceConfig, n_new: int, seed: int, out_dir,
-                           mean_total: float | None):
-    """Scatter of predicted vs true voltages on freshly noised examples."""
-    _ensure_dir(out_dir)
-    if n_new < 1 or n_new > len(dataset):
-        raise InvalidParameterError(f"n_new must lie in [1, {len(dataset)}]")
-    pool = exact_feature_pool(dataset, device)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(dataset), size=n_new, replace=False)
-    probs = fresh_noise(pool[idx], mean_total, rng)
-    v1, v2, residual = predict(params, probs, scaling, kick)
-    truth = dataset.targets[idx]
-    error = np.sqrt((v1 - truth[:, 0]) ** 2 + (v2 - truth[:, 1]) ** 2)
-    rows = list(zip(truth[:, 0], truth[:, 1], v1, v2, error, residual))
-    write_report(os.path.join(out_dir, "config.echo"), [
-        ("harness", "prediction-surface"),
-        ("n_new", n_new), ("seed", seed),
-        ("mean_total", mean_total),
-        ("provenance", dataset.provenance),
-    ])
-    write_rows_csv(
-        os.path.join(out_dir, "results.csv"),
-        ["true_v1", "true_v2", "pred_v1", "pred_v2", "error", "consistency_residual"],
-        rows)
-    span = scaling.pooled_span()
-    write_report(os.path.join(out_dir, "report.txt"), [
-        ("n_new", n_new),
-        ("rms_error_volts", float(np.sqrt((error**2).mean()))),
-        ("median_error_volts", float(np.median(error))),
-        ("median_consistency_residual_volts", float(np.median(residual))),
-        ("nrmse_pair", nrmse(truth[:, :2].ravel(),
-                             np.stack([v1, v2], axis=-1).ravel(), 0.0, span)),
-    ])
-    return rows
 

@@ -23,6 +23,7 @@ __all__ = [
     "nrmse",
     "cosine_similarity",
     "fresh_noise",
+    "noisy_draw",
     "mean_and_sd",
     "EvaluationReport",
     "repeated_test_evaluation",
@@ -110,6 +111,22 @@ def fresh_noise(probs, mean_total, rng):
         ) from None
 
 
+def noisy_draw(pool_probs, mean_total, size: int, rng: np.random.Generator):
+    """One noisy test draw, the one path by which evaluation samples points.
+
+    Picks `size` rows of the exact-probability pool without replacement,
+    then draws their shot noise with `fresh_noise` from the same `rng`.
+    Returns (indices, features): the pool rows drawn and their noisy
+    features.  Raises invalid-parameter unless 1 <= size <= len(pool).
+    """
+    n = len(pool_probs)
+    if not 1 <= size <= n:
+        raise InvalidParameterError(
+            f"test draw size {size} must lie in [1, {n}], the size of the pool")
+    idx = rng.choice(n, size=size, replace=False)
+    return idx, fresh_noise(pool_probs[idx], mean_total, rng)
+
+
 def repeated_test_evaluation(
     predict_fn,
     pool_probs,
@@ -123,9 +140,9 @@ def repeated_test_evaluation(
 ):
     """Metric statistics over repeated noisy test draws.
 
-    Each repetition samples `rep_size` pool entries without replacement,
-    re-draws their Poisson counts (mean_total=None skips the noise),
-    predicts, and evaluates both metrics on the concatenated vectors.
+    Each repetition is one `noisy_draw` of `rep_size` pool entries
+    (mean_total=None skips the noise); it predicts, and evaluates both
+    metrics on the concatenated vectors.
     `predict_fn` maps an (n, 12) feature block to (n, 4) voltages.
     Returns (report, per_rep_nrmse, per_rep_cosine): an EvaluationReport
     and the two per-repetition metric arrays.
@@ -134,15 +151,10 @@ def repeated_test_evaluation(
     pool_targets = np.asarray(pool_targets, dtype=float)
     if rep_count < 1:
         raise InvalidParameterError("rep_count must be >= 1")
-    if not 1 <= rep_size <= pool_probs.shape[0]:
-        raise InvalidParameterError(
-            f"rep_size {rep_size} exceeds the {pool_probs.shape[0]}-example pool"
-        )
     nr = np.empty(rep_count)
     cs = np.empty(rep_count)
     for r in range(rep_count):
-        idx = rng.choice(pool_probs.shape[0], size=rep_size, replace=False)
-        feats = fresh_noise(pool_probs[idx], mean_total, rng)
+        idx, feats = noisy_draw(pool_probs, mean_total, rep_size, rng)
         yhat = np.asarray(predict_fn(feats), dtype=float).ravel()
         y = pool_targets[idx].ravel()
         nr[r] = nrmse(y, yhat, 0.0, span)

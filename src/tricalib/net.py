@@ -425,7 +425,7 @@ def _read_tensor(reader: _LineReader, name, rows, cols):
     """A `tensor` line, then one line of hex little-endian float64."""
     head = reader.text(f"tensor {name}")
     if head != f"tensor {name} {rows} {cols}":
-        raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head!r}")
+        raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head[:60]!r}")
     try:  # a2b_hex takes hex digits only; a writable copy for numpy
         data = bytearray(binascii.a2b_hex(reader.next(f"data of {name}")))
     except binascii.Error as exc:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricalib import cli
+from tricalib import cli, metrics
 from tricalib.config import default_device_config, write_device_config
 from tricalib.data import (
     build_grid,
@@ -26,8 +26,9 @@ from tricalib.data import (
 )
 from tricalib.device import ResponseCoefficients, tritter_unitary, voltage_probabilities
 from tricalib.errors import FileFormatError
-from tricalib.experiments import VAL_FRACTION, SweepConfig, train_on_dataset
-from tricalib.net import TrainConfig, load_checkpoint
+from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
+from tricalib.metrics import noisy_draw
+from tricalib.net import TrainConfig, forward, load_checkpoint
 
 from conftest import read_report, run_cli, same_bits
 
@@ -323,6 +324,19 @@ def test_sweep_grid_rejects_zero_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_grid_rejects_test_size_above_pool(tmp_path, capsys):
+    """The test pool is the largest grid (8 x 8 here): a larger --test-size
+    exits 3 before any training, not with numpy's traceback."""
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-grid", "--sizes", "5,8", "--trainings", "1",
+                    "--test-size", "65", "--grid-min", "2", "--grid-max", "5",
+                    "--kick-steps", "1", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error[invalid-parameter]: test draw size 65 must lie in [1, 64], "
+                   "the size of the pool\n"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])
 def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
     out = tmp_path / "sweep"
@@ -349,6 +363,73 @@ def test_surface_prediction_cli(toy, tmp_path):
             run_cli(["surface", *argv])
         assert exc.value.code == 2, argv
     assert not (tmp_path / "nope").exists()
+
+
+def test_prediction_surface_rows(toy, tmp_path):
+    out = tmp_path / "pred"
+    assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                    "--n-new", "12", "--seed", "9", "-o", str(out)]) == 0
+    header, *lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 12
+    assert header.split(",") == ["true_v1", "true_v2", "pred_v1", "pred_v2", "error",
+                                 "consistency_residual"]
+    file_rows = [list(map(float, line.split(","))) for line in lines]
+    for tv1, tv2, pv1, pv2, err, res in file_rows:
+        assert err == pytest.approx(np.hypot(pv1 - tv1, pv2 - tv2), rel=1e-12)
+        assert res >= 0.0
+
+    rep = read_report(out / "report.txt")
+    errors = np.array([r[4] for r in file_rows])
+    assert rep["rms_error_volts"] == pytest.approx(np.sqrt((errors**2).mean()),
+                                                   rel=1e-12)
+
+
+def test_prediction_surface_bounds(toy, tmp_path, capsys):
+    """--n-new outside [1, N] exits 3 before the output directory exists."""
+    n = len(read_csv(toy["ds"]))
+    for n_new in (0, n + 1):
+        out = tmp_path / f"surface_{n_new}"
+        assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                        "--n-new", str(n_new), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error[invalid-parameter]: test draw size {n_new} must lie in "
+                       f"[1, {n}], the size of the pool\n"), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, n_new", [(3, 8), (11, 100)])
+def test_surface_is_repetition_zero_of_evaluate(toy, tmp_path, monkeypatch, seed, n_new):
+    """`surface --seed S --n-new K` writes, bit for bit, the truths and
+    predictions of repetition 0 of the grid-pool evaluation with rep_size K
+    and default_rng(S)."""
+    out = tmp_path / "surface"
+    assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                    "--seed", str(seed), "--n-new", str(n_new), "-o", str(out)]) == 0
+    header, *lines = (out / "results.csv").read_text().splitlines()
+    assert header.split(",")[:4] == ["true_v1", "true_v2", "pred_v1", "pred_v2"]
+    cols = np.array([[float(x) for x in line.split(",")] for line in lines]).T
+
+    ckpt, ds = load_checkpoint(toy["model"]), read_csv(toy["ds"])
+    drawn, predicted = [], []
+
+    def recording_draw(*args):
+        idx, feats = noisy_draw(*args)
+        drawn.append(idx)
+        return idx, feats
+
+    def predict_fn(feats):
+        predicted.append(ckpt.scaling.invert(forward(ckpt.params, feats)))
+        return predicted[-1]
+
+    monkeypatch.setattr(metrics, "noisy_draw", recording_draw)
+    metrics.repeated_test_evaluation(
+        predict_fn, exact_feature_pool(ds, default_device_config()), ds.targets,
+        ds.mean_total, ckpt.scaling.pooled_span(), rep_count=2, rep_size=n_new,
+        rng=np.random.default_rng(seed))
+    assert len(drawn) == 2
+    truth, pred = ds.targets[drawn[0]], predicted[0]
+    for col, want in zip(cols[:4], (truth[:, 0], truth[:, 1], pred[:, 0], pred[:, 1])):
+        assert same_bits(col, np.ascontiguousarray(want))
 
 
 # ------------------------------------------------------------ device config
@@ -646,7 +727,9 @@ def test_exit_code_python_only_number_spelling_typed_flag(capsys, argv):
      "398 of 400 acquisitions drew zero photons at a budget of 0.01 photons per input"),
     (["simulate", "--grid", "10", "--counts", "0.001"],
      "200 of 200 acquisitions drew zero photons at a budget of 0.001 photons per input"),
-], ids=["gen-dataset", "evaluate", "simulate"])
+    (["surface", "-m", "{model}", "-i", "{ds}", "--counts", "0.01"],
+     "398 of 400 acquisitions drew zero photons at a budget of 0.01 photons per input"),
+], ids=["gen-dataset", "evaluate", "simulate", "surface"])
 def test_exit_code_zero_count_acquisitions(toy, tmp_path, capsys, argv, message):
     """A budget too low for every triple to see a photon is exit 4 in
     every command that draws noise; the message names the budget and how
@@ -699,14 +782,18 @@ def test_exit_code_bad_kick_header(toy, tmp_path, capsys, dv1):
                                   f"bad kick metadata dv1 = '{dv1}'")
 
 
-def test_parser_defaults_come_from_the_library():
+def test_parser_defaults_come_from_the_library(capsys):
     ap = cli.build_parser()
     for argv in (["train", "-i", "d.csv", "-o", "m.ckpt"],
                  ["sweep-grid", "-o", "out"],
                  ["ablate-kicks", "-o", "out"]):
         args = ap.parse_args(argv)
         assert cli._train_config(args, seed=0) == TrainConfig(seed=0), argv[0]
-        assert args.val_fraction == VAL_FRACTION, argv[0]
+        # the validation fraction is the library's constant, not a flag
+        with pytest.raises(SystemExit) as exc:
+            ap.parse_args([*argv, "--val-fraction", "0.2"])
+        assert exc.value.code == 2, argv[0]
+        assert "unrecognized arguments: --val-fraction" in capsys.readouterr().err
     args = ap.parse_args(["sweep-grid", "-o", "out"])
     assert SweepConfig(grid_sizes=tuple(int(s) for s in args.sizes.split(",")),
                        trainings_per_size=args.trainings,

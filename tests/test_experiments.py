@@ -18,9 +18,9 @@ from tricalib.experiments import (
     exact_feature_pool,
     run_grid_sweep,
     run_kick_ablation,
-    run_prediction_surface,
     train_on_dataset,
 )
+from tricalib.metrics import noisy_draw
 from tricalib.net import TrainConfig
 
 from conftest import read_report
@@ -232,52 +232,12 @@ def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count,
     assert blas_count() == outside
 
 
-# ------------------------------------------------------- prediction surface
-
-
-def test_prediction_surface_rows(tmp_path):
-    ds = toy_dataset()
-    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
-    out = tmp_path / "pred"
-    rows = run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                                  n_new=12, seed=9, out_dir=out,
-                                  mean_total=ds.mean_total)
-    assert len(rows) == 12
-
-    header, file_rows = read_csv_rows(out / "results.csv")
-    assert header == ["true_v1", "true_v2", "pred_v1", "pred_v2", "error",
-                      "consistency_residual"]
-    for r in file_rows:
-        tv1, tv2, pv1, pv2, err, res = map(float, r)
-        assert err == pytest.approx(np.hypot(pv1 - tv1, pv2 - tv2), rel=1e-12)
-        assert res >= 0.0
-
-    rep = read_report(out / "report.txt")
-    errors = np.array([float(r[4]) for r in file_rows])
-    assert rep["rms_error_volts"] == pytest.approx(np.sqrt((errors**2).mean()),
-                                                   rel=1e-12)
-
-
-def test_prediction_surface_bounds(tmp_path):
-    ds = toy_dataset()
-    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
-    with pytest.raises(InvalidParameterError):
-        run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                               n_new=0, seed=0, out_dir=tmp_path / "x",
-                               mean_total=ds.mean_total)
-    with pytest.raises(InvalidParameterError):
-        run_prediction_surface(params, scaling, ds.kick, ds, DEV,
-                               n_new=len(ds) + 1, seed=0, out_dir=tmp_path / "y",
-                               mean_total=ds.mean_total)
-
-
 @pytest.mark.parametrize("harness", ["generate_simulated", "run_grid_sweep",
-                                     "run_kick_ablation", "run_prediction_surface"])
+                                     "run_kick_ablation", "noisy_draw"])
 def test_library_rejects_negative_photon_budget(tmp_path, harness):
     """A negative budget is the CLI's "inherit" flag value; the CLI resolves
     it, so the library must fail on it rather than reinterpret it."""
     ds = toy_dataset()
-    params, scaling, _, _ = train_on_dataset(ds, TOY_CFG, split_seed=0)
     calls = {
         "generate_simulated": lambda: generate_simulated(
             build_grid(2.0, 5.0, 9), ds.kick, DEV, np.random.default_rng(0),
@@ -286,9 +246,8 @@ def test_library_rejects_negative_photon_budget(tmp_path, harness):
         "run_kick_ablation": lambda: run_kick_ablation(
             DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3, split_seed=0,
             out_dir=tmp_path / "a", mean_total=-1.0),
-        "run_prediction_surface": lambda: run_prediction_surface(
-            params, scaling, ds.kick, ds, DEV, n_new=5, seed=0,
-            out_dir=tmp_path / "p", mean_total=-1.0),
+        "noisy_draw": lambda: noisy_draw(
+            exact_feature_pool(ds, DEV), -1.0, 5, np.random.default_rng(0)),
     }
     with pytest.raises(InvalidParameterError, match="mean_total"):
         calls[harness]()

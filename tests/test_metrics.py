@@ -233,10 +233,13 @@ def test_repeated_evaluation_samples_match_summary():
 
 def test_repeated_evaluation_pool_bounds():
     probs, targets = small_pool()
-    with pytest.raises(InvalidParameterError, match="pool"):
-        repeated_test_evaluation(lambda f: f[:, :4], probs, targets, None,
-                                 span=3.0, rep_count=2, rep_size=probs.shape[0] + 1,
-                                 rng=np.random.default_rng(0))
+    n = probs.shape[0]
+    for rep_size in (0, -1, n + 1):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"size {rep_size} must lie in \[1, {n}\], the size of the pool"):
+            repeated_test_evaluation(lambda f: f[:, :4], probs, targets, None,
+                                     span=3.0, rep_count=2, rep_size=rep_size,
+                                     rng=np.random.default_rng(0))
     with pytest.raises(InvalidParameterError):
         repeated_test_evaluation(lambda f: f[:, :4], probs, targets, None,
                                  span=3.0, rep_count=0, rep_size=5,

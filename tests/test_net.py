@@ -751,6 +751,21 @@ def test_checkpoint_non_finite_value_rejected(tmp_path, label, value, message):
         load_checkpoint(path)
 
 
+def test_checkpoint_missing_tensor_line_message_is_bounded(tmp_path):
+    """With a `tensor` line deleted, the loader reads the data line below it
+    in its place; the message quotes at most 60 characters of that line."""
+    path, *_ = trained_toy(tmp_path)
+    lines = path.read_text().splitlines()[:-1]
+    at = lines.index("tensor W1 10 10")
+    assert len(lines[at + 1]) == 1600
+    del lines[at]
+    rewrite_with_checksum(path, lines)
+    with pytest.raises(CheckpointError, match="expected 'tensor W1 10 10', got ") as exc:
+        load_checkpoint(path)
+    assert repr(lines[at][:60]) in str(exc.value)
+    assert len(str(exc.value)) < 150
+
+
 def handmade_checkpoint(path, params, kick, scaling):
     """Write `params` to the documented format 3 layout by hand: one line
     of hex float64 per tensor."""

@@ -11,8 +11,6 @@ Wall-clock timings never enter these files, so repeated runs with the
 same seeds are byte-identical.
 """
 
-import contextlib
-import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,7 +36,7 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, forward, train
+from .net import TrainConfig, _one_blas_thread, forward, train
 
 __all__ = [
     "SweepConfig",
@@ -119,56 +117,6 @@ def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.
     return exact_features(targets, device), targets
 
 
-# get/set pairs of the OpenBLAS thread count, as numpy 2 wheels
-# (scipy-openblas, ILP64), other ILP64 builds and LP64 builds export them
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy links, or None.
-
-    dlsym on numpy's extension module also searches its dependencies, so
-    this finds the bundled OpenBLAS without knowing its file name.
-    """
-    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-        try:
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore the count.
-
-    The count is process-wide, so concurrent trainings in a thread pool
-    each run on one core instead of every training's matrix products
-    fanning out over all of them.  Where no OpenBLAS is found this does
-    nothing.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
-
-
 def run_grid_sweep(
     device: DeviceConfig,
     sweep: SweepConfig,
@@ -192,9 +140,11 @@ def run_grid_sweep(
     settings, at their exact probabilities, and held fixed; each run sees
     it with its own fresh shot noise.  Returns the per-size summary rows.
 
-    Trainings run in a pool of `jobs` threads with OpenBLAS pinned to one
-    thread until the last one finishes; every training has its own seeds,
-    so the files are identical for any `jobs`.
+    Trainings run in a pool of `jobs` threads.  OpenBLAS is pinned to one
+    thread around the whole pool, so the count never changes while a
+    worker runs BLAS (each `train` holds the same reference-counted pin);
+    every training has its own seeds, so the files are identical for any
+    `jobs`.
     """
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
@@ -304,7 +254,6 @@ def run_kick_ablation(
     Returns (rmse_with, rmse_without, improvement_fraction), validation
     RMSE in volts.
     """
-    os.makedirs(out_dir, exist_ok=True)
     grid = build_grid(grid_min, grid_max, grid_n)
     kick = kick_from_steps(grid, kick_steps, kick_steps)
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
@@ -315,6 +264,7 @@ def run_kick_ablation(
         bare_budget, rng)
     bare_ds = replace(kicked_ds, features=bare_feats,
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
+    os.makedirs(out_dir, exist_ok=True)
 
     def val_rmse_volts(dataset):
         params, scaling, report, val_raw = train_on_dataset(dataset, train_cfg, split_seed)

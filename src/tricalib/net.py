@@ -7,6 +7,16 @@ moves half the bytes of float64 per Adam pass and per matmul, and
 validates and returns float64 copies of those weights, which hold the
 float32 values exactly; prediction and checkpoints are float64.
 
+Inside `train` every weight matrix lives in one contiguous float32
+buffer and every bias in a second one; the per-layer (W, b) pairs are
+views into them, and so are the gradients, which the backward pass
+writes in place.  Adam's moments are shaped like the two buffers, so a
+step is one `adam_step` over the single pair (weights, biases): the
+same element-wise operations in the same order as one pass per tensor,
+hence the same bits, but a few large numpy calls instead of many small
+ones.  OpenBLAS is held on one thread for the whole loop: the
+matrices are small, and idle BLAS workers only compete with it.
+
 The network maps the 12 kick-augmented probabilities to the 4 target
 voltages (scaled to [0, 1] for training).  Parameters are a list of
 (weight, bias) pairs, weights stored (out, in).  The training loss is
@@ -18,7 +28,11 @@ which is what the validation monitor and the early stopping watch too.
 """
 
 import binascii
+import contextlib
+import ctypes
+import functools
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -155,19 +169,34 @@ def loss(params, X, Y) -> float:
     return float(np.sqrt((e**2).mean(axis=1)).mean())
 
 
-def _grads_from_cache(params, acts, zs, Y):
-    """Exact gradient of `loss`; ReLU subgradient at 0 is taken as 0."""
+def _grads_from_cache(params, acts, zs, Y, grads):
+    """Write the exact gradient of `loss` into `grads`, a list of (gW, gb)
+    arrays shaped like `params`, and return the batch loss.  The ReLU
+    subgradient at 0 is taken as 0."""
     e = acts[-1] - Y
     B, K = e.shape
     rmse = np.sqrt((e**2).mean(axis=1, keepdims=True))
-    delta = e / (B * K * np.where(rmse > 0.0, rmse, 1.0))
-    grads = [None] * len(params)
-    d = delta
+    d = e / (B * K * np.where(rmse > 0.0, rmse, 1.0))
     for li in range(len(params) - 1, -1, -1):
-        grads[li] = (d.T @ acts[li], d.sum(axis=0))
+        gW, gb = grads[li]
+        np.matmul(d.T, acts[li], out=gW)
+        d.sum(axis=0, out=gb)
         if li > 0:
             d = (d @ params[li][0]) * (zs[li - 1] > 0.0)
-    return grads, float(rmse.mean())
+    return float(rmse.mean())
+
+
+def _flat_views(params, dtype):
+    """One contiguous buffer for the weights of `params` and one for the
+    biases, uninitialised, in `dtype`: returns ((weights, biases), views),
+    the views being a (W, b) pair per layer shaped like `params`."""
+    weights = np.empty(sum(W.size for W, _ in params), dtype)
+    biases = np.empty(sum(b.size for _, b in params), dtype)
+    views, w0, b0 = [], 0, 0
+    for W, b in params:
+        views.append((weights[w0:w0 + W.size].reshape(W.shape), biases[b0:b0 + b.size]))
+        w0, b0 = w0 + W.size, b0 + b.size
+    return (weights, biases), views
 
 
 def backward(params, X, Y):
@@ -175,7 +204,9 @@ def backward(params, X, Y):
     X = np.atleast_2d(_in_weight_dtype(params, X))
     Y = np.atleast_2d(_in_weight_dtype(params, Y))
     acts, zs = _forward_cached(params, X)
-    return _grads_from_cache(params, acts, zs, Y)[0]
+    _, grads = _flat_views(params, X.dtype)
+    _grads_from_cache(params, acts, zs, Y, grads)
+    return grads
 
 
 def init_adam(params) -> AdamState:
@@ -231,6 +262,74 @@ def _cast(params, dtype):
     return [(W.astype(dtype), b.astype(dtype)) for W, b in params]
 
 
+# get/set pairs of the OpenBLAS thread count, as numpy 2 wheels
+# (scipy-openblas, ILP64), other ILP64 builds and LP64 builds export them
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy links, or None.
+
+    dlsym on numpy's extension module also searches its dependencies, so
+    this finds the bundled OpenBLAS without knowing its file name.  The
+    lookup runs once per process.
+    """
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# The OpenBLAS thread count is process-wide, so its pin is too: how many
+# blocks hold it, and the count to restore when the last one leaves.
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread.
+
+    The pin is reference-counted: the first block to enter saves the
+    thread count and sets 1, and the last to leave restores it, so a
+    nested or concurrent block never restores the count under one still
+    running.  Concurrent trainings in a thread pool then each run on one
+    core instead of every training's matrix products fanning out over
+    all of them.  Where no OpenBLAS is found this does nothing.
+    """
+    global _pin_holders, _pin_saved
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                set_(_pin_saved)
+
+
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     """Mini-batch training with validation-loss early stopping.
 
@@ -244,10 +343,12 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
 
     Features, scaled targets, weights and Adam's moments are float32,
     cast once here; the He draw stays float64 so the rng stream is that
-    of `init_he`.  Each epoch is validated on a float64 copy of the
-    weights, and the best such copy is returned, so the reported
-    validation metrics are exactly what the saved float64 weights
-    reproduce.
+    of `init_he`.  The weights, the gradients and Adam's moments each
+    sit in a weight buffer and a bias buffer (see the module docstring),
+    and the loop runs with OpenBLAS on one thread.  Each epoch is
+    validated on a float64 copy of the weights, and the best such copy
+    is returned, so the reported validation metrics are exactly what the
+    saved float64 weights reproduce.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise InvalidParameterError("training and validation sets must be nonempty")
@@ -261,9 +362,12 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     span = scaling.pooled_span()
 
     rng = np.random.default_rng(config.seed)
-    params = _cast(init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng),
-                   np.float32)
-    state = init_adam(params)
+    he = init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng)
+    flat, params = _flat_views(he, np.float32)
+    for (W, b), (W0, b0) in zip(params, he):
+        W[...], b[...] = W0, b0
+    flat_grads, grads = _flat_views(he, np.float32)
+    state = init_adam([flat])
     report = TrainReport()
     best_loss = np.inf
     best_params = _cast(params, float)
@@ -271,40 +375,41 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     t0 = time.perf_counter()
 
     n = X.shape[0]
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            acts, zs = _forward_cached(params, X[idx])
-            grads, batch_loss = _grads_from_cache(params, acts, zs, Y[idx])
-            adam_step(params, grads, state, config)
-            loss_sum += batch_loss * idx.size
-        train_loss = loss_sum / n
-        _flush_subnormal(state.m)
+    with _one_blas_thread():
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                acts, zs = _forward_cached(params, X[idx])
+                batch_loss = _grads_from_cache(params, acts, zs, Y[idx], grads)
+                adam_step([flat], [flat_grads], state, config)
+                loss_sum += batch_loss * idx.size
+            train_loss = loss_sum / n
+            _flush_subnormal(state.m)
 
-        params64 = _cast(params, float)
-        vout = forward(params64, Xv)
-        val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}", epoch=epoch
-            )
-        yhat_volts = scaling.invert(vout)
-        report.train_loss.append(train_loss)
-        report.val_loss.append(val_loss)
-        report.val_nrmse.append(nrmse(y_val_volts.ravel(), yhat_volts.ravel(), 0.0, span))
-        report.val_cosine.append(cosine_similarity(y_val_volts.ravel(), yhat_volts.ravel()))
+            params64 = _cast(params, float)
+            vout = forward(params64, Xv)
+            val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}", epoch=epoch
+                )
+            yhat_volts = scaling.invert(vout)
+            report.train_loss.append(train_loss)
+            report.val_loss.append(val_loss)
+            report.val_nrmse.append(nrmse(y_val_volts.ravel(), yhat_volts.ravel(), 0.0, span))
+            report.val_cosine.append(cosine_similarity(y_val_volts.ravel(), yhat_volts.ravel()))
 
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = params64
-            report.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best_params = params64
+                report.best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
     report.wall_clock = time.perf_counter() - t0
     return best_params, scaling, report
 

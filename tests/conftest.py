@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from tricalib import cli
+from tricalib import cli, net
 
 
 def run_cli(argv):
@@ -23,8 +23,30 @@ def run_cli(argv):
 
 
 def same_bits(a, b):
-    """Shape and every float64 bit equal: tells -0.0 from 0.0."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    """Shape, dtype and every bit equal: tells -0.0 from 0.0."""
+    bits = np.dtype(f"u{a.itemsize}")
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(bits), b.view(bits)))
+
+
+@pytest.fixture
+def blas_count():
+    """Reads the OpenBLAS thread count, or None where numpy has no OpenBLAS.
+
+    The count is set to 2 for the test, so a pinned block is told apart
+    from the default on any machine, and restored afterwards.
+    """
+    calls = net._openblas_threads()
+    if calls is None:
+        yield lambda: None
+        return
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
 
 
 def mutate_bytes(data, kind, line, offset, byte):

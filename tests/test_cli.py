@@ -337,6 +337,18 @@ def test_sweep_grid_rejects_test_size_above_pool(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ablate_kicks_out_of_range_leaves_no_directory(tmp_path, capsys):
+    """A 15-point grid makes the default 5-step kick 5/14 of the 8 V
+    range: the kicked settings overshoot the device, which exits 3
+    before any output directory is made."""
+    out = tmp_path / "ablation"
+    assert run_cli(["ablate-kicks", "--grid", "15", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error[invalid-parameter]: kicked settings exceed the simulable "
+                   "device range (9.14286 V > 8 V)\n"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])
 def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
     out = tmp_path / "sweep"

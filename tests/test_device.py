@@ -5,6 +5,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricalib.config import GRID_N, GRID_V_MAX, GRID_V_MIN, KICK_STEPS, default_device_config
 from tricalib.device import (
@@ -186,6 +188,55 @@ def test_probability_periodicity():
     for m, n in [(1, 0), (0, 1), (1, 1), (-2, 3)]:
         shifted = output_probabilities(phases + 2.0 * np.pi * np.array([m, n]))
         assert np.abs(shifted - base).max() < 1e-12
+
+
+PHASE = st.floats(-4.0 * np.pi, 4.0 * np.pi, allow_nan=False)
+
+
+def random_tritter(seed):
+    """An imperfect tritter: the unitary Q of a QR factorisation of a
+    random complex 3x3 matrix."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+
+
+def symmetry_orbit(phi1, phi2):
+    """The six phase pairs the balanced circuit cannot tell apart.
+
+    With d = (e^{i phi1}, e^{i phi2}, 1), U[j, i] is (1/3) sum_k
+    omega^{k(i+j)} d_k.  A cyclic shift of d, or a transposition of d
+    together with complex conjugation, leaves every |U[j, i]| unchanged;
+    a global phase that brings d's last entry back to 1 gives the pair.
+    """
+    return [(phi1, phi2), (phi2 - phi1, -phi1), (-phi2, phi1 - phi2),
+            (-phi2, -phi1), (phi1, phi1 - phi2), (phi2 - phi1, phi2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi1=PHASE, phi2=PHASE, seed=st.integers(0, 2**32 - 1))
+def test_device_unitary_property(phi1, phi2, seed):
+    """Unitary, with each input's output triple summing to 1, for the
+    balanced tritter and an imperfect one alike."""
+    for tritter in (None, random_tritter(seed)):
+        U = device_unitary([phi1, phi2], tritter)
+        assert np.abs(U.conj().T @ U - np.eye(3)).max() < 1e-12
+        p = output_probabilities([phi1, phi2], tritter)
+        assert abs(p[:3].sum() - 1.0) < 1e-12 and abs(p[3:].sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi1=PHASE, phi2=PHASE)
+def test_six_element_phase_symmetry_property(phi1, phi2):
+    """The balanced circuit gives all six phase pairs of an orbit the
+    same six probabilities (the symmetry named by `default_device_config`)."""
+    orbit = symmetry_orbit(phi1, phi2)
+    probs = output_probabilities(np.array(orbit))
+    assert np.abs(probs - probs[0]).max() < 1e-12
+
+
+def test_six_element_phase_symmetry_orbit_is_distinct():
+    orbit = np.array(symmetry_orbit(0.7, 2.1)) % (2.0 * np.pi)
+    assert len({tuple(np.round(pair, 9)) for pair in orbit}) == 6
 
 
 def test_phase_validation():

@@ -176,47 +176,6 @@ def test_grid_sweep_jobs_do_not_change_bytes(tmp_path):
         assert tree_bytes(serial) == tree_bytes(threaded), jobs
 
 
-@pytest.fixture
-def blas_count():
-    """Reads the OpenBLAS thread count, or None where numpy has no OpenBLAS.
-
-    The count is set to 2 for the test, so a pinned block is told apart
-    from the default on any machine, and restored afterwards.
-    """
-    calls = experiments._openblas_threads()
-    if calls is None:
-        yield lambda: None
-        return
-    get, set_ = calls
-    before = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(before)
-
-
-def test_one_blas_thread_pins_and_restores(blas_count):
-    outside = blas_count()
-    pinned = None if outside is None else 1
-    with experiments._one_blas_thread():
-        assert blas_count() == pinned
-    assert blas_count() == outside
-    with pytest.raises(RuntimeError, match="inside"):
-        with experiments._one_blas_thread():
-            assert blas_count() == pinned
-            raise RuntimeError("inside")
-    assert blas_count() == outside
-
-
-def test_one_blas_thread_without_openblas(blas_count, monkeypatch):
-    outside = blas_count()
-    monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
-    with experiments._one_blas_thread():
-        assert blas_count() == outside
-    assert blas_count() == outside
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count, jobs):
     outside = blas_count()

@@ -3,6 +3,9 @@ training loop, prediction, and the checkpoint format."""
 
 import hashlib
 import inspect
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -379,6 +382,62 @@ def test_adam_step_bitwise_matches_reference_expression():
                 assert np.array_equal(a, r)
 
 
+def reference_gradients(params, X, Y):
+    """Per-tensor gradients: a fresh `d.T @ a` and `d.sum(axis=0)` per layer."""
+    acts, zs = net._forward_cached(params, X)
+    e = acts[-1] - Y
+    B, K = e.shape
+    rmse = np.sqrt((e**2).mean(axis=1, keepdims=True))
+    d = e / (B * K * np.where(rmse > 0.0, rmse, 1.0))
+    grads = [None] * len(params)
+    for li in range(len(params) - 1, -1, -1):
+        grads[li] = (d.T @ acts[li], d.sum(axis=0))
+        if li > 0:
+            d = (d @ params[li][0]) * (zs[li - 1] > 0.0)
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_flat_buffers_match_per_tensor_bitwise(dtype):
+    """What `train` does on its two flat buffers, one Adam pass over the
+    pair and gradients written into views, gives the bits of per-tensor
+    work on separate arrays."""
+    rng = np.random.default_rng(5)
+    he = init_he([12, 8, 8, 4], rng)
+    (weights, biases), params = net._flat_views(he, dtype)
+    for (W, b), (W0, b0) in zip(params, he):
+        W[...], b[...] = W0, b0
+    (gw, gb), grads = net._flat_views(he, dtype)
+    ref_params = [(W.copy(), b.copy()) for W, b in params]
+    state, ref_state = init_adam([(weights, biases)]), init_adam(ref_params)
+    cfg = TrainConfig()
+    for _ in range(20):
+        # about a third of the gradient entries are exact zeros
+        ref_grads = [tuple((rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)).astype(dtype)
+                           for a in pair) for pair in params]
+        for views, pair in zip(grads, ref_grads):
+            for view, g in zip(views, pair):
+                view[...] = g
+        adam_step([(weights, biases)], [(gw, gb)], state, cfg)
+        adam_step(ref_params, ref_grads, ref_state, cfg)
+    assert state.t == ref_state.t == 20
+    [(mw, mb)] = state.m
+    [(vw, vb)] = state.v
+    for flat, ref in (((weights, biases), ref_params), ((mw, mb), ref_state.m),
+                      ((vw, vb), ref_state.v)):
+        for a, r in zip(flat, (np.concatenate([W.ravel() for W, _ in ref]),
+                               np.concatenate([b for _, b in ref]))):
+            assert a.dtype == dtype and same_bits(a, r)
+
+    X = rng.uniform(size=(32, 12)).astype(dtype)
+    Y = rng.uniform(size=(32, 4)).astype(dtype)
+    got = backward(params, X, Y)
+    for (gW, gb_), (rW, rb) in zip(got, reference_gradients(params, X, Y)):
+        assert same_bits(gW, rW) and same_bits(gb_, rb)
+    # backward's gradients are views into one weight and one bias buffer
+    assert got[0][0].base is got[-1][0].base and got[0][1].base is got[-1][1].base
+
+
 def test_flush_subnormal_zeroes_only_subnormals():
     """The threshold is the smallest normal number of each array's own
     dtype: the float64 one would leave every float32 subnormal alone."""
@@ -403,7 +462,10 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     # decay by beta1 per step and fall below the smallest normal float32
     # after about 800 steps (a float64 moment would take about 6 650);
     # the Adam state captured here is the one at the end of the run,
-    # which is later than either.
+    # which is later than either.  `train` passes one (weights, biases)
+    # pair of flat buffers; the first layer's (8, 12) weights and 8
+    # biases lead them.
+    first_w, first_b = slice(0, 8 * 12), slice(0, 8)
     real_step = net.adam_step
     captured = []
 
@@ -411,8 +473,9 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
         if not captured:
             captured.append(state)
         if state.t > 0:
-            for g in grads[0]:
-                g[...] = 0.0
+            [(gw, gb)] = grads
+            gw[first_w] = 0.0
+            gb[first_b] = 0.0
         return real_step(params, grads, state, config)
 
     monkeypatch.setattr(net, "adam_step", step_with_dead_first_layer)
@@ -421,33 +484,59 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     train(tr, va, cfg)
     adam = captured[0]
     assert adam.t > 7000
-    for m_pair in adam.m:
-        for m in m_pair:
-            assert m.dtype == np.float32
-            tiny = np.finfo(m.dtype).tiny
-            assert not ((m != 0.0) & (np.abs(m) < tiny)).any()
-    # the first layer had a gradient at step 1 (v > 0) and its m is now 0.0
-    for m, v in zip(adam.m[0], adam.v[0]):
-        assert (v > 0.0).any() and not m.any()
+    [(mw, mb)] = adam.m
+    [(vw, vb)] = adam.v
+    for m in (mw, mb):
+        assert m.dtype == np.float32
+        tiny = np.finfo(m.dtype).tiny
+        assert not ((m != 0.0) & (np.abs(m) < tiny)).any()
+    # the first layer had a gradient at step 1 (v > 0) and its m is now
+    # 0.0; the later layers kept learning
+    for m, v, first in ((mw, vw, first_w), (mb, vb, first_b)):
+        assert (v[first] > 0.0).any() and not m[first].any()
+        assert m[first.stop:].any()
 
 
 def test_train_steps_adam_in_float32_only(monkeypatch):
     """Every Adam step inside `train` sees float32 weights, gradients and
     moments, so neither a float64 array nor a float64 scalar upcasts the
-    training loop; the tensors are still float32 after the step."""
+    training loop; the tensors are still float32 after the step.  Each
+    is one pair of C-contiguous buffers, all weights then all biases."""
     real_step = net.adam_step
-    dtypes = set()
+    dtypes, layouts = set(), set()
 
     def recording_step(params, grads, state, config):
         real_step(params, grads, state, config)
         for group in (params, grads, state.m, state.v):
             dtypes.update(a.dtype for pair in group for a in pair)
+            layouts.add(tuple((a.size, a.flags.c_contiguous) for pair in group for a in pair))
         return params, state
 
     monkeypatch.setattr(net, "adam_step", recording_step)
     tr, va = splits(toy_dataset(n=6))
     train(tr, va, TrainConfig(max_epochs=3, patience=3, seed=0, hidden=(8, 8)))
     assert dtypes == {np.dtype(np.float32)}
+    sizes = layer_sizes(12, 4, (8, 8))
+    n_weights = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
+    assert layouts == {((n_weights, True), (sum(sizes[1:]), True))}
+
+
+def test_train_runs_adam_on_one_blas_thread(blas_count, monkeypatch):
+    """`train` holds OpenBLAS on one thread through every step, and the
+    count it found is back afterwards."""
+    outside = blas_count()
+    real_step = net.adam_step
+    seen = []
+
+    def recording_step(params, grads, state, config):
+        seen.append(blas_count())
+        return real_step(params, grads, state, config)
+
+    monkeypatch.setattr(net, "adam_step", recording_step)
+    tr, va = splits(toy_dataset(n=6))
+    train(tr, va, TrainConfig(max_epochs=3, patience=3, seed=0, hidden=(8, 8)))
+    assert seen and set(seen) == {None if outside is None else 1}
+    assert blas_count() == outside
 
 
 def test_train_returns_float64_holding_float32_values():
@@ -457,6 +546,105 @@ def test_train_returns_float64_holding_float32_values():
         for a in pair:
             assert a.dtype == np.float64
             assert same_bits(a.astype(np.float32).astype(np.float64), a)
+
+
+def test_one_blas_thread_pins_and_restores(blas_count):
+    outside = blas_count()
+    pinned = None if outside is None else 1
+    with net._one_blas_thread():
+        assert blas_count() == pinned
+    assert blas_count() == outside
+    with pytest.raises(RuntimeError, match="inside"):
+        with net._one_blas_thread():
+            assert blas_count() == pinned
+            raise RuntimeError("inside")
+    assert blas_count() == outside
+
+
+def test_one_blas_thread_without_openblas(blas_count, monkeypatch):
+    outside = blas_count()
+    monkeypatch.setattr(net, "_openblas_threads", lambda: None)
+    with net._one_blas_thread():
+        assert blas_count() == outside
+    assert blas_count() == outside
+
+
+def test_one_blas_thread_overlapping_pins_hold_until_the_last_exits(blas_count):
+    """Nested in one thread or overlapping across two, the pin keeps the
+    count at 1 until its last holder leaves, whichever entered first."""
+    outside = blas_count()
+    pinned = None if outside is None else 1
+    with net._one_blas_thread():
+        with net._one_blas_thread():
+            assert blas_count() == pinned
+        assert blas_count() == pinned
+    assert blas_count() == outside
+
+    entered, release, left = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def other_holder():
+        with net._one_blas_thread():
+            entered.set()
+            release.wait(timeout=30)
+            seen.append(blas_count())
+        left.set()
+
+    # the other thread enters first and leaves first, inside our pin
+    worker = threading.Thread(target=other_holder)
+    worker.start()
+    assert entered.wait(timeout=30)
+    with net._one_blas_thread():
+        release.set()
+        assert left.wait(timeout=30)
+        assert blas_count() == pinned
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert seen == [pinned] and blas_count() == outside
+
+    # we enter first and leave first, inside the other thread's pin
+    for event in (entered, release, left):
+        event.clear()
+    seen.clear()
+    with net._one_blas_thread():
+        worker = threading.Thread(target=other_holder)
+        worker.start()
+        assert entered.wait(timeout=30)
+    assert blas_count() == pinned
+    release.set()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert seen == [pinned] and blas_count() == outside
+
+
+def test_one_blas_thread_under_contention(blas_count):
+    """More pinning threads than cores, switching as often as the
+    interpreter allows: every block sees one thread, and the count is
+    restored once all have left (a lost update of the holder count would
+    restore it early or never)."""
+    outside = blas_count()
+    pinned = None if outside is None else 1
+    seen = set()
+
+    def pin_repeatedly():
+        for _ in range(300):
+            with net._one_blas_thread():
+                seen.add(blas_count())
+                time.sleep(0)  # let another thread enter or leave in between
+                seen.add(blas_count())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=pin_repeatedly) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {pinned} and blas_count() == outside
 
 
 def test_train_config_validation():

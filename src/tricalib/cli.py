@@ -420,8 +420,8 @@ def build_parser():
     sp.add_argument("--eval-seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
     sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
     sp.add_argument("--jobs", type=cfgmod.parse_int, default=1,
-                    help="trainings run at once, in threads with BLAS pinned to one "
-                         "thread while they run; results do not depend on it")
+                    help="trainings run at once, in forked worker processes; "
+                         "results do not depend on it")
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)
 

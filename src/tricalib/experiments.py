@@ -12,7 +12,6 @@ same seeds are byte-identical.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +35,7 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, _one_blas_thread, forward, train
+from .net import TrainConfig, forward, train
 
 __all__ = [
     "SweepConfig",
@@ -83,6 +82,27 @@ def train_on_dataset(dataset: Dataset, cfg: TrainConfig, split_seed: int):
     return params, scaling, report, val_ds
 
 
+def _in_workers(task, arg_lists, jobs):
+    """`[task(*args) for args in arg_lists]`, computed in
+    `min(jobs, len(arg_lists))` forked worker processes.
+
+    `fork` is asked for by name: the `forkserver` default of newer
+    Pythons leaves its server process running after the command, and
+    under `fork` the pool's semaphores are unlinked at once, so no
+    resource-tracker process starts either.  The `with` block joins every
+    worker on success and on error; a task's exception, pickled back
+    from its worker, is raised here.  Each `net.train` pins OpenBLAS to
+    one thread in its own worker.
+    """
+    # imported here: `multiprocessing` costs every other command start-up time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arg_lists)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(task, *zip(*arg_lists)))
+
+
 def train_config_pairs(cfg: TrainConfig):
     """The `key = value` pairs of the training settings a result file records."""
     return [("max_epochs", cfg.max_epochs), ("batch_size", cfg.batch_size),
@@ -117,6 +137,24 @@ def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.
     return exact_features(targets, device), targets
 
 
+def _sweep_run(dataset, cfg, split_seed, test_probs, test_targets, eval_seed):
+    """One sweep training, then one fresh-noise draw of the fixed test
+    rows at the dataset's photon budget: (best val NRMSE, test cosine)."""
+    params, scaling, report, _ = train_on_dataset(dataset, cfg, split_seed)
+    # cosine goes over the full 4-target concatenation of the test draw
+    ev, _, _ = repeated_test_evaluation(
+        lambda feats: scaling.invert(forward(params, feats)),
+        test_probs,
+        test_targets,
+        dataset.mean_total,
+        scaling.pooled_span(),
+        rep_count=1,
+        rep_size=len(test_targets),
+        rng=np.random.default_rng(eval_seed),
+    )
+    return report.val_nrmse[report.best_epoch], ev.cosine
+
+
 def run_grid_sweep(
     device: DeviceConfig,
     sweep: SweepConfig,
@@ -140,11 +178,11 @@ def run_grid_sweep(
     settings, at their exact probabilities, and held fixed; each run sees
     it with its own fresh shot noise.  Returns the per-size summary rows.
 
-    Trainings run in a pool of `jobs` threads.  OpenBLAS is pinned to one
-    thread around the whole pool, so the count never changes while a
-    worker runs BLAS (each `train` holds the same reference-counted pin);
-    every training has its own seeds, so the files are identical for any
-    `jobs`.
+    Trainings run in `jobs` forked worker processes (never more than
+    there are trainings), each on one OpenBLAS thread.  Every training
+    has its own seeds, so the files are identical for any `jobs`.  The
+    output directory is made only once every training has returned, so a
+    failed training leaves none behind.
     """
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
@@ -162,28 +200,14 @@ def run_grid_sweep(
     pick, test_probs = noisy_draw(exact_feature_pool(datasets[largest], device), None,
                                   sweep.test_size, np.random.default_rng(_combine(eval_seed, 0, 0)))
     test_targets = datasets[largest].targets[pick]
-    os.makedirs(out_dir, exist_ok=True)
-
-    def one_run(size, run):
-        cfg = replace(train_cfg, seed=_combine(train_seed, size, run))
-        params, scaling, report, _ = train_on_dataset(datasets[size], cfg, split_seed)
-        # cosine goes over the full 4-target concatenation of the test draw
-        ev, _, _ = repeated_test_evaluation(
-            lambda feats: scaling.invert(forward(params, feats)),
-            test_probs,
-            test_targets,
-            mean_total,
-            scaling.pooled_span(),
-            rep_count=1,
-            rep_size=sweep.test_size,
-            rng=np.random.default_rng(_combine(eval_seed, size, run)),
-        )
-        return report.val_nrmse[report.best_epoch], ev.cosine
 
     keys = [(size, run) for size in sizes for run in range(sweep.trainings_per_size)]
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-        results = list(pool_exec.map(lambda k: one_run(*k), keys))
+    results = _in_workers(_sweep_run, [
+        (datasets[size], replace(train_cfg, seed=_combine(train_seed, size, run)), split_seed,
+         test_probs, test_targets, _combine(eval_seed, size, run))
+        for size, run in keys], jobs)
     per_run = dict(zip(keys, results))
+    os.makedirs(out_dir, exist_ok=True)
 
     run_rows = [(size, run, *per_run[(size, run)]) for size, run in keys]
     summary_rows = []
@@ -227,6 +251,13 @@ def run_grid_sweep(
     return summary_rows
 
 
+def _ablation_run(dataset, cfg, split_seed):
+    """One ablation training: (validation RMSE in volts, best epoch)."""
+    params, scaling, report, val_raw = train_on_dataset(dataset, cfg, split_seed)
+    err = scaling.invert(forward(params, val_raw.features)) - val_raw.targets
+    return float(np.sqrt((err**2).mean())), report.best_epoch
+
+
 def run_kick_ablation(
     device: DeviceConfig,
     train_cfg: TrainConfig,
@@ -251,8 +282,10 @@ def run_kick_ablation(
     mean_total=None to compare on exact probabilities instead (no noise
     at all).
 
-    Returns (rmse_with, rmse_without, improvement_fraction), validation
-    RMSE in volts.
+    The two trainings run in forked worker processes, one each (at most
+    `os.cpu_count()`), and the output directory is made only once both
+    have returned.  Returns (rmse_with, rmse_without,
+    improvement_fraction), validation RMSE in volts.
     """
     grid = build_grid(grid_min, grid_max, grid_n)
     kick = kick_from_steps(grid, kick_steps, kick_steps)
@@ -264,17 +297,11 @@ def run_kick_ablation(
         bare_budget, rng)
     bare_ds = replace(kicked_ds, features=bare_feats,
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def val_rmse_volts(dataset):
-        params, scaling, report, val_raw = train_on_dataset(dataset, train_cfg, split_seed)
-        yhat = scaling.invert(forward(params, val_raw.features))
-        err = yhat - val_raw.targets
-        return float(np.sqrt((err**2).mean())), report.best_epoch
-
-    rmse_with, best_with = val_rmse_volts(kicked_ds)
-    rmse_without, best_without = val_rmse_volts(bare_ds)
+    (rmse_with, best_with), (rmse_without, best_without) = _in_workers(
+        _ablation_run, [(kicked_ds, train_cfg, split_seed), (bare_ds, train_cfg, split_seed)],
+        os.cpu_count() or 1)
     improvement = 1.0 - rmse_with / rmse_without
+    os.makedirs(out_dir, exist_ok=True)
 
     write_report(os.path.join(out_dir, "config.echo"), [
         ("harness", "ablate-kicks"),

@@ -4,6 +4,7 @@ conventions, and the exit-code contract."""
 import argparse
 import hashlib
 import importlib
+import multiprocessing
 import os
 import re
 import shutil
@@ -347,6 +348,30 @@ def test_ablate_kicks_out_of_range_leaves_no_directory(tmp_path, capsys):
     assert err == ("error[invalid-parameter]: kicked settings exceed the simulable "
                    "device range (9.14286 V > 8 V)\n"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("harness", ["sweep-grid", "ablate-kicks"])
+def test_diverging_training_leaves_no_directory(tmp_path, capsys, monkeypatch, harness, jobs):
+    """A learning rate of 1e160 makes every training diverge in epoch 0.
+    The worker's exception crosses back to this process intact, so one
+    worker or two exit 8 with the message `train` gives; no output
+    directory is made, and no worker process is left running.  The
+    ablation takes one worker per training, capped by the core count."""
+    out = tmp_path / "study"
+    shared = ["--grid-min", "2", "--grid-max", "5", "--kick-steps", "1", "--epochs", "3",
+              "--patience", "3", "--lr", "1e160", "--hidden", "8", "-o", str(out)]
+    if harness == "sweep-grid":
+        argv = ["sweep-grid", "--sizes", "5,8", "--trainings", "1", "--test-size", "20",
+                "--jobs", str(jobs), *shared]
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        argv = ["ablate-kicks", "--grid", "9", *shared]
+    assert run_cli(argv) == 8
+    err = capsys.readouterr().err
+    assert err == "error[training-diverged]: non-finite loss at epoch 0\n", err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])

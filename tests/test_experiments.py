@@ -1,10 +1,15 @@
 """Study harnesses at reduced scale: determinism, file layout, and the
 arithmetic of the headline numbers."""
 
+import concurrent.futures
+import functools
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from tricalib import experiments
+from tricalib import net
 from tricalib.config import default_device_config
 from tricalib.data import (
     build_grid,
@@ -171,24 +176,69 @@ def test_grid_sweep_jobs_do_not_change_bytes(tmp_path):
     serial = tmp_path / "s1"
     small_sweep(serial, jobs=1)
     for jobs in (2, 3):  # 3 is more workers than a 2-core machine has cores
-        threaded = tmp_path / f"s{jobs}"
-        small_sweep(threaded, jobs=jobs)
-        assert tree_bytes(serial) == tree_bytes(threaded), jobs
+        pooled = tmp_path / f"s{jobs}"
+        small_sweep(pooled, jobs=jobs)
+        assert tree_bytes(serial) == tree_bytes(pooled), jobs
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count, jobs):
+    """Every Adam step of every training, each in a worker process, runs
+    on one OpenBLAS thread, and the count of this process is unchanged.
+
+    The trainings run in forked workers, so a list here would stay empty:
+    each step appends `pid seed count` to a file instead."""
     outside = blas_count()
-    seen = []
+    log = tmp_path / "steps.log"
+    real_step = net.adam_step
 
-    def recording(*args, **kwargs):
-        seen.append(blas_count())
-        return train_on_dataset(*args, **kwargs)
+    def recording_step(params, grads, state, config):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {config.seed} {blas_count()}\n")
+        return real_step(params, grads, state, config)
 
-    monkeypatch.setattr(experiments, "train_on_dataset", recording)
+    monkeypatch.setattr(net, "adam_step", recording_step)
     small_sweep(tmp_path / "sweep", jobs=jobs)
-    assert seen == [None if outside is None else 1] * 4
+    steps = [line.split() for line in log.read_text().splitlines()]
+    assert {seed for _, seed, _ in steps} == {str(1_000_000 + size * 1_000 + run)
+                                             for size in (5, 8) for run in (0, 1)}
+    assert {count for _, _, count in steps} == {str(None if outside is None else 1)}
+    assert str(os.getpid()) not in {pid for pid, _, _ in steps}
     assert blas_count() == outside
+
+
+class RecordingPool:
+    """Stands in for `ProcessPoolExecutor`: records the worker count and
+    start method each pool asks for, and runs its tasks in this process."""
+
+    def __init__(self, requests, max_workers, mp_context):
+        requests.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pools_never_ask_for_more_workers_than_trainings(tmp_path, monkeypatch):
+    """A fork pool starts all its workers at once, so `jobs` (or the core
+    count) above the number of trainings must not reach it.  No process
+    is started: the executor is replaced by a recording stand-in."""
+    requests = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(RecordingPool, requests))
+    small_sweep(tmp_path / "sweep", jobs=1000, trainings=1)
+    small_sweep(tmp_path / "sweep1", jobs=1, trainings=1)
+    for cores in (1000, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        run_kick_ablation(DEV, TOY_CFG, 2.0, 5.0, 9, 1, data_seed=3, split_seed=0,
+                          out_dir=tmp_path / f"ab{cores}", mean_total=1000.0)
+    assert requests == [(2, "fork"), (1, "fork"), (2, "fork"), (1, "fork")]
 
 
 @pytest.mark.parametrize("harness", ["generate_simulated", "run_grid_sweep",

@@ -28,13 +28,10 @@ from .data import (
     VoltageGrid,
     build_grid,
     generate_simulated,
-    ingest_experimental,
     kick_from_steps,
     read_csv,
-    read_measurement_csv,
     split,
     write_csv,
-    write_measurement_csv,
 )
 from .device import (
     ResponseCoefficients,
@@ -52,7 +49,6 @@ from .errors import (
     CheckpointError,
     DegenerateDataError,
     FileFormatError,
-    IngestionError,
     InvalidParameterError,
     TrainingDivergedError,
     UndefinedMetricError,
@@ -81,7 +77,6 @@ __all__ = [
     "DegenerateDataError",
     "DeviceConfig",
     "FileFormatError",
-    "IngestionError",
     "InvalidParameterError",
     "KickConfig",
     "ResponseCoefficients",
@@ -100,7 +95,6 @@ __all__ = [
     "estimate_probabilities",
     "forward",
     "generate_simulated",
-    "ingest_experimental",
     "init_he",
     "kick_from_steps",
     "load_checkpoint",
@@ -111,7 +105,6 @@ __all__ = [
     "predict",
     "read_csv",
     "read_device_config",
-    "read_measurement_csv",
     "repeated_test_evaluation",
     "resolve_device_config",
     "sample_counts",
@@ -122,5 +115,4 @@ __all__ = [
     "voltage_probabilities",
     "write_csv",
     "write_device_config",
-    "write_measurement_csv",
 ]

@@ -2,7 +2,7 @@
 
 One binary, eight subcommands:
 
-    simulate      probabilities (optionally counts) at a voltage point or grid
+    simulate      probabilities (optionally counts) at one voltage setting
     gen-dataset   simulate a kick-augmented training dataset -> CSV
     train         fit the regressor on a dataset CSV -> checkpoint, report, curves
     predict       invert one 12-probability feature vector -> voltages
@@ -42,7 +42,6 @@ from .experiments import (
 )
 from .metrics import (
     format_value,
-    fresh_noise,
     noisy_draw,
     nrmse,
     repeated_test_evaluation,
@@ -88,11 +87,15 @@ def _mean_total(counts_flag, device, dataset=None):
 
     negative -> inherit (dataset metadata if present, else device config),
     0 -> noise-free, positive -> that many expected counts per input.
+    A dataset not simulated here inherits only its own budget: its
+    features already carry their measured noise, so `none` there means
+    no fresh noise rather than the device's budget.
     This is the only place the convention is resolved: the library takes
     the resulting photon count, or None for noise-free.
     """
-    if counts_flag is None or counts_flag < 0:
-        if dataset is not None and dataset.mean_total is not None:
+    if counts_flag < 0:
+        if dataset is not None and (dataset.mean_total is not None
+                                    or dataset.provenance != "simulated"):
             return dataset.mean_total
         return device.mean_total
     if counts_flag == 0:
@@ -124,8 +127,8 @@ def _add_train_flags(sp):
                     help="comma-separated hidden layer widths")
 
 
-def _add_grid_flags(sp, n_default=cfgmod.GRID_N):
-    sp.add_argument("--grid", type=cfgmod.parse_int, default=n_default,
+def _add_grid_flags(sp):
+    sp.add_argument("--grid", type=cfgmod.parse_int, default=cfgmod.GRID_N,
                     help="grid points per voltage axis")
     sp.add_argument("--grid-min", type=cfgmod.parse_float, default=cfgmod.GRID_V_MIN)
     sp.add_argument("--grid-max", type=cfgmod.parse_float, default=cfgmod.GRID_V_MAX)
@@ -136,32 +139,18 @@ def _add_grid_flags(sp, n_default=cfgmod.GRID_N):
 
 def cmd_simulate(args):
     device = cfgmod.resolve_device_config(args.device_config)
-    if args.volts is None and args.output is None:
-        raise InvalidParameterError("simulate needs --volts, or --grid with -o")
     mean_total = _mean_total(args.counts, device)
-    if args.volts is not None:
-        v = _parse_floats_arg(args.volts, 2, "--volts")
-        if v.min() < device.v_min or v.max() > device.v_max:
-            raise InvalidParameterError(
-                f"voltages outside the device range [{device.v_min}, {device.v_max}] V")
-        phases = phases_from_voltages(v, device.coeffs)
-        probs = voltage_probabilities(v, device.coeffs, device.tritter)
-        print(f"phases = {format_value(phases[0])} {format_value(phases[1])}")
-        print("probabilities = " + " ".join(format_value(p) for p in probs))
-        if mean_total is not None:
-            counts = sample_counts(probs, mean_total, np.random.default_rng(args.seed))
-            print("counts = " + " ".join(str(int(c)) for c in counts))
-        return 0
-    # grid mode: write a measurement-schema CSV
-    grid = datamod.build_grid(args.grid_min, args.grid_max, args.grid)
-    settings = grid.settings()
-    if settings.max() > device.v_max or settings.min() < device.v_min:
-        raise InvalidParameterError("grid exceeds the device voltage range")
-    probs = fresh_noise(voltage_probabilities(settings, device.coeffs, device.tritter),
-                        mean_total, np.random.default_rng(args.seed))
-    datamod.write_measurement_csv(settings, probs, args.output,
-                                  comment="simulated measurement grid")
-    print(f"wrote {settings.shape[0]} settings to {args.output}")
+    v = _parse_floats_arg(args.volts, 2, "--volts")
+    if v.min() < device.v_min or v.max() > device.v_max:
+        raise InvalidParameterError(
+            f"voltages outside the device range [{device.v_min}, {device.v_max}] V")
+    phases = phases_from_voltages(v, device.coeffs)
+    probs = voltage_probabilities(v, device.coeffs, device.tritter)
+    print(f"phases = {format_value(phases[0])} {format_value(phases[1])}")
+    print("probabilities = " + " ".join(format_value(p) for p in probs))
+    if mean_total is not None:
+        counts = sample_counts(probs, mean_total, np.random.default_rng(args.seed))
+        print("counts = " + " ".join(str(int(c)) for c in counts))
     return 0
 
 
@@ -360,13 +349,11 @@ def build_parser():
                                  f"or built-in defaults)")
         return sp
 
-    sp = add("simulate", cmd_simulate, "model probabilities at a point or grid")
-    sp.add_argument("--volts", help="one setting 'v1,v2'; prints to stdout")
-    _add_grid_flags(sp, n_default=50)
+    sp = add("simulate", cmd_simulate, "model probabilities at one setting")
+    sp.add_argument("--volts", required=True, help="one setting 'v1,v2'; prints to stdout")
     sp.add_argument("--counts", type=cfgmod.parse_float, default=0,
                     help="photon budget; 0 = exact probabilities, -1 = device config")
     sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
-    sp.add_argument("-o", "--output", help="measurement CSV path (grid mode)")
 
     sp = add("gen-dataset", cmd_gen_dataset, "simulate a kick-augmented dataset")
     _add_grid_flags(sp)

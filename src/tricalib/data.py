@@ -10,19 +10,14 @@ and is what makes the inverse problem well posed: the bare six
 probabilities repeat themselves across the operating range, the twelve
 almost never do.
 
-Two CSV schemas live here.  The dataset schema (one example per row,
-shared by simulated and ingested data):
+The CSV schema holds one example per row, for simulated and measured
+data alike:
 
     v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23
 
-and the measurement schema for raw per-setting grids as produced by an
-experiment (or by `tricalib simulate --grid`):
-
-    v1,v2,p11,p12,p13,p21,p22,p23
-
-Comment lines start with '#'.  The dataset writer stores provenance,
-kick offsets and the count budget in leading comments so a round-trip
-is lossless.
+Comment lines start with '#'.  The writer stores provenance, kick
+offsets and the count budget in leading comments so a round-trip is
+lossless.
 """
 
 from dataclasses import dataclass, replace
@@ -31,12 +26,7 @@ import numpy as np
 
 from .config import DeviceConfig, check_one_line, parse_float, parse_float_rows, text_lines
 from .device import voltage_probabilities
-from .errors import (
-    DegenerateDataError,
-    FileFormatError,
-    IngestionError,
-    InvalidParameterError,
-)
+from .errors import DegenerateDataError, FileFormatError, InvalidParameterError
 from .metrics import format_value, fresh_noise
 
 __all__ = [
@@ -51,13 +41,10 @@ __all__ = [
     "split",
     "write_csv",
     "read_csv",
-    "write_measurement_csv",
-    "read_measurement_csv",
-    "ingest_experimental",
 ]
 
 DATASET_HEADER = "v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23"
-MEASUREMENT_HEADER = "v1,v2,p11,p12,p13,p21,p22,p23"
+_N_COLS = DATASET_HEADER.count(",") + 1
 
 
 @dataclass(frozen=True)
@@ -264,8 +251,8 @@ def write_csv(dataset: Dataset, path):
         _write_rows(fh, np.hstack([dataset.targets, dataset.features]))
 
 
-def _parse_rows(path, header, n_cols):
-    """Shared CSV scanner: returns (metadata, rows, row_linenos).
+def _parse_rows(path):
+    """Dataset CSV scanner: returns (metadata, rows, row_linenos).
 
     Comment, metadata and blank lines are skipped line by line; the data
     lines are parsed together by `parse_float_rows`.  A wrong column
@@ -287,20 +274,20 @@ def _parse_rows(path, header, n_cols):
                 meta[key.strip()] = val.strip()
             continue
         if not saw_header:
-            if line != header:
+            if line != DATASET_HEADER:
                 raise FileFormatError(
-                    f"header mismatch: expected {header!r}", line=lineno
+                    f"header mismatch: expected {DATASET_HEADER!r}", line=lineno
                 )
             saw_header = True
             continue
-        if line.count(",") != n_cols - 1:
+        if line.count(",") != _N_COLS - 1:
             raise FileFormatError(
-                f"expected {n_cols} columns, got {line.count(',') + 1}", line=lineno
+                f"expected {_N_COLS} columns, got {line.count(',') + 1}", line=lineno
             )
         lines.append(line)
         linenos.append(lineno)
     if not saw_header:
-        raise FileFormatError(f"missing header line {header!r} in {path}")
+        raise FileFormatError(f"missing header line {DATASET_HEADER!r} in {path}")
     if not lines:
         raise FileFormatError(f"no data rows in {path}")
     try:
@@ -327,19 +314,13 @@ def _first_bad_line(lines):
     return lo
 
 
-def _check_probability_block(block, linenos, first_col):
-    bad = np.nonzero((block < 0.0) | (block > 1.0))[0]
-    if bad.size:
-        raise FileFormatError(
-            f"probability outside [0, 1] (column {first_col + 1}+)", line=linenos[bad[0]]
-        )
-
-
 def read_csv(path) -> Dataset:
     """Load a dataset CSV; validates schema, ranges and kick consistency."""
-    meta, rows, linenos = _parse_rows(path, DATASET_HEADER, 16)
+    meta, rows, linenos = _parse_rows(path)
     targets, features = rows[:, :4], rows[:, 4:]
-    _check_probability_block(features, linenos, 4)
+    bad = np.nonzero((features < 0.0) | (features > 1.0))[0]
+    if bad.size:
+        raise FileFormatError("probability outside [0, 1] (column 5+)", line=linenos[bad[0]])
     if "dv1" in meta and "dv2" in meta:
         try:
             kick = KickConfig(dv1=parse_float(meta["dv1"]), dv2=parse_float(meta["dv2"]))
@@ -376,93 +357,3 @@ def read_csv(path) -> Dataset:
         provenance=meta.get("provenance", "simulated"),
         mean_total=mean_total,
     )
-
-
-def write_measurement_csv(voltages, probs, path, comment: str | None = None):
-    """Raw per-setting grid file in the measurement schema; refuses a
-    comment that spans lines."""
-    check_one_line("comment", comment or "")
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(MEASUREMENT_HEADER + "\n")
-        _write_rows(fh, np.hstack([voltages, probs]))
-
-
-def read_measurement_csv(path):
-    """Load a measurement grid file -> (voltages (N,2), probabilities (N,6))."""
-    _, rows, linenos = _parse_rows(path, MEASUREMENT_HEADER, 8)
-    _check_probability_block(rows[:, 2:], linenos, 2)
-    return rows[:, :2], rows[:, 2:]
-
-
-def _grid_axis(values, name):
-    axis = np.unique(values)
-    if axis.size < 2:
-        raise IngestionError(f"measurement grid has fewer than 2 distinct {name} values")
-    steps = np.diff(axis)
-    if np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(float(steps[0]))):
-        raise IngestionError(f"measurement grid spacing along {name} is not uniform")
-    return axis, float(steps[0])
-
-
-def _steps_on_axis(dv, step, name):
-    ratio = dv / step
-    k = int(round(ratio))
-    if k < 1 or abs(ratio - k) > 1e-6:
-        raise IngestionError(
-            f"kick {name} = {dv!r} V is not a positive integer multiple "
-            f"of the grid step {step!r} V"
-        )
-    return k
-
-
-def ingest_experimental(path, kick: KickConfig):
-    """Assemble kicked examples from a measured rectangular grid.
-
-    Each setting is paired with the setting one kick away on the same
-    grid; border settings whose partner was never measured are dropped.
-    Returns (dataset, n_dropped).
-
-    Raises ingestion errors when the grid is not rectangular/uniform or
-    the kick does not land on grid points.
-    """
-    voltages, probs = read_measurement_csv(path)
-    axis1, step1 = _grid_axis(voltages[:, 0], "v1")
-    axis2, step2 = _grid_axis(voltages[:, 1], "v2")
-    if axis1.size * axis2.size != voltages.shape[0]:
-        raise IngestionError(
-            f"measurement grid is not rectangular: {axis1.size} x {axis2.size} "
-            f"axes but {voltages.shape[0]} rows"
-        )
-    index = {}
-    for row, (u, w) in enumerate(voltages):
-        i = int(np.searchsorted(axis1, u))
-        j = int(np.searchsorted(axis2, w))
-        if (i, j) in index:
-            raise IngestionError(f"duplicate measurement at v = ({u!r}, {w!r})")
-        index[(i, j)] = row
-    # n1 * n2 rows and no setting twice: every setting of the grid is present
-    s1 = _steps_on_axis(kick.dv1, step1, "dv1")
-    s2 = _steps_on_axis(kick.dv2, step2, "dv2")
-
-    feats, targs = [], []
-    dropped = 0
-    for i in range(axis1.size):
-        for j in range(axis2.size):
-            pi, pj = i + s1, j + s2
-            if pi >= axis1.size or pj >= axis2.size:
-                dropped += 1
-                continue
-            feats.append(np.concatenate([probs[index[(i, j)]], probs[index[(pi, pj)]]]))
-            targs.append([axis1[i], axis2[j], axis1[pi], axis2[pj]])
-    if not feats:
-        raise IngestionError("kick larger than the measured grid; no examples remain")
-    dataset = Dataset(
-        features=np.array(feats),
-        targets=np.array(targs),
-        kick=kick,
-        provenance="experimental",
-        mean_total=None,
-    )
-    return dataset, dropped

@@ -5,12 +5,11 @@ Every failure the library can signal deliberately derives from
 plus a process exit code used by the command line front end.
 
 Exit code map (2 is reserved for argparse usage errors, 10 for OS-level
-file problems):
+file problems; 6 is retired and not reused):
 
     3  invalid-parameter   bad numeric input, out-of-range voltage, ...
     4  degenerate-data     zero counts, constant target dimension, ...
     5  file-format         malformed config/CSV row (reported with line number)
-    6  ingestion           measurement grid cannot be paired with kicks
     7  checkpoint          bad magic/version/checksum, truncated or malformed file, nan/inf value
     8  training-diverged   non-finite loss during optimization
     9  undefined-metric    cosine of a zero-norm vector
@@ -35,7 +34,7 @@ class DegenerateDataError(CalibrationError):
 
 
 class FileFormatError(CalibrationError):
-    """Parse failure in a config, dataset or measurement file.
+    """Parse failure in a config or dataset file.
 
     `line` is the 1-based line number when one can be attributed.
     """
@@ -48,11 +47,6 @@ class FileFormatError(CalibrationError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class IngestionError(CalibrationError):
-    category = "ingestion"
-    exit_code = 6
 
 
 class CheckpointError(CalibrationError):

@@ -113,8 +113,8 @@ def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
     """Noise-free feature probabilities for every example of a dataset.
 
     Simulated data are re-evaluated through the device model at their
-    target voltages; for experimental data the stored probabilities are
-    the best available stand-in for the truth.
+    target voltages; for data not simulated here the stored probabilities
+    are the best available stand-in for the truth.
     """
     if dataset.provenance == "simulated":
         return exact_features(dataset.targets, device)
@@ -125,8 +125,8 @@ def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.
     """Off-grid test pool: noise-free (features, targets) at uniform draws.
 
     Draws len(dataset) base settings uniformly over the dataset's base
-    target box and pairs each with its kicked setting.  Only simulated
-    data have a device model behind them to evaluate off the grid.
+    target box and pairs each with its kicked setting.  Only data simulated
+    here have a device model behind them to evaluate off the grid.
     """
     if dataset.provenance != "simulated":
         raise InvalidParameterError("uniform (off-grid) sampling needs a simulated dataset")

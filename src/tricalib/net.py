@@ -306,9 +306,10 @@ def _one_blas_thread():
     The pin is reference-counted: the first block to enter saves the
     thread count and sets 1, and the last to leave restores it, so a
     nested or concurrent block never restores the count under one still
-    running.  Concurrent trainings in a thread pool then each run on one
-    core instead of every training's matrix products fanning out over
-    all of them.  Where no OpenBLAS is found this does nothing.
+    running.  The CLI's pooled trainings run in forked processes, each
+    with its own count; the reference count is for library callers that
+    train from several threads of one process.  Where no OpenBLAS is
+    found this does nothing.
     """
     global _pin_holders, _pin_saved
     calls = _openblas_threads()

@@ -14,7 +14,6 @@ from tricalib.errors import (
     CheckpointError,
     DegenerateDataError,
     FileFormatError,
-    IngestionError,
     InvalidParameterError,
 )
 from tricalib.metrics import cosine_similarity, nrmse
@@ -231,7 +230,6 @@ def test_criterion_8_format_round_trips(capsys, default_pipeline, tmp_path):
     expectations = [
         ("file-format", 5, FileFormatError),
         ("checkpoint", 7, CheckpointError),
-        ("ingestion", 6, IngestionError),
         ("degenerate-data", 4, DegenerateDataError),
         ("invalid-parameter", 3, InvalidParameterError),
     ]

@@ -10,23 +10,16 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tricalib import cli, metrics
+from tricalib import cli, errors, metrics
 from tricalib.config import default_device_config, write_device_config
-from tricalib.data import (
-    build_grid,
-    ingest_experimental,
-    kick_from_steps,
-    read_csv,
-    read_measurement_csv,
-    write_csv,
-)
-from tricalib.device import ResponseCoefficients, tritter_unitary, voltage_probabilities
-from tricalib.errors import FileFormatError
+from tricalib.data import read_csv, write_csv
+from tricalib.device import ResponseCoefficients, tritter_unitary
 from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
 from tricalib.metrics import noisy_draw
 from tricalib.net import TrainConfig, forward, load_checkpoint
@@ -74,43 +67,23 @@ def test_simulate_point_with_counts(capsys):
     assert len(counts) == 6 and all(c >= 0 for c in counts)
 
 
-def test_simulate_negative_counts_inherit_device_budget(tmp_path, capsys):
+def test_simulate_negative_counts_inherit_device_budget(capsys):
     """--counts -1 means "device config" in simulate as in every subcommand."""
     def outputs(counts):
         assert run_cli(["simulate", "--volts", "3,4", "--counts", counts]) == 0
-        stdout = capsys.readouterr().out
-        path = tmp_path / f"grid_{counts}.csv"
-        assert run_cli(["simulate", "--grid", "6", "--counts", counts,
-                        "-o", str(path)]) == 0
-        capsys.readouterr()  # "wrote ... to <path>" names the path
-        return stdout, path.read_bytes()
+        return capsys.readouterr().out
 
     inherited = outputs("-1")
-    assert "counts = " in inherited[0]
+    assert "counts = " in inherited
     assert inherited == outputs(str(default_device_config().mean_total))
 
 
-def test_simulate_grid_writes_measurement_csv(tmp_path):
-    """The noise-free grid file holds the model probabilities bit for bit."""
-    out = tmp_path / "grid.csv"
-    assert run_cli(["simulate", "--grid", "7", "--grid-min", "0.0",
-                    "--grid-max", "6.0", "--counts", "0", "-o", str(out)]) == 0
-    volts, probs = read_measurement_csv(out)
-    assert volts.shape == (49, 2)
-    assert probs.shape == (49, 6)
-    assert same_bits(volts, build_grid(0.0, 6.0, 7).settings())
-    dev = default_device_config()
-    assert same_bits(probs, voltage_probabilities(volts, dev.coeffs, dev.tritter))
-    assert probs.min() >= 0.0 and probs.max() <= 1.0
-    np.testing.assert_allclose(probs[:, :3].sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(probs[:, 3:].sum(axis=1), 1.0, atol=1e-12)
-    # zero volts means zero phase: the device routes 1->1 and 2->3
-    corner = np.flatnonzero((volts == 0.0).all(axis=1))[0]
-    np.testing.assert_allclose(probs[corner], [1, 0, 0, 0, 0, 1], atol=1e-12)
-
-
-def test_simulate_needs_volts_or_output():
-    assert run_cli(["simulate"]) == 3
+def test_simulate_needs_volts(capsys):
+    """--volts is required, so a bare `simulate` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --volts" in capsys.readouterr().err
 
 
 def test_simulate_rejects_out_of_range_volts():
@@ -255,21 +228,14 @@ def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     assert read_report(out / "report.txt")["sampling"] == "uniform"
 
 
-def experimental_dataset(tmp_path):
-    """Measured-grid file -> ingested dataset CSV with experimental provenance."""
-    meas = tmp_path / "meas.csv"
-    assert run_cli(["simulate", "--grid", "8", "--grid-min", "1.0",
-                    "--grid-max", "5.0", "-o", str(meas)]) == 0
-    kick = kick_from_steps(build_grid(1.0, 5.0, 8), 1, 1)
-    ds, n_dropped = ingest_experimental(meas, kick)
-    assert ds.provenance == "experimental" and n_dropped == 15
-    path = tmp_path / "exp.csv"
-    write_csv(ds, path)
+def relabelled_dataset(toy, path, **changes):
+    """The toy dataset written to `path` with some metadata changed."""
+    write_csv(replace(read_csv(toy["ds"]), **changes), path)
     return path
 
 
 def test_evaluate_uniform_rejected_on_experimental(toy, tmp_path):
-    exp = experimental_dataset(tmp_path)
+    exp = relabelled_dataset(toy, tmp_path / "exp.csv", provenance="experimental")
     assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(exp),
                     "-o", str(tmp_path / "e1"), "--reps", "2", "--rep-size", "10",
                     "--sampling", "uniform"]) == 3
@@ -277,6 +243,30 @@ def test_evaluate_uniform_rejected_on_experimental(toy, tmp_path):
     assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(exp),
                     "-o", str(tmp_path / "e2"), "--reps", "2",
                     "--rep-size", "10"]) == 0
+
+
+def test_evaluate_inherits_no_noise_for_measured_data_without_a_budget(toy, tmp_path):
+    """A dataset not simulated here already carries its measured noise, so
+    with `mean_total = none` the default --counts adds no fresh noise; a
+    budget it records is inherited, and a simulated noise-free dataset
+    still takes the device's budget."""
+    def evaluate(dataset, *counts):
+        out = tmp_path / f"eval_{dataset.stem}{''.join(counts)}"
+        assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(dataset),
+                        "-o", str(out), "--reps", "3", "--rep-size", "10", *counts]) == 0
+        return read_report(out / "report.txt")["mean_total"], (out / "reps.csv").read_bytes()
+
+    measured = relabelled_dataset(toy, tmp_path / "measured.csv",
+                                  provenance="experimental", mean_total=None)
+    budget, reps = evaluate(measured)
+    assert budget == "none"
+    assert reps == evaluate(measured, "--counts", "0")[1]
+    assert reps != evaluate(measured, "--counts", "1000")[1]
+    recorded = relabelled_dataset(toy, tmp_path / "recorded.csv",
+                                  provenance="experimental", mean_total=500.0)
+    assert evaluate(recorded)[0] == 500.0
+    clean = relabelled_dataset(toy, tmp_path / "clean.csv", mean_total=None)
+    assert evaluate(clean)[0] == default_device_config().mean_total
 
 
 # ---------------------------------------------------------- study front end
@@ -519,9 +509,25 @@ def test_subcommand_lists_agree():
     assert set(re.findall(r"^    ([a-z][a-z-]*)  ", cli.__doc__, re.M)) == _subcommand_names()
 
 
-def test_device_config_override_changes_phases(tmp_path, capsys):
-    from dataclasses import replace
+def test_exit_code_lists_agree():
+    """README's exit-code table, the `errors` module docstring's map and the
+    error classes name the same codes; the CLI adds 0 (success), 2
+    (argparse usage) and 10 (OS errors)."""
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.CalibrationError)
+               and c is not errors.CalibrationError]
+    by_code = {c.exit_code: c.category for c in classes}
+    assert len(by_code) == len(classes), "two error classes share an exit code"
+    doc_map = re.findall(r"^    (\d+)  ([a-z-]+) ", errors.__doc__, re.M)
+    assert {int(code): category for code, category in doc_map} == by_code
+    assert len(doc_map) == len(by_code)
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    codes = [int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)]
+    assert sorted(codes) == sorted({*by_code, 0, 2, cli.OS_ERROR_EXIT})
 
+
+def test_device_config_override_changes_phases(tmp_path, capsys):
     dev = default_device_config()
     softer = replace(dev, coeffs=ResponseCoefficients(
         dev.coeffs.alpha * 0.5, dev.coeffs.alpha_nl * 0.5, dev.coeffs.resistances))
@@ -551,8 +557,6 @@ def test_exit_code_non_utf8_device_config(tmp_path, capsys):
 
 def test_exit_code_non_finite_tritter_device_config(tmp_path, capsys):
     """A NaN in the tritter override is exit 3, not `probabilities = nan`."""
-    from dataclasses import replace
-
     cfg_path = tmp_path / "device.cfg"
     write_device_config(replace(default_device_config(), tritter=tritter_unitary()), cfg_path)
     text = cfg_path.read_text()
@@ -762,11 +766,9 @@ def test_exit_code_python_only_number_spelling_typed_flag(capsys, argv):
                                        "at a budget of 5 photons per input"),
     (["evaluate", "-m", "{model}", "-i", "{ds}", "--counts", "0.01"],
      "398 of 400 acquisitions drew zero photons at a budget of 0.01 photons per input"),
-    (["simulate", "--grid", "10", "--counts", "0.001"],
-     "200 of 200 acquisitions drew zero photons at a budget of 0.001 photons per input"),
     (["surface", "-m", "{model}", "-i", "{ds}", "--counts", "0.01"],
      "398 of 400 acquisitions drew zero photons at a budget of 0.01 photons per input"),
-], ids=["gen-dataset", "evaluate", "simulate", "surface"])
+], ids=["gen-dataset", "evaluate", "surface"])
 def test_exit_code_zero_count_acquisitions(toy, tmp_path, capsys, argv, message):
     """A budget too low for every triple to see a photon is exit 4 in
     every command that draws noise; the message names the budget and how
@@ -797,17 +799,6 @@ def test_exit_code_non_utf8_dataset(toy, tmp_path, capsys):
     assert err.startswith("error[file-format]: ") and "is not UTF-8 text" in err, err
     assert "Traceback" not in err and err.count("\n") == 1, err
     assert not (tmp_path / "m.ckpt").exists()
-
-
-def test_non_utf8_measurement_csv_is_a_file_format_error(tmp_path):
-    """No subcommand reads a measurement CSV, so the library reader is
-    checked directly: the error maps to exit 5."""
-    path = tmp_path / "grid.csv"
-    assert run_cli(["simulate", "--grid", "4", "-o", str(path)]) == 0
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
-    with pytest.raises(FileFormatError, match="is not UTF-8 text") as exc:
-        read_measurement_csv(path)
-    assert exc.value.exit_code == 5
 
 
 @pytest.mark.parametrize("dv1", ["nan", "-0.5", "1_0"])

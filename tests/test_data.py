@@ -1,5 +1,5 @@
-"""Grids, kick-augmented dataset generation, splits, normalization,
-CSV round-trips, and experimental ingestion."""
+"""Grids, kick-augmented dataset generation, splits, normalization and
+CSV round-trips."""
 
 import io
 from dataclasses import replace
@@ -19,13 +19,10 @@ from tricalib.data import (
     build_grid,
     exact_features,
     generate_simulated,
-    ingest_experimental,
     kick_from_steps,
     read_csv,
-    read_measurement_csv,
     split,
     write_csv,
-    write_measurement_csv,
 )
 from tricalib.device import voltage_probabilities
 from tricalib.metrics import fresh_noise
@@ -34,7 +31,6 @@ from tricalib.errors import (
     CalibrationError,
     DegenerateDataError,
     FileFormatError,
-    IngestionError,
     InvalidParameterError,
 )
 
@@ -354,33 +350,6 @@ def test_header_only_rejected(tmp_path):
         read_csv(path)
 
 
-def test_measurement_round_trip(tmp_path):
-    grid = build_grid(1.0, 4.0, 6)
-    settings = grid.settings()
-    probs = voltage_probabilities(settings, DEV.coeffs, DEV.tritter)
-    path = tmp_path / "m.csv"
-    write_measurement_csv(settings, probs, path, comment="model grid")
-    v, p = read_measurement_csv(path)
-    assert np.array_equal(v, settings)
-    assert np.array_equal(p, probs)
-
-
-def test_measurement_bad_probability_rejected(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n1.0,1.0,1.2,0.0,0.0,0.3,0.3,0.4\n")
-    with pytest.raises(FileFormatError):
-        read_measurement_csv(path)
-
-
-def test_measurement_non_finite_rejected(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
-                    "1.0,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n"
-                    "inf,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n")
-    with pytest.raises(FileFormatError, match="line 3: non-finite"):
-        read_measurement_csv(path)
-
-
 @pytest.mark.parametrize("bad", [[0], [3], [8], [2, 7], [5, 6, 8]])
 def test_non_numeric_field_reports_first_bad_line(tmp_path, bad):
     """Every data line is parsed in one call; the error still names the
@@ -401,20 +370,26 @@ def test_non_numeric_field_reports_first_bad_line(tmp_path, bad):
 def test_python_only_float_spellings_rejected(tmp_path, field):
     """Digit-group underscores and non-ASCII digits, which Python's float()
     would take, are not numbers in a CSV file."""
-    path = tmp_path / "m.csv"
-    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
-                    "1.0,1.0,0.2,0.3,0.5,0.3,0.3,0.4\n"
-                    f"{field},1.0,0.2,0.3,0.5,0.3,0.3,0.4\n", encoding="utf-8")
-    with pytest.raises(FileFormatError, match="line 3: non-numeric field"):
-        read_measurement_csv(path)
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(6, field + ls[6][3:]))
+    with pytest.raises(FileFormatError, match="line 7: non-numeric field"):
+        read_csv(path)
 
 
 def test_whitespace_around_fields_accepted(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("v1,v2,p11,p12,p13,p21,p22,p23\n"
-                    " 1.0 ,\t2.5,0.2 , 0.3,0.5,0.3,0.3,0.4\n")
-    v, p = read_measurement_csv(path)
-    assert v.tolist() == [[1.0, 2.5]] and p.shape == (1, 6)
+    plain = read_csv(corrupt(tmp_path, lambda ls: None))
+    padded = read_csv(corrupt(tmp_path, lambda ls: ls.__setitem__(
+        5, ",".join(f" {field}\t" for field in ls[5].split(",")))))
+    assert np.array_equal(padded.targets, plain.targets)
+    assert np.array_equal(padded.features, plain.features)
+
+
+def test_non_utf8_dataset_csv_is_a_file_format_error(tmp_path):
+    """The reader's error for a non-UTF-8 file maps to exit 5."""
+    path = corrupt(tmp_path, lambda ls: None)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    with pytest.raises(FileFormatError, match="is not UTF-8 text") as exc:
+        read_csv(path)
+    assert exc.value.exit_code == 5
 
 
 @pytest.mark.parametrize("provenance", ["run 1\nrun 2", "run 1\r", "\r\n"])
@@ -434,17 +409,6 @@ def test_padded_provenance_refused(tmp_path, provenance):
     path = tmp_path / "d.csv"
     with pytest.raises(InvalidParameterError, match="whitespace"):
         write_csv(ds, path)
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("comment", ["run 1\nrun 2", "run 1\r"])
-def test_multiline_measurement_comment_refused(tmp_path, comment):
-    """A line break in the comment would give a file its own reader rejects."""
-    settings_ = build_grid(1.0, 4.0, 3).settings()
-    probs = voltage_probabilities(settings_, DEV.coeffs, DEV.tritter)
-    path = tmp_path / "m.csv"
-    with pytest.raises(InvalidParameterError, match="comment must be one line"):
-        write_measurement_csv(settings_, probs, path, comment=comment)
     assert not path.exists()
 
 
@@ -544,132 +508,31 @@ def test_dataset_csv_round_trip_property(tmp_path_factory, data, n, dv, mean_tot
     assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 8))
-def test_measurement_csv_round_trip_property(tmp_path_factory, data, n):
-    volts, probs = cells(data, (n, 2), FINITE), cells(data, (n, 6), PROBABILITY)
-    root = tmp_path_factory.mktemp("csv")
-    write_measurement_csv(volts, probs, root / "a.csv", comment="property")
-    v, p = read_measurement_csv(root / "a.csv")
-    assert same_bits(v, volts) and same_bits(p, probs)
-    write_measurement_csv(v, p, root / "b.csv", comment="property")
-    assert (root / "a.csv").read_bytes() == (root / "b.csv").read_bytes()
-
-
 @pytest.fixture(scope="module")
-def csv_fuzz_bases(tmp_path_factory):
-    """A small dataset file and measurement file, and a path for their mutants."""
+def csv_fuzz_base(tmp_path_factory):
+    """A small dataset file's bytes, and a path for its mutants."""
     root = tmp_path_factory.mktemp("csv_fuzz")
     write_csv(small_dataset(n=3), root / "d.csv")
-    settings_ = build_grid(1.0, 4.0, 3).settings()
-    write_measurement_csv(settings_, voltage_probabilities(settings_, DEV.coeffs, DEV.tritter),
-                          root / "m.csv", comment="fuzz")
-    return {"dataset": (root / "d.csv").read_bytes(),
-            "measurement": (root / "m.csv").read_bytes(), "mutant": root / "mutant.csv"}
+    return (root / "d.csv").read_bytes(), root / "mutant.csv"
 
 
 @settings(max_examples=300, deadline=None)
-@given(schema=st.sampled_from(["dataset", "measurement"]),
-       mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3))
-# '.' -> '_' in the v1 of the second data row makes '1_0', which float() reads as 10
-@example(schema="measurement", mutations=[("flip", 3, 1, ord(".") ^ ord("_"))])
-def test_csv_byte_mutation_fuzz(csv_fuzz_bases, schema, mutations):
+@given(mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3))
+# '.' -> '_' in the v1 of the second data row makes '2_0', which float() reads as 20
+@example(mutations=[("flip", 6, 1, ord(".") ^ ord("_"))])
+def test_csv_byte_mutation_fuzz(csv_fuzz_base, mutations):
     """Flipped, inserted or deleted bytes give a CalibrationError or arrays
     of the schema's shape that are all finite, probabilities in [0, 1]."""
-    data = csv_fuzz_bases[schema]
+    data, path = csv_fuzz_base
     for mutation in mutations:
         data = mutate_bytes(data, *mutation)
-    path = csv_fuzz_bases["mutant"]
     path.write_bytes(data)
     try:
-        if schema == "dataset":
-            ds = read_csv(path)
-            volts, probs = ds.targets, ds.features
-            assert ds.kick.dv1 > 0 and ds.kick.dv2 > 0
-        else:
-            volts, probs = read_measurement_csv(path)
+        ds = read_csv(path)
     except CalibrationError:
         return
-    width = 12 if schema == "dataset" else 6
-    assert volts.shape == (len(probs), width // 3) and probs.shape[1:] == (width,)
+    volts, probs = ds.targets, ds.features
+    assert ds.kick.dv1 > 0 and ds.kick.dv2 > 0
+    assert volts.shape == (len(probs), 4) and probs.shape[1:] == (12,)
     assert np.isfinite(volts).all() and np.isfinite(probs).all()
     assert ((probs >= 0.0) & (probs <= 1.0)).all()
-
-
-# ---------------------------------------------------------------- ingestion
-
-
-def measured_grid_file(tmp_path, n=50, v_lo=1.0, v_hi=6.0, name="m.csv"):
-    grid = build_grid(v_lo, v_hi, n)
-    settings = grid.settings()
-    probs = voltage_probabilities(settings, DEV.coeffs, DEV.tritter)
-    path = tmp_path / name
-    write_measurement_csv(settings, probs, path)
-    return path, grid
-
-
-def test_ingest_pairing_counts(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=50)
-    kick = kick_from_steps(grid, 5, 5)
-    ds, dropped = ingest_experimental(path, kick)
-    assert len(ds) == 45 * 45 == 2025
-    assert dropped == 2500 - 2025
-    assert ds.provenance == "experimental"
-
-
-def test_ingest_matches_simulation_on_grid(tmp_path):
-    """Pairing grid points reproduces direct simulation of the interior."""
-    path, grid = measured_grid_file(tmp_path, n=13, v_lo=1.0, v_hi=7.0)
-    kick = kick_from_steps(grid, 2, 2)
-    ing, _ = ingest_experimental(path, kick)
-    inner = build_grid(1.0, 6.0, 11)
-    ref = generate_simulated(inner, kick, DEV, np.random.default_rng(0), mean_total=None)
-    oi = np.lexsort((ing.targets[:, 1], ing.targets[:, 0]))
-    orf = np.lexsort((ref.targets[:, 1], ref.targets[:, 0]))
-    assert np.abs(ing.targets[oi] - ref.targets[orf]).max() < 1e-12
-    assert np.abs(ing.features[oi] - ref.features[orf]).max() < 1e-12
-
-
-def test_ingest_kick_off_grid_rejected(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=10)
-    with pytest.raises(IngestionError, match="integer multiple"):
-        ingest_experimental(path, KickConfig(dv1=0.3, dv2=0.3))
-
-
-def test_ingest_non_rectangular_rejected(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=6)
-    lines = path.read_text().splitlines()
-    del lines[3]  # drop one measured setting
-    path.write_text("\n".join(lines) + "\n")
-    kick = kick_from_steps(grid, 1, 1)
-    with pytest.raises(IngestionError):
-        ingest_experimental(path, kick)
-
-
-def test_ingest_duplicate_setting_rejected(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=6)
-    lines = path.read_text().splitlines()
-    lines.append(lines[2])
-    path.write_text("\n".join(lines) + "\n")
-    kick = kick_from_steps(grid, 1, 1)
-    with pytest.raises(IngestionError):
-        ingest_experimental(path, kick)
-
-
-def test_ingest_kick_spanning_grid_rejected(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=6)
-    step = float(grid.v1_values[1] - grid.v1_values[0])
-    with pytest.raises(IngestionError, match="no examples"):
-        ingest_experimental(path, KickConfig(dv1=6 * step, dv2=6 * step))
-
-
-def test_ingested_dataset_survives_csv_round_trip(tmp_path):
-    path, grid = measured_grid_file(tmp_path, n=8)
-    kick = kick_from_steps(grid, 2, 2)
-    ds, _ = ingest_experimental(path, kick)
-    out = tmp_path / "ingested.csv"
-    write_csv(ds, out)
-    back = read_csv(out)
-    assert back.provenance == "experimental"
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.targets, ds.targets)

@@ -87,15 +87,16 @@ def _mean_total(counts_flag, device, dataset=None):
 
     negative -> inherit (dataset metadata if present, else device config),
     0 -> noise-free, positive -> that many expected counts per input.
-    A dataset not simulated here inherits only its own budget: its
-    features already carry their measured noise, so `none` there means
-    no fresh noise rather than the device's budget.
+    A dataset not simulated here inherits no fresh noise: its features
+    already carry their measured noise, and a `mean_total` it records is
+    the budget that noise was taken at, not one to spend again.
     This is the only place the convention is resolved: the library takes
     the resulting photon count, or None for noise-free.
     """
     if counts_flag < 0:
-        if dataset is not None and (dataset.mean_total is not None
-                                    or dataset.provenance != "simulated"):
+        if dataset is not None and dataset.provenance != "simulated":
+            return None
+        if dataset is not None and dataset.mean_total is not None:
             return dataset.mean_total
         return device.mean_total
     if counts_flag == 0:

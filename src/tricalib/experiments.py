@@ -35,7 +35,7 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, forward, train
+from .net import TrainConfig, _openblas_threads, forward, train
 
 __all__ = [
     "SweepConfig",
@@ -91,16 +91,26 @@ def _in_workers(task, arg_lists, jobs):
     under `fork` the pool's semaphores are unlinked at once, so no
     resource-tracker process starts either.  The `with` block joins every
     worker on success and on error; a task's exception, pickled back
-    from its worker, is raised here.  Each `net.train` pins OpenBLAS to
-    one thread in its own worker.
+    from its worker, is raised here.  Each worker sets OpenBLAS to one
+    thread when it starts, so a whole task, its forward passes outside
+    `net.train` included, runs single-threaded beside the other
+    workers; the worker exits afterwards, so nothing is restored.
     """
     # imported here: `multiprocessing` costs every other command start-up time
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(arg_lists)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread_for_life) as pool:
         return list(pool.map(task, *zip(*arg_lists)))
+
+
+def _one_blas_thread_for_life():
+    """Set this process's OpenBLAS to one thread, where there is one."""
+    calls = _openblas_threads()
+    if calls is not None:
+        calls[1](1)
 
 
 def train_config_pairs(cfg: TrainConfig):

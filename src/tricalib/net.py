@@ -17,6 +17,13 @@ hence the same bits, but a few large numpy calls instead of many small
 ones.  OpenBLAS is held on one thread for the whole loop: the
 matrices are small, and idle BLAS workers only compete with it.
 
+Each layer of the forward pass allocates one array, its matmul's
+result, and adds the bias and applies the ReLU to it in place; the
+backward pass reads the ReLU mask from those activations, so no
+pre-activation is kept.  These are the operations of one fresh array
+per operation, in the same order and dtype, hence the same bits, with
+one allocation per hidden layer instead of three.
+
 The network maps the 12 kick-augmented probabilities to the 4 target
 voltages (scaled to [0, 1] for training).  Parameters are a list of
 (weight, bias) pairs, weights stored (out, in).  The training loss is
@@ -135,18 +142,19 @@ def init_he(sizes, rng: np.random.Generator):
 
 
 def _forward_cached(params, X):
-    """Returns (activations per layer incl. input, hidden preactivations)."""
+    """The activations of every layer, the input `X` first and the output
+    last.  Each layer's matmul makes one new array, and the bias and the
+    ReLU are applied to it in place, so `X` is never written."""
     acts = [X]
-    zs = []
-    A = X
     for W, b in params[:-1]:
-        z = A @ W.T + b
-        zs.append(z)
-        A = np.maximum(z, 0.0)
-        acts.append(A)
+        A = np.matmul(acts[-1], W.T)
+        A += b
+        acts.append(np.maximum(A, 0.0, out=A))
     W, b = params[-1]
-    acts.append(A @ W.T + b)
-    return acts, zs
+    out = np.matmul(acts[-1], W.T)
+    out += b
+    acts.append(out)
+    return acts
 
 
 def _in_weight_dtype(params, X):
@@ -158,7 +166,7 @@ def forward(params, X):
     """Network output for a single feature vector or an (N, n_in) batch."""
     X = _in_weight_dtype(params, X)
     single = X.ndim == 1
-    out = _forward_cached(params, np.atleast_2d(X))[0][-1]
+    out = _forward_cached(params, np.atleast_2d(X))[-1]
     return out[0] if single else out
 
 
@@ -169,21 +177,29 @@ def loss(params, X, Y) -> float:
     return float(np.sqrt((e**2).mean(axis=1)).mean())
 
 
-def _grads_from_cache(params, acts, zs, Y, grads):
+def _grads_from_cache(params, acts, Y, grads):
     """Write the exact gradient of `loss` into `grads`, a list of (gW, gb)
     arrays shaped like `params`, and return the batch loss.  The ReLU
-    subgradient at 0 is taken as 0."""
+    subgradient at 0 is taken as 0.
+
+    The ReLU mask is read from the activations: max(z, 0) > 0 exactly
+    where z > 0, NaN and -0.0 included, so no pre-activation is kept.
+    The means are `np.add.reduce` and a division by the count, which is
+    what `ndarray.mean` computes, without its Python wrapper."""
     e = acts[-1] - Y
     B, K = e.shape
-    rmse = np.sqrt((e**2).mean(axis=1, keepdims=True))
+    rmse = np.add.reduce(np.square(e), axis=1, keepdims=True)
+    rmse /= K
+    np.sqrt(rmse, out=rmse)
     d = e / (B * K * np.where(rmse > 0.0, rmse, 1.0))
     for li in range(len(params) - 1, -1, -1):
         gW, gb = grads[li]
         np.matmul(d.T, acts[li], out=gW)
-        d.sum(axis=0, out=gb)
+        np.add.reduce(d, axis=0, out=gb)
         if li > 0:
-            d = (d @ params[li][0]) * (zs[li - 1] > 0.0)
-    return float(rmse.mean())
+            d = d @ params[li][0]
+            d *= acts[li] > 0.0
+    return float(np.add.reduce(rmse, axis=None) / B)
 
 
 def _flat_views(params, dtype):
@@ -203,9 +219,9 @@ def backward(params, X, Y):
     """Gradient of `loss` w.r.t. every weight and bias."""
     X = np.atleast_2d(_in_weight_dtype(params, X))
     Y = np.atleast_2d(_in_weight_dtype(params, Y))
-    acts, zs = _forward_cached(params, X)
+    acts = _forward_cached(params, X)
     _, grads = _flat_views(params, X.dtype)
-    _grads_from_cache(params, acts, zs, Y, grads)
+    _grads_from_cache(params, acts, Y, grads)
     return grads
 
 
@@ -219,7 +235,9 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
 
     Per element this is m = m*b1 + (1-b1)*g, v = v*b2 + (1-b2)*g^2,
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), evaluated in that order with
-    two scratch arrays per tensor.
+    two scratch arrays per tensor.  From step 356 on, c1 = 1 - b1^t
+    rounds to exactly 1.0, and m/1.0 is m bit for bit, so that division
+    is skipped: one pass fewer per tensor for nearly every step.
     """
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
     state.t += 1
@@ -237,8 +255,11 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
             den = np.divide(v, c2)
             np.sqrt(den, out=den)
             den += eps
-            np.divide(m, c1, out=tmp)
-            tmp *= lr
+            if c1 == 1.0:
+                np.multiply(m, lr, out=tmp)
+            else:
+                np.divide(m, c1, out=tmp)
+                tmp *= lr
             tmp /= den
             p -= tmp
     return params, state
@@ -382,8 +403,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
             loss_sum = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                acts, zs = _forward_cached(params, X[idx])
-                batch_loss = _grads_from_cache(params, acts, zs, Y[idx], grads)
+                acts = _forward_cached(params, X[idx])
+                batch_loss = _grads_from_cache(params, acts, Y[idx], grads)
                 adam_step([flat], [flat_grads], state, config)
                 loss_sum += batch_loss * idx.size
             train_loss = loss_sum / n

@@ -247,9 +247,9 @@ def test_evaluate_uniform_rejected_on_experimental(toy, tmp_path):
 
 def test_evaluate_inherits_no_noise_for_measured_data_without_a_budget(toy, tmp_path):
     """A dataset not simulated here already carries its measured noise, so
-    with `mean_total = none` the default --counts adds no fresh noise; a
-    budget it records is inherited, and a simulated noise-free dataset
-    still takes the device's budget."""
+    the default --counts adds no fresh noise, whether its `mean_total` is
+    `none` or records the budget that noise was taken at; a simulated
+    noise-free dataset still takes the device's budget."""
     def evaluate(dataset, *counts):
         out = tmp_path / f"eval_{dataset.stem}{''.join(counts)}"
         assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(dataset),
@@ -264,7 +264,9 @@ def test_evaluate_inherits_no_noise_for_measured_data_without_a_budget(toy, tmp_
     assert reps != evaluate(measured, "--counts", "1000")[1]
     recorded = relabelled_dataset(toy, tmp_path / "recorded.csv",
                                   provenance="experimental", mean_total=500.0)
-    assert evaluate(recorded)[0] == 500.0
+    budget, recorded_reps = evaluate(recorded)
+    assert budget == "none"
+    assert recorded_reps == evaluate(recorded, "--counts", "0")[1]
     clean = relabelled_dataset(toy, tmp_path / "clean.csv", mean_total=None)
     assert evaluate(clean)[0] == default_device_config().mean_total
 

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from tricalib import net
+from tricalib import experiments, net
 from tricalib.config import default_device_config
 from tricalib.data import (
     build_grid,
@@ -208,12 +208,34 @@ def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count,
     assert blas_count() == outside
 
 
-class RecordingPool:
-    """Stands in for `ProcessPoolExecutor`: records the worker count and
-    start method each pool asks for, and runs its tasks in this process."""
+def blas_count_in_task(_):
+    """The OpenBLAS thread count of the process running this task."""
+    calls = net._openblas_threads()
+    return None if calls is None else calls[0]()
 
-    def __init__(self, requests, max_workers, mp_context):
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_workers_run_whole_tasks_on_one_blas_thread(blas_count, jobs):
+    """A worker is on one OpenBLAS thread from its start, so the forward
+    passes a task runs outside `net.train` (the sweep's test draw, the
+    ablation's validation forward) are single-threaded too; this
+    process's count is unchanged."""
+    outside = blas_count()
+    counts = experiments._in_workers(blas_count_in_task, [(i,) for i in range(2)], jobs)
+    assert counts == [None if outside is None else 1] * 2
+    assert blas_count() == outside
+    assert multiprocessing.active_children() == []
+
+
+class RecordingPool:
+    """Stands in for `ProcessPoolExecutor`: records the worker count,
+    start method and initializer each pool asks for, and runs its tasks
+    in this process (without the initializer, which would pin this
+    process's OpenBLAS)."""
+
+    def __init__(self, requests, max_workers, mp_context, initializer):
         requests.append((max_workers, mp_context.get_start_method()))
+        assert initializer is experiments._one_blas_thread_for_life
 
     def __enter__(self):
         return self

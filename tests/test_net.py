@@ -363,28 +363,55 @@ def reference_adam_step(params, grads, state, config):
         b -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
 
 
-def test_adam_step_bitwise_matches_reference_expression():
+def assert_adam_matches_reference(dtype, t0):
     rng = np.random.default_rng(5)
-    params = init_he([12, 8, 8, 4], rng)
+    params = [(W.astype(dtype), b.astype(dtype)) for W, b in init_he([12, 8, 8, 4], rng)]
     ref_params = [(W.copy(), b.copy()) for W, b in params]
     state, ref_state = init_adam(params), init_adam(ref_params)
+    state.t = ref_state.t = t0
     cfg = TrainConfig()
     for _ in range(20):
         # about a third of the gradient entries are exact zeros
-        grads = [tuple(rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)
+        grads = [tuple((rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)).astype(dtype)
                        for a in pair) for pair in params]
         adam_step(params, grads, state, cfg)
         reference_adam_step(ref_params, grads, ref_state, cfg)
-    assert state.t == ref_state.t == 20
+    assert state.t == ref_state.t == t0 + 20
     for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
         for pair, ref_pair in zip(got, want):
             for a, r in zip(pair, ref_pair):
-                assert np.array_equal(a, r)
+                assert same_bits(a, r)
 
 
-def reference_gradients(params, X, Y):
-    """Per-tensor gradients: a fresh `d.T @ a` and `d.sum(axis=0)` per layer."""
-    acts, zs = net._forward_cached(params, X)
+def test_adam_step_bitwise_matches_reference_expression():
+    assert_adam_matches_reference(np.float64, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_adam_step_bitwise_matches_reference_across_step_356(dtype):
+    """From step 356 on, 1 - b1^t is exactly 1.0 and `adam_step` skips
+    the division by it; the reference always divides."""
+    assert 1.0 - ADAM_BETA1**355 != 1.0 == 1.0 - ADAM_BETA1**356
+    assert_adam_matches_reference(dtype, 345)
+
+
+def reference_forward(params, X):
+    """Allocate-per-op forward: (the activations of every layer, the input
+    first and the output last; the hidden pre-activations)."""
+    acts, zs = [X], []
+    for W, b in params[:-1]:
+        z = acts[-1] @ W.T + b
+        zs.append(z)
+        acts.append(np.maximum(z, 0.0))
+    W, b = params[-1]
+    acts.append(acts[-1] @ W.T + b)
+    return acts, zs
+
+
+def reference_backward(params, acts, zs, Y):
+    """Allocate-per-op backward: (per-tensor gradients, batch loss), with
+    a fresh `d.T @ a` and `d.sum(axis=0)` per layer, the ReLU mask taken
+    from the pre-activations and `.mean()` for both means."""
     e = acts[-1] - Y
     B, K = e.shape
     rmse = np.sqrt((e**2).mean(axis=1, keepdims=True))
@@ -394,7 +421,11 @@ def reference_gradients(params, X, Y):
         grads[li] = (d.T @ acts[li], d.sum(axis=0))
         if li > 0:
             d = (d @ params[li][0]) * (zs[li - 1] > 0.0)
-    return grads
+    return grads, float(rmse.mean())
+
+
+def reference_gradients(params, X, Y):
+    return reference_backward(params, *reference_forward(params, X), Y)[0]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -436,6 +467,175 @@ def test_flat_buffers_match_per_tensor_bitwise(dtype):
         assert same_bits(gW, rW) and same_bits(gb_, rb)
     # backward's gradients are views into one weight and one bias buffer
     assert got[0][0].base is got[-1][0].base and got[0][1].base is got[-1][1].base
+
+
+def kernel_case(dtype, seed=7, sizes=(12, 16, 16, 4), rows=32):
+    """He weights, features in [0, 1) and targets in [0, 1), in `dtype`."""
+    rng = np.random.default_rng(seed)
+    params = [(W.astype(dtype), b.astype(dtype)) for W, b in init_he(list(sizes), rng)]
+    for _, b in params:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
+    X = rng.uniform(size=(rows, sizes[0])).astype(dtype)
+    Y = rng.uniform(size=(rows, sizes[-1])).astype(dtype)
+    return params, X, Y
+
+
+def assert_same_grads(got, want):
+    for (gW, gb), (rW, rb) in zip(got, want, strict=True):
+        assert same_bits(gW, rW) and same_bits(gb, rb)
+
+
+def assert_grads_kernel_matches(params, acts, Y, want, want_loss):
+    """`_grads_from_cache`, writing into flat views as `train` does, gives
+    the reference's loss and gradient bits."""
+    _, grads = net._flat_views(params, Y.dtype)
+    assert net._grads_from_cache(params, acts, Y, grads) == want_loss
+    assert_same_grads(grads, want)
+
+
+def assert_step_matches_reference(params, X, Y):
+    """`forward`, `backward` and the kernels of a `train` step give the
+    reference's bits."""
+    acts, zs = reference_forward(params, X)
+    want, want_loss = reference_backward(params, acts, zs, Y)
+    assert same_bits(forward(params, X), acts[-1])
+    assert_same_grads(backward(params, X, Y), want)
+    got_acts = net._forward_cached(params, X)
+    assert len(got_acts) == len(acts)
+    for a, r in zip(got_acts, acts):
+        assert same_bits(a, r)
+    assert_grads_kernel_matches(params, got_acts, Y, want, want_loss)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_step_kernels_match_allocating_reference_bitwise(dtype):
+    """The in-place layers, the mask read from the activations and the
+    bare `np.add.reduce` means change no bit: on a full batch and on the
+    20-row tail that `train` cuts from a permutation."""
+    params, X, Y = kernel_case(dtype)
+    assert_step_matches_reference(params, X, Y)
+    idx = np.random.default_rng(1).permutation(52)[32:]
+    params, X, Y = kernel_case(dtype, rows=52)
+    assert_step_matches_reference(params, X[idx], Y[idx])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_step_kernels_match_reference_at_zero_preactivations(dtype):
+    """A pre-activation of exactly 0.0 or -0.0 is masked out whether the
+    mask is read from it (z > 0) or from max(z, 0) > 0."""
+    params, X, Y = kernel_case(dtype)
+    # zero incoming weights give units whose pre-activation is exactly
+    # the bias: 0.0 for unit 0, -0.0 + 0.0 = 0.0 for unit 1 of each layer
+    for W, b in params[:-1]:
+        W[:2] = 0.0
+        b[:2] = (0.0, -0.0)
+    zs = reference_forward(params, X)[1]
+    assert all((z[:, :2] == 0.0).all() for z in zs)
+    assert_step_matches_reference(params, X, Y)
+
+    # matmul and bias add never give -0.0 here, so set the pre-activations
+    # directly: the backward pass reads only the activations and the output
+    acts, zs = reference_forward(params, X)
+    rng = np.random.default_rng(2)
+    for li, z in enumerate(zs, start=1):
+        pick = rng.random(z.shape)
+        z[pick < 0.2] = 0.0
+        z[pick > 0.8] = -0.0
+        acts[li] = np.maximum(z, 0.0)
+    assert any(np.signbit(z[z == 0.0]).any() for z in zs)
+    assert_grads_kernel_matches(params, acts, Y, *reference_backward(params, acts, zs, Y))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_forward_cached_leaves_its_input_unchanged(dtype):
+    params, X, _ = kernel_case(dtype)
+    before = X.copy()
+    acts = net._forward_cached(params, X)
+    assert acts[0] is X and same_bits(X, before)
+    assert not any(np.shares_memory(X, a) for a in acts[1:])
+
+
+class DtypeLog(np.ndarray):
+    """An ndarray whose every derived array (ufunc result, matmul result,
+    view) logs its dtype in `made`."""
+
+    made = []
+
+    def __array_finalize__(self, obj):
+        DtypeLog.made.append(self.dtype)
+
+
+def test_float32_step_makes_only_float32_arrays(monkeypatch):
+    """No float64 array or scalar upcasts the float32 forward and
+    backward: every float array the step derives from its inputs is
+    float32, and so are the gradients."""
+    params, X, Y = kernel_case(np.float32)
+    monkeypatch.setattr(DtypeLog, "made", [])
+    logged = [(W.view(DtypeLog), b.view(DtypeLog)) for W, b in params]
+    acts = net._forward_cached(logged, X.view(DtypeLog))
+    _, grads = net._flat_views(params, np.float32)
+    batch_loss = net._grads_from_cache(logged, acts, Y.view(DtypeLog), grads)
+    floats = {dt for dt in DtypeLog.made if dt.kind == "f"}
+    assert len(DtypeLog.made) > 20 and floats == {np.dtype(np.float32)}
+    assert all(a.dtype == np.float32 for a in acts)
+    assert all(a.dtype == np.float32 for pair in grads for a in pair)
+    assert isinstance(batch_loss, float)
+
+
+def reference_train(train_ds, val_ds, config):
+    """`train`'s loop written out per tensor: the same rng stream, the
+    allocate-per-op forward and backward, `reference_adam_step` on
+    separate float32 (W, b) arrays, the float64 validation copy and the
+    best-epoch pick.  Returns (best float64 weights, train losses)."""
+    scaling = TargetScaling.fit(train_ds.targets)
+    X = train_ds.features.astype(np.float32)
+    Y = scaling.transform(train_ds.targets).astype(np.float32)
+    Xv, Yv = val_ds.features, scaling.transform(val_ds.targets)
+    rng = np.random.default_rng(config.seed)
+    he = init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng)
+    params = [(W.astype(np.float32), b.astype(np.float32)) for W, b in he]
+    state = init_adam(params)
+    best_loss, best, stale, train_losses = np.inf, None, 0, []
+    n = X.shape[0]
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grads, batch_loss = reference_backward(
+                params, *reference_forward(params, X[idx]), Y[idx])
+            reference_adam_step(params, grads, state, config)
+            loss_sum += batch_loss * idx.size
+        train_losses.append(loss_sum / n)
+        for pair in state.m:
+            for m in pair:
+                m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
+        params64 = [(W.astype(float), b.astype(float)) for W, b in params]
+        vout = reference_forward(params64, Xv)[0][-1]
+        val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
+        if val_loss < best_loss:
+            best_loss, best, stale = val_loss, params64, 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return best, train_losses
+
+
+def test_train_matches_per_tensor_reference_loop_bitwise():
+    """A whole-loop oracle that needs no stored digest: three epochs of
+    `train` (flat buffers, in-place layers, one Adam pass per buffer)
+    return the weights of the reference loop bit for bit, with a partial
+    last batch in every epoch, over 390 Adam steps: past step 356, from
+    which `adam_step` skips its division by 1 - b1^t."""
+    tr, va = splits(toy_dataset(n=18))
+    cfg = TrainConfig(max_epochs=3, patience=3, batch_size=2, seed=4, hidden=(8, 8))
+    assert len(tr) % cfg.batch_size and 3 * -(-len(tr) // cfg.batch_size) > 356
+    params, _, report = train(tr, va, cfg)
+    want, train_losses = reference_train(tr, va, cfg)
+    assert report.train_loss == train_losses and report.epochs_run == 3
+    for (W, b), (rW, rb) in zip(params, want, strict=True):
+        assert same_bits(W, rW) and same_bits(b, rb)
 
 
 def test_flush_subnormal_zeroes_only_subnormals():

@@ -85,16 +85,16 @@ def _parse_int_list(text, what):
 def _mean_total(counts_flag, device, dataset=None):
     """Map the --counts convention onto a mean photon budget.
 
-    negative -> inherit (dataset metadata if present, else device config),
+    negative -> inherit (the dataset's mean_total unless None, else device config),
     0 -> noise-free, positive -> that many expected counts per input.
-    A dataset not simulated here inherits no fresh noise: its features
+    A dataset not `Dataset.simulated` inherits no fresh noise: its features
     already carry their measured noise, and a `mean_total` it records is
     the budget that noise was taken at, not one to spend again.
     This is the only place the convention is resolved: the library takes
     the resulting photon count, or None for noise-free.
     """
     if counts_flag < 0:
-        if dataset is not None and dataset.provenance != "simulated":
+        if dataset is not None and not dataset.simulated:
             return None
         if dataset is not None and dataset.mean_total is not None:
             return dataset.mean_total

@@ -15,9 +15,12 @@ data alike:
 
     v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23
 
-Comment lines start with '#'.  The writer stores provenance, kick
-offsets and the count budget in leading comments so a round-trip is
-lossless.
+Comment lines start with '#'.  Four `# key = value` metadata comments
+are required, each exactly once: `provenance`, the kick offsets `dv1`
+and `dv2`, and the count budget `mean_total`.  The writer puts them
+first, so a round-trip is lossless; the reader refuses a file that lacks
+or repeats one.  Only data labelled `simulated` are taken to have the
+device model behind them (`Dataset.simulated`).
 """
 
 from dataclasses import dataclass, replace
@@ -45,6 +48,7 @@ __all__ = [
 
 DATASET_HEADER = "v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23"
 _N_COLS = DATASET_HEADER.count(",") + 1
+METADATA_KEYS = ("provenance", "dv1", "dv2", "mean_total")
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,17 @@ class Dataset:
     features: np.ndarray  # (N, 12) probabilities in [0, 1]
     targets: np.ndarray  # (N, 4) volts
     kick: KickConfig
-    provenance: str = "simulated"
+    provenance: str
     mean_total: float | None = None  # None means noise-free features
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def simulated(self) -> bool:
+        """Whether the device model here can remake the features: true only
+        for data `generate_simulated` labelled, never for measured data."""
+        return self.provenance == "simulated"
 
     def subset(self, idx) -> "Dataset":
         return replace(self, features=self.features[idx], targets=self.targets[idx])
@@ -256,8 +266,9 @@ def _parse_rows(path):
 
     Comment, metadata and blank lines are skipped line by line; the data
     lines are parsed together by `parse_float_rows`.  A wrong column
-    count, a non-numeric field and a nan or inf are reported with their
-    line number.
+    count, a non-numeric field, a nan or inf and a repeated metadata key
+    are reported with their line number, missing metadata keys by name.
+    A comment whose key is not in `METADATA_KEYS` is a plain comment.
     """
     meta: dict[str, str] = {}
     lines = []
@@ -268,10 +279,12 @@ def _parse_rows(path):
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
+            key, eq, val = line[1:].partition("=")
+            key = key.strip()
+            if eq and key in METADATA_KEYS:
+                if key in meta:
+                    raise FileFormatError(f"duplicate metadata key {key!r}", line=lineno)
+                meta[key] = val.strip()
             continue
         if not saw_header:
             if line != DATASET_HEADER:
@@ -290,6 +303,9 @@ def _parse_rows(path):
         raise FileFormatError(f"missing header line {DATASET_HEADER!r} in {path}")
     if not lines:
         raise FileFormatError(f"no data rows in {path}")
+    missing = [key for key in METADATA_KEYS if key not in meta]
+    if missing:
+        raise FileFormatError(f"missing metadata {', '.join(map(repr, missing))} in {path}")
     try:
         rows = parse_float_rows(lines)
     except ValueError:
@@ -315,23 +331,17 @@ def _first_bad_line(lines):
 
 
 def read_csv(path) -> Dataset:
-    """Load a dataset CSV; validates schema, ranges and kick consistency."""
+    """Load a dataset CSV; validates schema, metadata, ranges and kick consistency."""
     meta, rows, linenos = _parse_rows(path)
     targets, features = rows[:, :4], rows[:, 4:]
     bad = np.nonzero((features < 0.0) | (features > 1.0))[0]
     if bad.size:
         raise FileFormatError("probability outside [0, 1] (column 5+)", line=linenos[bad[0]])
-    if "dv1" in meta and "dv2" in meta:
-        try:
-            kick = KickConfig(dv1=parse_float(meta["dv1"]), dv2=parse_float(meta["dv2"]))
-        except (ValueError, InvalidParameterError) as exc:
-            raise FileFormatError(
-                f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
-    else:
-        kick = KickConfig(
-            dv1=float(targets[0, 2] - targets[0, 0]),
-            dv2=float(targets[0, 3] - targets[0, 1]),
-        )
+    try:
+        kick = KickConfig(dv1=parse_float(meta["dv1"]), dv2=parse_float(meta["dv2"]))
+    except (ValueError, InvalidParameterError) as exc:
+        raise FileFormatError(
+            f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
     drift = np.maximum(
         np.abs((targets[:, 2] - targets[:, 0]) - kick.dv1),
         np.abs((targets[:, 3] - targets[:, 1]) - kick.dv2),
@@ -340,7 +350,7 @@ def read_csv(path) -> Dataset:
     if bad.size:
         raise FileFormatError("kick offset differs from the dataset's", line=linenos[bad[0]])
     mean_total = None
-    text = meta.get("mean_total", "none")
+    text = meta["mean_total"]
     if text != "none":
         try:
             mean_total = parse_float(text)
@@ -354,6 +364,6 @@ def read_csv(path) -> Dataset:
         features=features,
         targets=targets,
         kick=kick,
-        provenance=meta.get("provenance", "simulated"),
+        provenance=meta["provenance"],
         mean_total=mean_total,
     )

@@ -122,11 +122,11 @@ def train_config_pairs(cfg: TrainConfig):
 def exact_feature_pool(dataset: Dataset, device: DeviceConfig):
     """Noise-free feature probabilities for every example of a dataset.
 
-    Simulated data are re-evaluated through the device model at their
-    target voltages; for data not simulated here the stored probabilities
+    `Dataset.simulated` data are re-evaluated through the device model at
+    their target voltages; for any other data the stored probabilities
     are the best available stand-in for the truth.
     """
-    if dataset.provenance == "simulated":
+    if dataset.simulated:
         return exact_features(dataset.targets, device)
     return dataset.features
 
@@ -135,10 +135,11 @@ def uniform_feature_pool(dataset: Dataset, device: DeviceConfig, rng: np.random.
     """Off-grid test pool: noise-free (features, targets) at uniform draws.
 
     Draws len(dataset) base settings uniformly over the dataset's base
-    target box and pairs each with its kicked setting.  Only data simulated
-    here have a device model behind them to evaluate off the grid.
+    target box and pairs each with its kicked setting.  Only
+    `Dataset.simulated` data have a device model behind them to evaluate
+    off the grid.
     """
-    if dataset.provenance != "simulated":
+    if not dataset.simulated:
         raise InvalidParameterError("uniform (off-grid) sampling needs a simulated dataset")
     lo = dataset.targets[:, :2].min(axis=0)
     hi = dataset.targets[:, :2].max(axis=0)

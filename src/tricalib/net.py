@@ -170,11 +170,15 @@ def forward(params, X):
     return out[0] if single else out
 
 
+def _mean_rmse(out, Y) -> float:
+    """Batch mean of per-example RMSE over the output coordinates: the
+    formula of `loss` and of `train`'s validation loss."""
+    return float(np.sqrt(((out - Y) ** 2).mean(axis=1)).mean())
+
+
 def loss(params, X, Y) -> float:
-    """Batch mean of per-example RMSE over the output coordinates."""
-    out = forward(params, X)
-    e = out - np.atleast_2d(Y)
-    return float(np.sqrt((e**2).mean(axis=1)).mean())
+    """Batch mean of per-example RMSE of the network's outputs on (X, Y)."""
+    return _mean_rmse(forward(params, X), np.atleast_2d(Y))
 
 
 def _grads_from_cache(params, acts, Y, grads):
@@ -412,7 +416,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
 
             params64 = _cast(params, float)
             vout = forward(params64, Xv)
-            val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
+            val_loss = _mean_rmse(vout, Yv)
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}", epoch=epoch

@@ -18,7 +18,7 @@ import pytest
 
 from tricalib import cli, errors, metrics
 from tricalib.config import default_device_config, write_device_config
-from tricalib.data import read_csv, write_csv
+from tricalib.data import DATASET_HEADER, METADATA_KEYS, read_csv, write_csv
 from tricalib.device import ResponseCoefficients, tritter_unitary
 from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
 from tricalib.metrics import noisy_draw
@@ -529,6 +529,19 @@ def test_exit_code_lists_agree():
     assert sorted(codes) == sorted({*by_code, 0, 2, cli.OS_ERROR_EXIT})
 
 
+def test_dataset_metadata_lists_agree(toy):
+    """README's "Dataset CSV" paragraph, the keys `read_csv` requires and
+    the keys `write_csv` writes are the same four, in the same order."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\n**Dataset CSV**", 1)[1].split("\n\n", 1)[0]
+    listed = paragraph.split("metadata lines,", 1)[1].split("; then", 1)[0]
+    documented = re.findall(r"`([a-z0-9_]+)`", listed)
+    lines = toy["ds"].read_text(encoding="utf-8").splitlines()
+    written = [re.fullmatch(r"# ([a-z0-9_]+) = .*", line)[1]
+               for line in lines[:lines.index(DATASET_HEADER)]]
+    assert documented == written == list(METADATA_KEYS)
+
+
 def test_device_config_override_changes_phases(tmp_path, capsys):
     dev = default_device_config()
     softer = replace(dev, coeffs=ResponseCoefficients(
@@ -672,18 +685,55 @@ def test_exit_code_bad_csv(tmp_path):
     assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt")]) == 5
 
 
-def _train_rejects_edited_dataset(toy, tmp_path, capsys, edit, message):
-    """`train -i` on an edited copy of the toy dataset exits 5 with a
-    one-line file-format error containing `message`."""
+def _rejects_edited_dataset(toy, tmp_path, capsys, edit, message, command="train"):
+    """`command -i` (`train`, or `evaluate` or `surface` with the toy
+    model) on an edited copy of the toy dataset exits 5 with a one-line
+    file-format error containing `message`, and writes nothing."""
     lines = toy["ds"].read_text().splitlines()
     edit(lines)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt"), *FAST]) == 5
+    out = tmp_path / "out"
+    argv = FAST if command == "train" else ["-m", str(toy["model"])]
+    assert run_cli([command, "-i", str(bad), "-o", str(out), *argv]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error[file-format]: ") and message in err, err
     assert "Traceback" not in err and err.count("\n") == 1, err
-    assert not (tmp_path / "m.ckpt").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "surface"])
+@pytest.mark.parametrize("key", ["provenance", "dv1", "dv2", "mean_total"])
+def test_exit_code_missing_metadata_line(toy, tmp_path, capsys, key, command):
+    """Each of the four metadata lines is required: without one, every
+    command that reads a dataset exits 5 naming it, with no default."""
+    def edit(lines):
+        lines.remove(next(line for line in lines if line.startswith(f"# {key} = ")))
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit, f"missing metadata '{key}' in ", command)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "surface"])
+def test_exit_code_duplicate_metadata_line(toy, tmp_path, capsys, command):
+    """A second provenance line among the rows would relabel the file; it
+    is exit 5 at the line of the repeat."""
+    def edit(lines):
+        lines.insert(7, "# provenance = experimental")
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit,
+                            "line 8: duplicate metadata key 'provenance'", command)
+
+
+def test_evaluate_refuses_an_unlabelled_constant_dataset(toy, tmp_path, capsys):
+    """A file without its provenance line is not taken for simulated data.
+    With every probability the constant triple (0.5, 0.25, 0.25), scoring
+    it against the device model at its targets would report the real
+    dataset's errors; it exits 5 instead."""
+    def edit(lines):
+        lines.remove(next(line for line in lines if line.startswith("# provenance = ")))
+        rows = lines.index(DATASET_HEADER) + 1
+        lines[rows:] = [",".join(row.split(",")[:4] + ["0.5", "0.25", "0.25"] * 4)
+                        for row in lines[rows:]]
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit, "missing metadata 'provenance'",
+                            "evaluate")
 
 
 def _set_fields(lines, lineno, cols, text):
@@ -694,14 +744,14 @@ def _set_fields(lines, lineno, cols, text):
 
 
 def test_exit_code_nan_probability(toy, tmp_path, capsys):
-    _train_rejects_edited_dataset(
+    _rejects_edited_dataset(
         toy, tmp_path, capsys, lambda ls: _set_fields(ls, 9, (4,), "nan"),
         "line 9: non-finite field")
 
 
 def test_exit_code_inf_targets(toy, tmp_path, capsys):
     # v1 and v1' both inf: the kick offset inf - inf is NaN, not a mismatch
-    _train_rejects_edited_dataset(
+    _rejects_edited_dataset(
         toy, tmp_path, capsys, lambda ls: _set_fields(ls, 12, (0, 2), "inf"),
         "line 12: non-finite field")
 
@@ -709,7 +759,7 @@ def test_exit_code_inf_targets(toy, tmp_path, capsys):
 @pytest.mark.parametrize("text", ["1_0", "\u0661"])
 def test_exit_code_python_only_float_spelling(toy, tmp_path, capsys, text):
     """Underscores and non-ASCII digits are not CSV numbers: exit 5."""
-    _train_rejects_edited_dataset(
+    _rejects_edited_dataset(
         toy, tmp_path, capsys, lambda ls: _set_fields(ls, 10, (5,), text),
         "line 10: non-numeric field")
 
@@ -787,8 +837,8 @@ def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):
     def edit(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("# mean_total = "))
         lines[i] = "# mean_total = abc"
-    _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
-                                  "bad mean_total metadata 'abc'")
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit,
+                            "bad mean_total metadata 'abc'")
 
 
 def test_exit_code_non_utf8_dataset(toy, tmp_path, capsys):
@@ -808,8 +858,8 @@ def test_exit_code_bad_kick_header(toy, tmp_path, capsys, dv1):
     def edit(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith("# dv1 = "))
         lines[i] = f"# dv1 = {dv1}"
-    _train_rejects_edited_dataset(toy, tmp_path, capsys, edit,
-                                  f"bad kick metadata dv1 = '{dv1}'")
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit,
+                            f"bad kick metadata dv1 = '{dv1}'")
 
 
 def test_parser_defaults_come_from_the_library(capsys):

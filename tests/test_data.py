@@ -223,7 +223,8 @@ def test_normalization_fitted_on_train_only():
 def test_normalize_constant_dimension_rejected():
     feats = np.random.default_rng(0).uniform(0, 1, size=(5, 12))
     targets = np.ones((5, 4))
-    ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5))
+    ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5),
+                 provenance="simulated")
     with pytest.raises(DegenerateDataError):
         TargetScaling.fit(ds.targets)
     with pytest.raises(DegenerateDataError):
@@ -381,6 +382,38 @@ def test_whitespace_around_fields_accepted(tmp_path):
         5, ",".join(f" {field}\t" for field in ls[5].split(",")))))
     assert np.array_equal(padded.targets, plain.targets)
     assert np.array_equal(padded.features, plain.features)
+
+
+def test_missing_metadata_names_every_missing_key(tmp_path):
+    """Without its metadata a file is refused, not read with the kick of
+    its first row, provenance `simulated` and no budget."""
+    path = corrupt(tmp_path, lambda ls: ls.__delitem__(slice(0, 4)))
+    with pytest.raises(FileFormatError,
+                       match="missing metadata 'provenance', 'dv1', 'dv2', 'mean_total' in "):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("key", datamod.METADATA_KEYS)
+def test_duplicate_metadata_key_reports_line(tmp_path, key):
+    """A repeated metadata key is refused at the line of the repeat, even
+    with the same value, so a second line cannot relabel the file."""
+    def repeat(ls):
+        ls.insert(6, next(line for line in ls if line.startswith(f"# {key} = ")))
+    path = corrupt(tmp_path, repeat)
+    with pytest.raises(FileFormatError, match=f"line 7: duplicate metadata key '{key}'"):
+        read_csv(path)
+
+
+def test_other_comment_keys_are_plain_comments(tmp_path):
+    """Only the four metadata keys are metadata: other `# key = value`
+    comments may repeat and change nothing."""
+    def annotate(ls):
+        ls[4:4] = ["# operator = A", "# operator = B", "# provenance", "#dv = 3"]
+    plain = read_csv(corrupt(tmp_path, lambda ls: None))
+    noted = read_csv(corrupt(tmp_path, annotate))
+    assert (noted.kick, noted.provenance, noted.mean_total) == \
+        (plain.kick, plain.provenance, plain.mean_total)
+    assert same_bits(noted.features, plain.features)
 
 
 def test_non_utf8_dataset_csv_is_a_file_format_error(tmp_path):

@@ -888,7 +888,8 @@ def test_train_early_stop_on_plateau():
     feats += np.random.default_rng(0).normal(0, 1e-3, feats.shape)
     targets = np.tile([2.0, 3.0, 2.5, 3.5], (30, 1))
     targets += np.random.default_rng(1).normal(0, 1e-6, targets.shape)
-    ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5))
+    ds = Dataset(features=feats, targets=targets, kick=KickConfig(0.5, 0.5),
+                 provenance="simulated")
     tr, va = splits(ds, fraction=0.3)
     _, _, rep = train(tr, va, TrainConfig(max_epochs=200, patience=1,
                                             seed=0, hidden=(8,)))

@@ -21,8 +21,13 @@ and `dv2`, and the count budget `mean_total`.  The writer puts them
 first, so a round-trip is lossless; the reader refuses a file that lacks
 or repeats one.  Only data labelled `simulated` are taken to have the
 device model behind them (`Dataset.simulated`).
+
+Both directions stream the rows: the reader hands each data line to the
+number parser as it scans it, and the writer formats a few hundred rows
+at a time, so a dataset costs about one copy of its arrays in memory.
 """
 
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,9 +203,11 @@ def generate_simulated(
         )
     targets = np.concatenate([base, kicked], axis=-1)
     exact = exact_features(targets, device)
+    features = np.empty((replicas,) + exact.shape)
+    for draw in features:
+        draw[...] = fresh_noise(exact, mean_total, rng)
     return Dataset(
-        features=np.concatenate([fresh_noise(exact, mean_total, rng)
-                                 for _ in range(replicas)]),
+        features=features.reshape(-1, exact.shape[1]),
         targets=np.tile(targets, (replicas, 1)),
         kick=kick,
         provenance="simulated",
@@ -219,26 +226,30 @@ def split(dataset: Dataset, validation_fraction: float, rng: np.random.Generator
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 
 
-# Rows the writer gathers and joins at a time: keeps its temporaries near
-# a megabyte whatever the dataset size.
-_WRITE_BLOCK_ROWS = 4096
+# Rows the writer formats at a time: its temporaries stay near a
+# megabyte whatever the dataset size.
+_WRITE_BLOCK_ROWS = 512
 
 
-def _write_rows(fh, rows):
-    """Write a 2-D float array as CSV lines in `format_value`'s text form.
+def _write_rows(fh, *columns):
+    """Write 2-D float blocks side by side as CSV lines in `format_value`'s
+    text form: the bytes of writing their `np.hstack`, without that copy.
 
-    Shot-noise frequencies repeat a lot, so each distinct float64 bit
-    pattern is formatted once: the unique patterns are taken over the
-    uint64 view (so -0.0 and 0.0 stay apart) and every cell is looked up
-    among them, one block of rows at a time.  The text of a Python float
-    under `format_value` is its `repr`, called here directly because this
-    loop runs once per distinct value.
+    The blocks are joined one slice of rows at a time.  Shot-noise
+    frequencies and grid voltages repeat, so within a slice each distinct
+    float64 bit pattern is formatted once: the unique patterns are taken
+    over the uint64 view (so -0.0 and 0.0 stay apart) and every cell is
+    looked up among them.  A table over the whole dataset would format
+    fewer values but hold a string for most cells at once.  The text of a
+    Python float under `format_value` is its `repr`, called here directly
+    because this loop runs once per distinct value.
     """
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    distinct = np.unique(bits)
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    for start in range(0, bits.shape[0], _WRITE_BLOCK_ROWS):
-        cells = text[np.searchsorted(distinct, bits[start:start + _WRITE_BLOCK_ROWS])]
+    blocks = [np.asarray(block, dtype=np.float64).view(np.uint64) for block in columns]
+    for start in range(0, blocks[0].shape[0], _WRITE_BLOCK_ROWS):
+        bits = np.hstack([block[start:start + _WRITE_BLOCK_ROWS] for block in blocks])
+        distinct, where = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        cells = text[where.reshape(bits.shape)]
         fh.writelines(",".join(row) + "\n" for row in cells.tolist())
 
 
@@ -258,21 +269,21 @@ def write_csv(dataset: Dataset, path):
                  f"# dv2 = {format_value(dataset.kick.dv2)}\n"
                  f"# mean_total = {format_value(dataset.mean_total)}\n"
                  f"{DATASET_HEADER}\n")
-        _write_rows(fh, np.hstack([dataset.targets, dataset.features]))
+        _write_rows(fh, dataset.targets, dataset.features)
 
 
-def _parse_rows(path):
-    """Dataset CSV scanner: returns (metadata, rows, row_linenos).
+def _data_lines(path, meta, linenos):
+    """Yield the stripped data lines of a dataset CSV while checking the rest.
 
-    Comment, metadata and blank lines are skipped line by line; the data
-    lines are parsed together by `parse_float_rows`.  A wrong column
-    count, a non-numeric field, a nan or inf and a repeated metadata key
-    are reported with their line number, missing metadata keys by name.
-    A comment whose key is not in `METADATA_KEYS` is a plain comment.
+    Comment, metadata and blank lines are skipped; metadata values go
+    into `meta` and the line number of each data line yielded onto
+    `linenos`.  A repeated metadata key, a header mismatch and a wrong
+    column count raise FileFormatError with their line number, and bytes
+    that are not UTF-8 raise it too, when the scan reaches them.  After
+    the last line, a missing header, an empty body and missing metadata
+    keys are raised in that order.  A comment whose key is not in
+    `METADATA_KEYS` is a plain comment.
     """
-    meta: dict[str, str] = {}
-    lines = []
-    linenos = []
     saw_header = False
     for lineno, raw in text_lines(path):
         line = raw.strip()
@@ -297,18 +308,37 @@ def _parse_rows(path):
             raise FileFormatError(
                 f"expected {_N_COLS} columns, got {line.count(',') + 1}", line=lineno
             )
-        lines.append(line)
         linenos.append(lineno)
+        yield line
     if not saw_header:
         raise FileFormatError(f"missing header line {DATASET_HEADER!r} in {path}")
-    if not lines:
+    if not linenos:
         raise FileFormatError(f"no data rows in {path}")
     missing = [key for key in METADATA_KEYS if key not in meta]
     if missing:
         raise FileFormatError(f"missing metadata {', '.join(map(repr, missing))} in {path}")
+
+
+def _parse_rows(path):
+    """Dataset CSV reader: returns (metadata, rows, row_linenos).
+
+    `parse_float_rows` consumes the data lines as `_data_lines` scans
+    them, so no list of lines is kept.  The errors and their line numbers
+    are those of checking the whole file before parsing any number: a
+    failed parse stops the scan early, so the file is scanned again into
+    a list, which raises any error of the scan, and the first line that
+    does not parse is found by bisection.  A nan or inf is reported with
+    its line number.
+    """
+    meta: dict[str, str] = {}
+    linenos = array("q")
+    lines = _data_lines(path, meta, linenos)
     try:
         rows = parse_float_rows(lines)
     except ValueError:
+        lines.close()
+        meta, linenos = {}, array("q")
+        lines = list(_data_lines(path, meta, linenos))
         bad = _first_bad_line(lines)
         raise FileFormatError(f"non-numeric field in {lines[bad]!r}", line=linenos[bad])
     bad = np.nonzero(~np.isfinite(rows).all(axis=1))[0]

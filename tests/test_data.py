@@ -2,6 +2,7 @@
 CSV round-trips."""
 
 import io
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -376,6 +377,23 @@ def test_python_only_float_spellings_rejected(tmp_path, field):
         read_csv(path)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls.__delitem__(1), "missing metadata 'dv1' in "),
+    (lambda ls: ls.__setitem__(11, ls[11] + ",0.5"), "line 12: expected 16 columns, got 17"),
+    (lambda ls: ls.insert(11, ls[2]), "line 12: duplicate metadata key 'dv2'"),
+], ids=["missing-key", "later-column-count", "later-duplicate-key"])
+def test_scan_errors_outrank_a_non_numeric_field(tmp_path, edit, message):
+    """The file is refused as if it were checked whole before any number
+    is parsed: a bad number on line 7 does not hide a missing metadata
+    key or a structural fault on a later line."""
+    def mangle(ls):
+        ls[6] = ls[6].replace(",", ",x", 1)
+        edit(ls)
+    path = corrupt(tmp_path, mangle)
+    with pytest.raises(FileFormatError, match=message):
+        read_csv(path)
+
+
 def test_whitespace_around_fields_accepted(tmp_path):
     plain = read_csv(corrupt(tmp_path, lambda ls: None))
     padded = read_csv(corrupt(tmp_path, lambda ls: ls.__setitem__(
@@ -466,6 +484,55 @@ def test_replicas_are_consecutive_fresh_noise_draws():
     assert np.array_equal(ds.targets, np.tile(ds.targets[:36], (3, 1)))
 
 
+# ---------------------------------------------------------------- memory
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes it allocated); numpy reports its buffers
+    to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def replicated(replicas):
+    """A shot-noise dataset of 1 024 settings times `replicas`."""
+    grid = build_grid(2.0, 5.0, 32)
+    return generate_simulated(grid, kick_from_steps(grid, 2, 2), DEV,
+                              np.random.default_rng(5), mean_total=1000.0, replicas=replicas)
+
+
+@pytest.fixture(scope="module")
+def replicated_csv(tmp_path_factory):
+    """A written 20 480-row dataset and its arrays' bytes."""
+    ds = replicated(20)
+    path = tmp_path_factory.mktemp("replicated") / "r.csv"
+    write_csv(ds, path)
+    return path, ds.features.nbytes + ds.targets.nbytes
+
+
+def test_generate_simulated_holds_one_copy_of_its_replicas():
+    ds, peak = traced_peak(replicated, 20)
+    assert peak < 1.2 * (ds.features.nbytes + ds.targets.nbytes)
+
+
+def test_read_csv_streams_its_lines(replicated_csv):
+    path, nbytes = replicated_csv
+    ds, peak = traced_peak(read_csv, path)
+    assert ds.features.nbytes + ds.targets.nbytes == nbytes
+    assert peak < 2 * nbytes
+
+
+def test_write_csv_formats_a_slice_of_rows_at_a_time(replicated_csv, tmp_path):
+    path, nbytes = replicated_csv
+    ds = read_csv(path)
+    _, peak = traced_peak(write_csv, ds, tmp_path / "again.csv")
+    assert peak < nbytes
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
 def test_zero_count_acquisitions_name_the_budget():
     with pytest.raises(DegenerateDataError,
                        match=r"^30 of 324 acquisitions drew zero photons at a budget "
@@ -508,16 +575,22 @@ def test_write_rows_matches_per_cell_repr(data, n, block):
     """Same bytes as formatting every cell on its own, across row blocks."""
     rows = cells(data, (n, data.draw(st.integers(1, 5))),
                  FINITE | st.sampled_from([np.nan, np.inf, -np.inf]))
-    out = io.StringIO()
+    cut = data.draw(st.integers(0, rows.shape[1]), label="cut")
+    whole, halves = io.StringIO(), io.StringIO()
     with mock.patch.object(datamod, "_WRITE_BLOCK_ROWS", block):
-        datamod._write_rows(out, rows)
-    assert out.getvalue() == reference_rows(rows)
+        datamod._write_rows(whole, rows)
+        datamod._write_rows(halves, rows[:, :cut], rows[:, cut:])
+    assert whole.getvalue() == reference_rows(rows)
+    assert halves.getvalue() == whole.getvalue()
 
 
 def test_write_rows_keeps_signed_zeros_apart():
-    out = io.StringIO()
-    datamod._write_rows(out, np.array([[0.0, -0.0], [-0.0, 0.0]]))
-    assert out.getvalue() == "0.0,-0.0\n-0.0,0.0\n"
+    rows = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    for cut in range(3):
+        whole, halves = io.StringIO(), io.StringIO()
+        datamod._write_rows(whole, rows)
+        datamod._write_rows(halves, rows[:, :cut], rows[:, cut:])
+        assert whole.getvalue() == halves.getvalue() == "0.0,-0.0\n-0.0,0.0\n"
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ import numpy as np
 from . import config as cfgmod
 from . import data as datamod
 from .device import phases_from_voltages, sample_counts, voltage_probabilities
-from .errors import CalibrationError, InvalidParameterError
+from .errors import CalibrationError, CheckpointError, InvalidParameterError
 from .experiments import (
     SweepConfig,
     exact_feature_pool,
@@ -57,6 +57,9 @@ DEFAULT_SPLIT_SEED = 20
 DEFAULT_EVAL_SEED = 11
 
 OS_ERROR_EXIT = 10
+
+# a model maps the 12 probabilities (base then kicked) to the 4 target voltages
+N_FEATURES, N_TARGETS = 12, 4
 
 
 def _parse_floats_arg(text, n, what):
@@ -213,9 +216,19 @@ def cmd_train(args):
     return 0
 
 
+def _load_model(path):
+    """The checkpoint at `path`, refused (exit 7) unless its layer sizes
+    run from N_FEATURES inputs to N_TARGETS outputs."""
+    ckpt = load_checkpoint(path)
+    if ckpt.sizes[0] != N_FEATURES or ckpt.sizes[-1] != N_TARGETS:
+        raise CheckpointError(f"model has layer sizes {ckpt.sizes}; a calibration model maps "
+                              f"{N_FEATURES} inputs to {N_TARGETS} outputs")
+    return ckpt
+
+
 def cmd_predict(args):
-    ckpt = load_checkpoint(args.model)
-    feats = _parse_floats_arg(args.probs, 12, "--probs")
+    ckpt = _load_model(args.model)
+    feats = _parse_floats_arg(args.probs, N_FEATURES, "--probs")
     if feats.min() < 0.0 or feats.max() > 1.0:
         raise InvalidParameterError("probabilities must lie in [0, 1]")
     v1, v2, residual = predict(ckpt.params, feats, ckpt.scaling, ckpt.kick)
@@ -228,7 +241,7 @@ def cmd_predict(args):
 def _load_evaluation(args):
     """(device, checkpoint, dataset, photon budget) of evaluate and surface."""
     device = cfgmod.resolve_device_config(args.device_config)
-    ckpt = load_checkpoint(args.model)
+    ckpt = _load_model(args.model)
     ds = datamod.read_csv(args.input)
     return device, ckpt, ds, _mean_total(args.counts, device, ds)
 

@@ -5,7 +5,9 @@ linear output, exact backpropagation, Adam, early stopping.
 weights they are given.  `train` runs its whole loop in float32, which
 moves half the bytes of float64 per Adam pass and per matmul, and
 validates and returns float64 copies of those weights, which hold the
-float32 values exactly; prediction and checkpoints are float64.
+float32 values exactly.  Prediction is float64.  A checkpoint stores
+such weights as float32, any others as float64, and loads either as
+float64.
 
 Inside `train` every weight matrix lives in one contiguous float32
 buffer and every bias in a second one; the per-layer (W, b) pairs are
@@ -39,6 +41,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -462,8 +465,8 @@ def predict(params, features, scaling: TargetScaling, kick: KickConfig):
 # checkpoint container: versioned self-describing text with a content checksum
 
 _MAGIC = "tricalib-checkpoint"
-_FORMAT = 3
-_TENSOR_DTYPE = "<f8"
+_FORMAT = 4
+_DTYPES = ("<f4", "<f8")  # the `dtype` line's tokens: float32, float64
 
 
 @dataclass
@@ -479,24 +482,50 @@ def _fmt_vec(vec) -> str:
     return " ".join(map(format_value, np.asarray(vec, dtype=float).ravel()))
 
 
-def _tensor_lines(name, arr, out):
+def _storage_dtype(arrays):
+    """'<f4' when every value of `arrays` survives a round trip through
+    float32 bit for bit, else '<f8'.  The bits are compared, so -0.0
+    counts and a float64 subnormal (which float32 flushes) does not.  A
+    value beyond float32's range casts to inf and fails the comparison;
+    numpy's overflow warning for that cast is silenced."""
+    with np.errstate(over="ignore"):
+        for a in arrays:
+            a = np.asarray(a, dtype=np.float64)
+            back = a.astype(np.float32).astype(np.float64)
+            if not np.array_equal(back.view(np.uint64), a.view(np.uint64)):
+                return "<f8"
+    return "<f4"
+
+
+def _tensor_lines(name, arr, dtype, out):
     arr = np.atleast_2d(arr)
     out.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-    out.append(np.ascontiguousarray(arr, dtype=_TENSOR_DTYPE).tobytes().hex())
+    out.append(np.ascontiguousarray(arr, dtype=dtype).tobytes().hex())
 
 
 def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
                     provenance: str = "unknown"):
-    """Serialize the weights, scaling and kick config (format 3).
+    """Serialize the weights, scaling and kick config (format 4).
 
-    The header is decimal text at round-trip precision.  Each tensor is a
-    `tensor <name> <rows> <cols>` line followed by one line holding the
-    hex digits of its little-endian float64 data in C order, so every bit
-    round-trips.  The trailing line carries a SHA-256 of the file bytes
-    above it, so truncation or bit rot is caught at load time.  A
-    provenance that spans lines is refused.
+    The header is decimal text at round-trip precision, and its last
+    line, `dtype <f4` or `dtype <f8`, names how the tensors are stored:
+    float32 when every weight and bias is a float32 value (always so for
+    `train`'s output), float64 otherwise, so every bit round-trips
+    either way.  Each tensor is a `tensor <name> <rows> <cols>` line
+    followed by one line holding the hex digits of its little-endian data
+    in that dtype, C order.  The trailing line carries a SHA-256 of the
+    file bytes above it, so truncation or bit rot is caught at load time.
+
+    A provenance that spans lines and a non-finite weight, bias or
+    scaling bound are refused (InvalidParameterError).  The file is
+    written beside `path` under a temporary name and then renamed over
+    it, so a save that fails part-way leaves any earlier file intact.
     """
     check_one_line("provenance", provenance)
+    tensors = [a for pair in params for a in pair]
+    if not all(np.isfinite(a).all() for a in [*tensors, scaling.lo, scaling.hi]):
+        raise InvalidParameterError("cannot save a checkpoint with a non-finite weight, bias or scaling bound")
+    dtype = _storage_dtype(tensors)
     sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         _MAGIC,
@@ -506,15 +535,24 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
         "scale_lo " + _fmt_vec(scaling.lo),
         "scale_hi " + _fmt_vec(scaling.hi),
         f"provenance {provenance}",
+        f"dtype {dtype}",
     ]
     for li, (W, b) in enumerate(params):
-        _tensor_lines(f"W{li}", W, lines)
-        _tensor_lines(f"b{li}", b, lines)
+        _tensor_lines(f"W{li}", W, dtype, lines)
+        _tensor_lines(f"b{li}", b, dtype, lines)
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     digest = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(f"checksum {digest}\n".encode("ascii"))
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(payload)
+            fh.write(f"checksum {digest}\n".encode("ascii"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class _LineReader:
@@ -552,34 +590,43 @@ def _finite(values, what):
     return values
 
 
-def _read_tensor(reader: _LineReader, name, rows, cols):
-    """A `tensor` line, then one line of hex little-endian float64."""
+def _read_tensor(reader: _LineReader, name, shape, dtype):
+    """A `tensor` line, then one line of hex little-endian `dtype` values,
+    returned as a new float64 array of `shape`; a vector's `tensor` line
+    reads as one row."""
+    rows, cols = (1, *shape)[-2:]
     head = reader.text(f"tensor {name}")
     if head != f"tensor {name} {rows} {cols}":
         raise CheckpointError(f"malformed checkpoint: expected 'tensor {name} {rows} {cols}', got {head[:60]!r}")
-    try:  # a2b_hex takes hex digits only; a writable copy for numpy
-        data = bytearray(binascii.a2b_hex(reader.next(f"data of {name}")))
+    try:  # a2b_hex takes hex digits only
+        data = binascii.a2b_hex(reader.next(f"data of {name}"))
     except binascii.Error as exc:
         raise CheckpointError(f"malformed checkpoint: bad hex data in tensor {name}") from exc
-    if len(data) != rows * cols * 8:
+    expected = rows * cols * np.dtype(dtype).itemsize
+    if len(data) != expected:
         raise CheckpointError(f"malformed checkpoint: tensor {name} holds {len(data)} bytes, "
-                              f"expected {rows * cols * 8}")
-    return _finite(np.frombuffer(data, dtype=_TENSOR_DTYPE).reshape(rows, cols), f"tensor {name}")
+                              f"expected {expected}")
+    values = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return _finite(values, f"tensor {name}").astype(np.float64)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a format 3 checkpoint.
+    """Read a format 4 checkpoint.
 
     Works on the file's bytes without copying them whole.  The checksum
     is verified over the raw bytes before anything is decoded, and the
     file is checked to be UTF-8 before any line is read.  Only the header
     and `tensor` lines are then decoded as text; each data line goes from
-    hex digits straight to float64, so any other byte in it (whitespace
-    included) is bad hex.  Raises CheckpointError on a bad magic or
-    checksum, on any format but 3 (formats 1 and 2 held decimal rows;
-    retrain to replace such a file), on a truncated or malformed layout,
-    on a tensor body of the wrong length, on any non-finite number and on
-    content after the last tensor.
+    hex digits straight to values of the header's dtype, float32 or
+    float64, so any other byte in it (whitespace included) is bad hex.
+    Every weight and bias is returned as a float64 array of its own, C
+    order and writable, whichever dtype stored it.  Raises
+    CheckpointError on a bad magic or checksum, on any format but 4
+    (formats 1 and 2 held decimal rows, format 3 hex float64 without a
+    dtype line; retrain to replace such a file), on a truncated or
+    malformed layout, on an unknown dtype, on a tensor body of the wrong
+    length, on any non-finite number and on content after the last
+    tensor.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -609,15 +656,18 @@ def load_checkpoint(path) -> Checkpoint:
         lo = _finite(np.array(split_floats(reader.field("scale_lo"))), "scale_lo")
         hi = _finite(np.array(split_floats(reader.field("scale_hi"))), "scale_hi")
         provenance = reader.field("provenance")
+        dtype = reader.field("dtype")
     except (ValueError, InvalidParameterError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
     if len(sizes) < 2 or min(sizes) < 1 or not lo.size == hi.size == sizes[-1]:
         raise CheckpointError(f"malformed checkpoint header: sizes {sizes} with "
                               f"{lo.size}/{hi.size} scaling entries")
+    if dtype not in _DTYPES:
+        raise CheckpointError(f"malformed checkpoint header: dtype {dtype[:60]!r} is not one of {_DTYPES}")
     scaling = TargetScaling(lo=lo, hi=hi)
 
-    params = [(_read_tensor(reader, f"W{li}", n_out, n_in),
-               _read_tensor(reader, f"b{li}", 1, n_out)[0])
+    params = [(_read_tensor(reader, f"W{li}", (n_out, n_in), dtype),
+               _read_tensor(reader, f"b{li}", (n_out,), dtype))
               for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]))]
     if reader.pos != reader.end:
         raise CheckpointError(f"malformed checkpoint: unexpected content after the last tensor: "

@@ -16,13 +16,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricalib import cli, errors, metrics
+from tricalib import cli, errors, metrics, net
 from tricalib.config import default_device_config, write_device_config
-from tricalib.data import DATASET_HEADER, METADATA_KEYS, read_csv, write_csv
+from tricalib.data import (
+    DATASET_HEADER,
+    METADATA_KEYS,
+    KickConfig,
+    TargetScaling,
+    read_csv,
+    write_csv,
+)
 from tricalib.device import ResponseCoefficients, tritter_unitary
 from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
 from tricalib.metrics import noisy_draw
-from tricalib.net import TrainConfig, forward, load_checkpoint
+from tricalib.net import TrainConfig, forward, load_checkpoint, save_checkpoint
 
 from conftest import read_report, run_cli, same_bits
 
@@ -542,6 +549,16 @@ def test_dataset_metadata_lists_agree(toy):
     assert documented == written == list(METADATA_KEYS)
 
 
+def test_checkpoint_format_doc_agrees():
+    """README's "Checkpoint" paragraph names the format `net` writes and
+    reads and both tokens of its `dtype` line."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\n**Checkpoint**", 1)[1].split("\n\n", 1)[0]
+    assert f"format {net._FORMAT}" in paragraph
+    for dtype in net._DTYPES:
+        assert f"`dtype {dtype}`" in paragraph, dtype
+
+
 def test_device_config_override_changes_phases(tmp_path, capsys):
     dev = default_device_config()
     softer = replace(dev, coeffs=ResponseCoefficients(
@@ -612,7 +629,7 @@ def _rechecksummed_model(toy, tmp_path, edit):
 
 def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
     """A NaN weight under a valid checksum is exit 7, not `v1 = nan`."""
-    bad = _rechecksummed_model(toy, tmp_path, lambda data: "000000000000f87f" + data[16:])
+    bad = _rechecksummed_model(toy, tmp_path, lambda data: "0000c07f" + data[8:])
     probs_arg = ",".join(["0.1"] * 12)
     assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
     captured = capsys.readouterr()
@@ -620,14 +637,15 @@ def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
     assert "non-finite value in tensor W0" in captured.err and "Traceback" not in captured.err
 
 
-# Edits of a format 3 data line (hex little-endian float64) under a valid
-# checksum; the NaN case is test_exit_code_nan_checkpoint_weight.
+# Edits of a format 4 data line (hex little-endian float32, as `train`
+# stores its weights) under a valid checksum; the NaN case is
+# test_exit_code_nan_checkpoint_weight.
 @pytest.mark.parametrize("edit, message", [
-    (lambda data: data[:-2], "tensor W0 holds 2303 bytes, expected 2304"),  # one byte short
+    (lambda data: data[:-2], "tensor W0 holds 1151 bytes, expected 1152"),  # one byte short
     (lambda data: "g" + data[1:], "bad hex data in tensor W0"),
-    (lambda data: data[:-16] + "000000000000f0ff", "non-finite value in tensor W0"),  # -inf
-    (lambda data: " \t".join(data[i:i + 16] for i in range(0, len(data), 16)) + "  ",
-     "bad hex data in tensor W0"),  # whitespace between and after the float64s
+    (lambda data: data[:-8] + "000080ff", "non-finite value in tensor W0"),  # -inf
+    (lambda data: " \t".join(data[i:i + 8] for i in range(0, len(data), 8)) + "  ",
+     "bad hex data in tensor W0"),  # whitespace between and after the float32s
 ], ids=["one-byte-short", "non-hex", "minus-inf", "whitespace"])
 def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, message):
     bad = _rechecksummed_model(toy, tmp_path, edit)
@@ -638,17 +656,18 @@ def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, messa
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("fmt", ["format 1", "format 2"])
+@pytest.mark.parametrize("fmt", ["format 1", "format 2", "format 3"])
 def test_exit_code_decimal_checkpoint_format(toy, tmp_path, capsys, fmt):
-    """Checkpoint formats 1 and 2 (decimal rows) are no longer read: exit 7,
-    and the message names the one format that is."""
-    payload = toy["model"].read_text().replace("format 3", fmt, 1).rpartition("checksum ")[0]
+    """Checkpoint formats 1 and 2 (decimal rows) and 3 (hex float64, no
+    dtype line) are no longer read: exit 7, and the message names the one
+    format that is."""
+    payload = toy["model"].read_text().replace("format 4", fmt, 1).rpartition("checksum ")[0]
     bad = tmp_path / "old.ckpt"
     bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
     assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
     err = capsys.readouterr().err
     assert err.startswith("error[checkpoint]: unsupported checkpoint format"), err
-    assert f"'{fmt}'" in err and "format 3" in err, err
+    assert f"'{fmt}'" in err and "format 4" in err, err
 
 
 @pytest.mark.parametrize("sizes", ["12 2_4 24 4", "12 \u0662\u0664 24 4"],
@@ -665,6 +684,28 @@ def test_exit_code_python_only_int_spelling_checkpoint(toy, tmp_path, capsys, si
     assert "v1 =" not in captured.out
     assert captured.err.startswith("error[checkpoint]: malformed checkpoint header"), captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "surface"])
+@pytest.mark.parametrize("sizes", [(6, 8, 2), (12, 8, 2), (6, 8, 4)], ids=["6-8-2", "12-8-2", "6-8-4"])
+def test_exit_code_model_of_the_wrong_shape(toy, tmp_path, capsys, command, sizes):
+    """A well-formed checkpoint whose network does not map the 12
+    probabilities to the 4 target voltages is exit 7 naming its sizes."""
+    rng = np.random.default_rng(0)
+    params = [(rng.normal(size=(n_out, n_in)), np.zeros(n_out))
+              for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    model = tmp_path / "shape.ckpt"
+    save_checkpoint(model, params, KickConfig(0.5, 0.5),
+                    TargetScaling(lo=np.zeros(sizes[-1]), hi=np.ones(sizes[-1])))
+    argv = {"predict": ["--probs", ",".join(["0.1"] * 12)],
+            "evaluate": ["-i", str(toy["ds"]), "-o", str(tmp_path / "out"), "--reps", "2"],
+            "surface": ["-i", str(toy["ds"]), "-o", str(tmp_path / "out")]}[command]
+    assert run_cli([command, "-m", str(model), *argv]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[checkpoint]: "), captured.err
+    assert str(list(sizes)) in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_non_utf8_checkpoint(toy, tmp_path, capsys):

@@ -3,6 +3,7 @@ training loop, prediction, and the checkpoint format."""
 
 import hashlib
 import inspect
+import struct
 import sys
 import threading
 import time
@@ -979,6 +980,23 @@ def trained_toy(tmp_path):
     return path, params, scaling, tr.kick
 
 
+def dtype_line(lines):
+    """The stored dtype of a checkpoint's lines (text or bytes): the numpy
+    dtype its `dtype` header line names."""
+    text = [line.decode() if isinstance(line, bytes) else line for line in lines]
+    return np.dtype(next(line for line in text if line.startswith("dtype ")).split()[1])
+
+
+def f32_exact(x):
+    """x survives a round trip through IEEE binary32 bit for bit (struct
+    packs by C cast, refusing values beyond binary32's range)."""
+    try:
+        back = struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return False
+    return struct.pack("<d", back) == struct.pack("<d", x)
+
+
 def rewrite_with_checksum(path, lines):
     """Write `lines` (without a checksum line) plus a valid checksum."""
     payload = "\n".join(lines) + "\n"
@@ -997,13 +1015,14 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert same_bits(ck.scaling.hi, scaling.hi)
     assert ck.provenance == "toy"
     lines = path.read_text().splitlines()
-    assert lines[1] == "format 3"
+    assert lines[1] == "format 4"
+    assert lines[7] == "dtype <f4"  # train's weights are float32 values
     assert not any(line.startswith(("adam_t", "tensor m", "tensor v")) for line in lines)
     heads = [i for i, line in enumerate(lines) if line.startswith("tensor ")]
     assert len(heads) == 2 * len(params)
-    for i in heads:  # one line of 16 hex digits per float64 under each header
+    for i in heads:  # one line of 8 hex digits per float32 under each header
         _, _, rows, cols = lines[i].split()
-        assert len(lines[i + 1]) == 16 * int(rows) * int(cols)
+        assert len(lines[i + 1]) == 8 * int(rows) * int(cols)
         assert lines[i + 2].startswith(("tensor ", "checksum "))
 
 
@@ -1026,6 +1045,7 @@ def test_checkpoint_default_size_round_trip_bitwise(tmp_path):
     save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling, provenance="default")
     ck = load_checkpoint(path)
     assert ck.sizes == [12, 200, 200, 200, 4]
+    assert dtype_line(path.read_text().splitlines()) == "<f8"
     for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
         assert same_bits(W, rW) and same_bits(b, rb)
     assert same_bits(scaling.lo, ck.scaling.lo) and same_bits(scaling.hi, ck.scaling.hi)
@@ -1033,42 +1053,95 @@ def test_checkpoint_default_size_round_trip_bitwise(tmp_path):
 
 def test_checkpoint_loaded_arrays_are_owned_float64(tmp_path):
     """Every loaded weight and bias is float64, C-contiguous and writable,
-    and shares memory with no other: callers may update them in place."""
-    path, *_ = trained_toy(tmp_path)
-    arrays = [arr for pair in load_checkpoint(path).params for arr in pair]
-    for arr in arrays:
-        assert arr.dtype == np.float64
-        assert arr.flags.c_contiguous and arr.flags.writeable
-    for i, a in enumerate(arrays):
-        for b in arrays[i + 1:]:
-            assert not np.shares_memory(a, b)
+    owns its memory and shares it with no other, whichever dtype stored
+    it: callers may update them in place."""
+    path, params, scaling, kick = trained_toy(tmp_path)
+    for stored in ("<f4", "<f8"):
+        if stored == "<f8":  # one weight that float32 cannot hold
+            params[0][0][0, 0] += 2.0**-40
+            save_checkpoint(path, params, kick, scaling, provenance="toy")
+        assert dtype_line(path.read_text().splitlines()) == stored
+        arrays = [arr for pair in load_checkpoint(path).params for arr in pair]
+        for arr in arrays:
+            assert arr.dtype == np.float64 and arr.flags.owndata
+            assert arr.flags.c_contiguous and arr.flags.writeable
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
+# -0.0, float64 subnormals (float32 flushes them), values beyond float32's
+# range, and the float32 extremes themselves
 _EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3,
-                             np.finfo(float).max, -np.finfo(float).max])
+                             np.finfo(float).max, -np.finfo(float).max, 1e39, -1e39,
+                             float(np.finfo(np.float32).max), float(np.finfo(np.float32).tiny),
+                             float(np.finfo(np.float32).smallest_subnormal)])
+_FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_FLOAT64 = st.floats(allow_nan=False, allow_infinity=False) | _EXTREMES
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(),
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), only_float32=st.booleans(),
        sizes=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4))
-def test_checkpoint_round_trip_property(tmp_path_factory, data, sizes):
-    """save -> load is the identity on every bit of every stored float."""
-    finite = st.floats(allow_nan=False, allow_infinity=False) | _EXTREMES
+def test_checkpoint_round_trip_property(tmp_path_factory, data, only_float32, sizes):
+    """save -> load is the identity on every bit of every stored float, for
+    parameters drawn as float32 values or as any finite float64 (with
+    float32 values mixed in), and the tensors are stored as float32
+    exactly when every weight and bias is a float32 value."""
+    weights = _FLOAT32 if only_float32 else _FLOAT64 | _FLOAT32
 
-    def vec(n):
+    def vec(n, finite=weights):
         return np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
 
     params = [(vec(n_in * n_out).reshape(n_out, n_in), vec(n_out))
               for n_in, n_out in zip(sizes[:-1], sizes[1:])]
-    scaling = TargetScaling(lo=vec(sizes[-1]), hi=vec(sizes[-1]))
+    scaling = TargetScaling(lo=vec(sizes[-1], _FLOAT64), hi=vec(sizes[-1], _FLOAT64))
     kick = KickConfig(*data.draw(st.tuples(*[st.floats(min_value=5e-324, max_value=1e300)] * 2)))
     path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
     save_checkpoint(path, params, kick, scaling, provenance="property")
     ck = load_checkpoint(path)
     assert ck.sizes == sizes and ck.kick == kick and ck.provenance == "property"
+    exact = all(f32_exact(float(x)) for pair in params for arr in pair for x in arr.ravel())
+    assert dtype_line(path.read_text().splitlines()) == ("<f4" if exact else "<f8")
+    if only_float32:
+        assert exact
     for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
         assert same_bits(W, rW) and same_bits(b, rb)
     assert same_bits(scaling.lo, ck.scaling.lo) and same_bits(scaling.hi, ck.scaling.hi)
+
+
+@pytest.mark.parametrize("bad", ["nan weight", "inf bias", "-inf scale_hi"])
+def test_checkpoint_non_finite_parameters_refused(tmp_path, bad):
+    """A non-finite weight, bias or scaling bound is refused at save time,
+    and no file is written (the loader would reject it: exit 7)."""
+    params = [(np.ones((4, 12)), np.zeros(4))]
+    scaling = TargetScaling(lo=np.zeros(4), hi=np.ones(4))
+    value, where = bad.split()
+    {"weight": params[0][0], "bias": params[0][1], "scale_hi": scaling.hi}[where][-1] = float(value)
+    path = tmp_path / "n.ckpt"
+    with pytest.raises(InvalidParameterError, match="non-finite") as exc:
+        save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling)
+    assert exc.value.exit_code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+def test_checkpoint_failed_save_keeps_the_old_file(tmp_path, monkeypatch, failure):
+    """A save that fails after writing its bytes leaves the file that was
+    at `path` as it was, and no temporary file beside it."""
+    path, params, scaling, kick = trained_toy(tmp_path)
+    before = path.read_bytes()
+    params[0][0][0, 0] += 1.0
+
+    def fail(*_):
+        raise failure
+
+    monkeypatch.setattr(net.os, "replace", fail)
+    with pytest.raises(type(failure)):
+        save_checkpoint(path, params, kick, scaling, provenance="toy")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 @pytest.mark.parametrize("provenance", ["run 1\nrun 2", "run 1\r", "\n"])
@@ -1107,15 +1180,16 @@ def test_checkpoint_bit_flip_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fmt", ["format 1", "format 2", "format 999"])
+@pytest.mark.parametrize("fmt", ["format 1", "format 2", "format 3", "format 999"])
 def test_checkpoint_foreign_format_version_rejected(tmp_path, fmt):
-    """Only format 3 loads; the decimal formats 1 and 2 are refused like
-    any other version, and the message names the format that is read."""
+    """Only format 4 loads; the decimal formats 1 and 2 and format 3 (hex
+    float64 without a dtype line) are refused like any other version, and
+    the message names the format that is read."""
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
     lines[1] = fmt
     rewrite_with_checksum(path, lines)
-    with pytest.raises(CheckpointError, match="unsupported checkpoint format.*format 3"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format.*format 4"):
         load_checkpoint(path)
 
 
@@ -1124,13 +1198,15 @@ def test_checkpoint_foreign_format_version_rejected(tmp_path, fmt):
     ("scale_hi", "inf", "non-finite value in scale_hi"),
     ("kick", "nan", "kick offsets must be finite"),
     ("scale_lo", "1_0", "malformed checkpoint header"),
+    ("dtype", "<f2", "malformed checkpoint header: dtype '<f2'"),
 ])
 def test_checkpoint_non_finite_value_rejected(tmp_path, label, value, message):
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
     at = next(i for i, line in enumerate(lines) if line.startswith(label))
-    if label.startswith("tensor"):  # the last element of its hex float64 data line
-        lines[at + 1] = lines[at + 1][:-16] + np.array(float(value), "<f8").tobytes().hex()
+    if label.startswith("tensor"):  # the last element of its hex data line
+        stored = dtype_line(lines)
+        lines[at + 1] = lines[at + 1][:-2 * stored.itemsize] + np.array(float(value), stored).tobytes().hex()
     else:
         fields = lines[at].split()
         fields[-1] = value
@@ -1146,7 +1222,7 @@ def test_checkpoint_missing_tensor_line_message_is_bounded(tmp_path):
     path, *_ = trained_toy(tmp_path)
     lines = path.read_text().splitlines()[:-1]
     at = lines.index("tensor W1 10 10")
-    assert len(lines[at + 1]) == 1600
+    assert len(lines[at + 1]) == 800
     del lines[at]
     rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match="expected 'tensor W1 10 10', got ") as exc:
@@ -1155,40 +1231,42 @@ def test_checkpoint_missing_tensor_line_message_is_bounded(tmp_path):
     assert len(str(exc.value)) < 150
 
 
-def handmade_checkpoint(path, params, kick, scaling):
-    """Write `params` to the documented format 3 layout by hand: one line
-    of hex float64 per tensor."""
+def handmade_checkpoint(path, params, kick, scaling, dtype):
+    """Write `params` to the documented format 4 layout by hand: a `dtype`
+    header line, then one line of hex `dtype` values per tensor."""
     sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         "tricalib-checkpoint",
-        "format 3",
+        "format 4",
         "sizes " + " ".join(map(str, sizes)),
         f"kick {float(kick.dv1)!r} {float(kick.dv2)!r}",
         "scale_lo " + " ".join(repr(float(x)) for x in scaling.lo),
         "scale_hi " + " ".join(repr(float(x)) for x in scaling.hi),
         "provenance handmade",
+        f"dtype {dtype}",
     ]
     for li, pair in enumerate(params):
         for kind, arr in zip("Wb", pair):
             arr = np.atleast_2d(arr)
             lines.append(f"tensor {kind}{li} {arr.shape[0]} {arr.shape[1]}")
-            lines.append(arr.astype("<f8").tobytes().hex())
+            lines.append(arr.astype(dtype).tobytes().hex())
     rewrite_with_checksum(path, lines)
 
 
-@pytest.mark.parametrize("fmt", [3])
-def test_checkpoint_written_elsewhere_loads(tmp_path, fmt):
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_checkpoint_written_elsewhere_loads(tmp_path, dtype):
     """A file assembled by hand to the documented layout of the one format
-    read must load."""
+    read must load, with either dtype."""
     rng = np.random.default_rng(0)
-    W0, b0 = rng.normal(size=(2, 12)), np.zeros(2)
-    W1, b1 = rng.normal(size=(4, 2)), np.zeros(4)
+    W0, b0 = rng.normal(size=(2, 12)).astype(dtype).astype(float), np.zeros(2)
+    W1, b1 = rng.normal(size=(4, 2)).astype(dtype).astype(float), np.zeros(4)
     path = tmp_path / "handmade.ckpt"
     handmade_checkpoint(path, [(W0, b0), (W1, b1)], KickConfig(0.5, 0.5),
-                        TargetScaling(lo=np.zeros(4), hi=np.ones(4)))
+                        TargetScaling(lo=np.zeros(4), hi=np.ones(4)), dtype)
 
-    assert path.read_text().splitlines()[1] == f"format {fmt}"
+    assert path.read_text().splitlines()[1] == "format 4"
     ck = load_checkpoint(path)
+    assert same_bits(ck.params[0][0], W0) and same_bits(ck.params[1][0], W1)
     assert ck.sizes == [12, 2, 4]
     feats = rng.uniform(size=12)
     expected = W1 @ np.maximum(W0 @ feats + b0, 0.0) + b1
@@ -1205,70 +1283,83 @@ def test_checkpoint_trailing_content_rejected(tmp_path, extra):
     lines = path.read_text().splitlines()[:-1]
     if extra == "line":
         lines.append("0.0")
-    else:  # format 1's moment blocks, in the format 3 body form
+    else:  # format 1's moment blocks, in the format 4 body form
         for label in ("m", "v"):
             for li, (W, b) in enumerate(params):
                 for name, arr in ((f"{label}W{li}", W), (f"{label}b{li}", b[None])):
                     lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-                    lines.append(np.zeros(arr.shape, "<f8").tobytes().hex())
+                    lines.append(np.zeros(arr.shape, dtype_line(lines)).tobytes().hex())
     rewrite_with_checksum(path, lines)
     with pytest.raises(CheckpointError, match="after the last tensor"):
         load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
-def fuzz_base(tmp_path_factory):
-    """A small format 3 checkpoint (12-3-4) and a scratch path for its mutants.
+def fuzz_bases(tmp_path_factory):
+    """Two small checkpoints (12-3-4), one stored as float32 and one as
+    float64, and a scratch path for their mutants.
 
-    W0[0, 0] is 1.9375, 0x3fff000000000000, stored as 000000000000ff3f:
-    one bit of its 15th hex digit away from a NaN."""
+    W0[0, 0] is 1.9375: 0x3ff80000 in float32, stored as 0000f83f, and
+    0x3fff000000000000 in float64, stored as 000000000000ff3f; either way
+    one bit of its last hex digit but one away from a NaN."""
     rng = np.random.default_rng(5)
     W0, W1 = rng.normal(size=(3, 12)), rng.normal(size=(4, 3))
     W0[0, 0] = 1.9375
     params = [(W0, rng.normal(size=3)), (W1, rng.normal(size=4))]
-    path = tmp_path_factory.mktemp("fuzz") / "base.ckpt"
-    save_checkpoint(path, params, KickConfig(0.5, 0.25),
-                    TargetScaling(lo=np.zeros(4), hi=np.full(4, 2.0)), provenance="fuzz")
-    return path.read_bytes(), path.with_name("mutant.ckpt")
+    root = tmp_path_factory.mktemp("fuzz")
+    bases = []
+    for dtype in ("<f4", "<f8"):
+        stored = [(W.astype(dtype).astype(float), b.astype(dtype).astype(float)) for W, b in params]
+        path = root / f"base{dtype[1:]}.ckpt"
+        save_checkpoint(path, stored, KickConfig(0.5, 0.25),
+                        TargetScaling(lo=np.zeros(4), hi=np.full(4, 2.0)), provenance="fuzz")
+        assert dtype_line(path.read_text().splitlines()) == dtype
+        bases.append(path.read_bytes())
+    return bases, root / "mutant.ckpt"
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutations=st.lists(BYTE_MUTATION, min_size=1, max_size=3), recompute=st.booleans())
-# Line 8 is W0's data line: a newline or a space at a float64 boundary
-# splits it, and '3' -> '7' in W0[0, 0]'s top byte makes 0x7fff000000000000,
-# a NaN.
-@example(mutations=[("insert", 8, 16, ord("\n"))], recompute=True)
-@example(mutations=[("insert", 8, 16, ord(" "))], recompute=True)
-@example(mutations=[("flip", 8, 14, ord("3") ^ ord("7"))], recompute=True)
-def test_checkpoint_byte_mutation_fuzz(fuzz_base, mutations, recompute):
+# Line 9 is W0's data line: a newline or a space at a value boundary
+# splits it, and '3' -> '7' in W0[0, 0]'s top byte (hex digit 6 of a
+# float32, 14 of a float64) makes 0x7ff80000 or 0x7fff000000000000, a NaN.
+@example(mutations=[("insert", 9, 16, ord("\n"))], recompute=True)
+@example(mutations=[("insert", 9, 16, ord(" "))], recompute=True)
+@example(mutations=[("flip", 9, 6, ord("3") ^ ord("7"))], recompute=True)
+@example(mutations=[("flip", 9, 14, ord("3") ^ ord("7"))], recompute=True)
+def test_checkpoint_byte_mutation_fuzz(fuzz_bases, mutations, recompute):
     """Flipped, inserted or deleted bytes give a CheckpointError or a
     checkpoint whose tensors match its sizes and are all finite, and whose
-    data lines hold exactly 16 hex digits per float64, with the checksum
-    left as it is or recomputed so the mutation reaches the parser."""
-    base, path = fuzz_base
-    if recompute:
-        payload = base[:base.rindex(b"checksum ")]
-        for mutation in mutations:
-            payload = mutate_bytes(payload, *mutation)
-        data = payload + f"checksum {hashlib.sha256(payload).hexdigest()}\n".encode()
-    else:
-        data = base
-        for mutation in mutations:
-            data = mutate_bytes(data, *mutation)
-    path.write_bytes(data)
-    try:
-        ck = load_checkpoint(path)
-    except CheckpointError:
-        return
-    assert len(ck.sizes) >= 2 and len(ck.params) == len(ck.sizes) - 1
-    for (W, b), n_in, n_out in zip(ck.params, ck.sizes[:-1], ck.sizes[1:]):
-        assert W.shape == (n_out, n_in) and b.shape == (n_out,)
-        assert np.isfinite(W).all() and np.isfinite(b).all()
-    assert ck.scaling.lo.shape == ck.scaling.hi.shape == (ck.sizes[-1],)
-    assert np.isfinite(ck.scaling.lo).all() and np.isfinite(ck.scaling.hi).all()
-    lines = data.split(b"\n")
-    heads = [i for i, line in enumerate(lines) if line.startswith(b"tensor ")]
-    assert len(heads) == 2 * len(ck.params)
-    for i, arr in zip(heads, (arr for pair in ck.params for arr in pair)):
-        assert len(lines[i + 1]) == 16 * arr.size
+    data lines hold exactly 2 * itemsize hex digits per value of the dtype
+    its `dtype` line names, with the checksum left as it is or recomputed
+    so the mutation reaches the parser.  Each mutation is applied to the
+    float32 and to the float64 file."""
+    bases, path = fuzz_bases
+    for base in bases:
+        if recompute:
+            payload = base[:base.rindex(b"checksum ")]
+            for mutation in mutations:
+                payload = mutate_bytes(payload, *mutation)
+            data = payload + f"checksum {hashlib.sha256(payload).hexdigest()}\n".encode()
+        else:
+            data = base
+            for mutation in mutations:
+                data = mutate_bytes(data, *mutation)
+        path.write_bytes(data)
+        try:
+            ck = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        assert len(ck.sizes) >= 2 and len(ck.params) == len(ck.sizes) - 1
+        for (W, b), n_in, n_out in zip(ck.params, ck.sizes[:-1], ck.sizes[1:]):
+            assert W.shape == (n_out, n_in) and b.shape == (n_out,)
+            assert np.isfinite(W).all() and np.isfinite(b).all()
+        assert ck.scaling.lo.shape == ck.scaling.hi.shape == (ck.sizes[-1],)
+        assert np.isfinite(ck.scaling.lo).all() and np.isfinite(ck.scaling.hi).all()
+        lines = data.split(b"\n")
+        itemsize = dtype_line(lines).itemsize
+        heads = [i for i, line in enumerate(lines) if line.startswith(b"tensor ")]
+        assert len(heads) == 2 * len(ck.params)
+        for i, arr in zip(heads, (arr for pair in ck.params for arr in pair)):
+            assert len(lines[i + 1]) == 2 * itemsize * arr.size
 

@@ -48,7 +48,7 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, forward, load_checkpoint, predict, save_checkpoint
+from .net import TrainConfig, _one_blas_thread, forward, load_checkpoint, predict, save_checkpoint
 
 # Reference seeds for the reproducible default pipeline.
 DEFAULT_DATA_SEED = 7
@@ -452,7 +452,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except CalibrationError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code

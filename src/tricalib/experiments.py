@@ -35,7 +35,7 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, _openblas_threads, forward, train
+from .net import TrainConfig, _one_blas_thread, forward, train
 
 __all__ = [
     "SweepConfig",
@@ -91,26 +91,21 @@ def _in_workers(task, arg_lists, jobs):
     under `fork` the pool's semaphores are unlinked at once, so no
     resource-tracker process starts either.  The `with` block joins every
     worker on success and on error; a task's exception, pickled back
-    from its worker, is raised here.  Each worker sets OpenBLAS to one
-    thread when it starts, so a whole task, its forward passes outside
-    `net.train` included, runs single-threaded beside the other
-    workers; the worker exits afterwards, so nothing is restored.
+    from its worker, is raised here.  The pool opens inside
+    `net._one_blas_thread`, so every worker forks with OpenBLAS on one
+    thread and the pin already held: a whole task, its forward passes
+    outside `net.train` included, runs single-threaded, and `train`'s
+    own pin in a worker calls no setter (one there would start a
+    spinning OpenBLAS thread in the child).
     """
     # imported here: `multiprocessing` costs every other command start-up time
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(arg_lists)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread_for_life) as pool:
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=min(jobs, len(arg_lists)),
+            mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(task, *zip(*arg_lists)))
-
-
-def _one_blas_thread_for_life():
-    """Set this process's OpenBLAS to one thread, where there is one."""
-    calls = _openblas_threads()
-    if calls is not None:
-        calls[1](1)
 
 
 def train_config_pairs(cfg: TrainConfig):
@@ -190,10 +185,10 @@ def run_grid_sweep(
     it with its own fresh shot noise.  Returns the per-size summary rows.
 
     Trainings run in `jobs` forked worker processes (never more than
-    there are trainings), each on one OpenBLAS thread.  Every training
-    has its own seeds, so the files are identical for any `jobs`.  The
-    output directory is made only once every training has returned, so a
-    failed training leaves none behind.
+    there are trainings), each on one OpenBLAS thread (`_in_workers`).
+    Every training has its own seeds, so the files are identical for any
+    `jobs`.  The output directory is made only once every training has
+    returned, so a failed training leaves none behind.
     """
     if jobs < 1:
         raise InvalidParameterError("jobs must be >= 1")
@@ -293,10 +288,10 @@ def run_kick_ablation(
     mean_total=None to compare on exact probabilities instead (no noise
     at all).
 
-    The two trainings run in forked worker processes, one each (at most
-    `os.cpu_count()`), and the output directory is made only once both
-    have returned.  Returns (rmse_with, rmse_without,
-    improvement_fraction), validation RMSE in volts.
+    The two trainings run in forked worker processes on one OpenBLAS
+    thread each (`_in_workers`; at most `os.cpu_count()` workers), and
+    the output directory is made only once both have returned.  Returns
+    (rmse_with, rmse_without, improvement_fraction), validation RMSE in volts.
     """
     grid = build_grid(grid_min, grid_max, grid_n)
     kick = kick_from_steps(grid, kick_steps, kick_steps)

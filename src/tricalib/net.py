@@ -96,8 +96,8 @@ class TrainConfig:
             raise InvalidParameterError("epochs, batch size and patience must be >= 1")
         if self.patience > self.max_epochs:
             raise InvalidParameterError("patience cannot exceed max_epochs")
-        if self.learning_rate <= 0:
-            raise InvalidParameterError("learning rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidParameterError("learning rate must be finite and > 0")
         if any(h < 1 for h in self.hidden) or not self.hidden:
             raise InvalidParameterError("hidden layer sizes must be >= 1")
 
@@ -331,13 +331,14 @@ _pin_saved = None
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread.
 
-    The pin is reference-counted: the first block to enter saves the
-    thread count and sets 1, and the last to leave restores it, so a
-    nested or concurrent block never restores the count under one still
-    running.  The CLI's pooled trainings run in forked processes, each
-    with its own count; the reference count is for library callers that
-    train from several threads of one process.  Where no OpenBLAS is
-    found this does nothing.
+    This is the only place that sets the OpenBLAS thread count.  The
+    pin is reference-counted: the first block to enter saves the count
+    and sets 1, and the last to leave restores it, so a nested or
+    concurrent block never restores it under one still running.
+    `cli.main` runs every command inside it and `experiments` forks its
+    workers inside it, so a worker starts on one thread with the pin
+    held and calls no setter (one would start a spinning OpenBLAS thread
+    in the child).  Where no OpenBLAS is found this does nothing.
     """
     global _pin_holders, _pin_saved
     calls = _openblas_threads()

@@ -235,6 +235,31 @@ def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     assert read_report(out / "report.txt")["sampling"] == "uniform"
 
 
+@pytest.mark.parametrize("command, wrapped", [("predict", "predict"), ("evaluate", "forward")])
+def test_commands_run_on_one_blas_thread(toy, tmp_path, monkeypatch, blas_count, command, wrapped):
+    """`main` runs every command inside `net._one_blas_thread`: the
+    forward passes of `predict` and `evaluate` see one OpenBLAS thread,
+    and the caller's count is back when `main` returns, on success and
+    on an error exit (a missing model, exit 10)."""
+    outside = blas_count()
+    seen = []
+    real = getattr(cli, wrapped)
+
+    def recording(*args):
+        seen.append(blas_count())
+        return real(*args)
+
+    monkeypatch.setattr(cli, wrapped, recording)
+    argv = {"predict": ["predict", "--probs", ",".join(["0.1"] * 12)],
+            "evaluate": ["evaluate", "-i", str(toy["ds"]), "-o", str(tmp_path / "eval"),
+                         "--reps", "2", "--rep-size", "10"]}[command]
+    assert run_cli([*argv, "-m", str(toy["model"])]) == 0
+    assert seen and set(seen) == {None if outside is None else 1}
+    assert blas_count() == outside
+    assert run_cli([*argv, "-m", str(tmp_path / "missing.ckpt")]) == 10
+    assert blas_count() == outside
+
+
 def relabelled_dataset(toy, path, **changes):
     """The toy dataset written to `path` with some metadata changed."""
     write_csv(replace(read_csv(toy["ds"]), **changes), path)
@@ -606,6 +631,18 @@ def test_exit_code_non_finite_tritter_device_config(tmp_path, capsys):
 def test_exit_code_missing_file(tmp_path):
     assert run_cli(["train", "-i", str(tmp_path / "nope.csv"),
                     "-o", str(tmp_path / "m.ckpt")]) == 10
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_exit_code_non_finite_learning_rate(toy, tmp_path, capsys, lr):
+    """A learning rate that is not a finite positive number is exit 3
+    before `train` makes its model directory."""
+    model_dir = tmp_path / "model"
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(model_dir / "m.ckpt"),
+                    "--lr", lr, *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err == "error[invalid-parameter]: learning rate must be finite and > 0\n", err
+    assert not model_dir.exists()
 
 
 def test_exit_code_corrupt_checkpoint(toy, tmp_path):

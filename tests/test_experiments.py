@@ -227,15 +227,34 @@ def test_pool_workers_run_whole_tasks_on_one_blas_thread(blas_count, jobs):
     assert multiprocessing.active_children() == []
 
 
-class RecordingPool:
-    """Stands in for `ProcessPoolExecutor`: records the worker count,
-    start method and initializer each pool asks for, and runs its tasks
-    in this process (without the initializer, which would pin this
-    process's OpenBLAS)."""
+def threads_after_a_pinned_matmul(_):
+    """The number of threads of the process running this task, after a
+    matmul inside `net._one_blas_thread`, as `train` runs in a worker."""
+    with net._one_blas_thread():
+        np.ones((200, 200)) @ np.ones((200, 200))
+    return len(os.listdir("/proc/self/task"))
 
-    def __init__(self, requests, max_workers, mp_context, initializer):
+
+@pytest.mark.skipif(net._openblas_threads() is None or not os.path.isdir("/proc/self/task"),
+                    reason="needs numpy's OpenBLAS and /proc/self/task")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_workers_start_no_blas_thread(blas_count, jobs):
+    """A worker forks from a pinned parent and calls no OpenBLAS setter,
+    so it runs on its own thread alone, although this process's BLAS
+    threads were running when the pool opened.  (A setter call in the
+    child starts an OpenBLAS thread there, which spins.)"""
+    np.ones((500, 500)) @ np.ones((500, 500))
+    counts = experiments._in_workers(threads_after_a_pinned_matmul, [(i,) for i in range(2)], jobs)
+    assert counts == [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+class RecordingPool:
+    """Stands in for `ProcessPoolExecutor`: records the worker count and
+    start method each pool asks for, and runs its tasks in this process."""
+
+    def __init__(self, requests, max_workers, mp_context):
         requests.append((max_workers, mp_context.get_start_method()))
-        assert initializer is experiments._one_blas_thread_for_life
 
     def __enter__(self):
         return self

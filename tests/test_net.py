@@ -853,8 +853,9 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(InvalidParameterError):
         TrainConfig(patience=300, max_epochs=250)
-    with pytest.raises(InvalidParameterError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="finite and > 0"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(InvalidParameterError):
         TrainConfig(hidden=())
 

@@ -69,7 +69,7 @@ print(f"A = {wa} V, B = {np.round(wb, 4)} V, "
 print(f"max |P_A - P_B| on the base features: {np.abs(pa - pb).max():.2e}")
 
 grid = build_grid(1.0, 7.0, 53)
-kick = kick_from_steps(grid, 5, 5)
+kick = kick_from_steps(grid, 5)
 ka = voltage_probabilities(wa + kick.offset(), dev.coeffs, dev.tritter)
 kb = voltage_probabilities(wb + kick.offset(), dev.coeffs, dev.tritter)
 print(f"after a ({kick.dv1:.3f}, {kick.dv2:.3f}) V kick: "

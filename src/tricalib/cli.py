@@ -42,13 +42,14 @@ from .experiments import (
 )
 from .metrics import (
     format_value,
+    mean_and_sd,
     noisy_draw,
     nrmse,
     repeated_test_evaluation,
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, _one_blas_thread, forward, load_checkpoint, predict, save_checkpoint
+from .net import TrainConfig, _one_blas_thread, load_checkpoint, predict, save_checkpoint
 
 # Reference seeds for the reproducible default pipeline.
 DEFAULT_DATA_SEED = 7
@@ -161,7 +162,7 @@ def cmd_simulate(args):
 def cmd_gen_dataset(args):
     device = cfgmod.resolve_device_config(args.device_config)
     grid = datamod.build_grid(args.grid_min, args.grid_max, args.grid)
-    kick = datamod.kick_from_steps(grid, args.kick_steps, args.kick_steps)
+    kick = datamod.kick_from_steps(grid, args.kick_steps)
     mean_total = _mean_total(args.counts, device)
     rng = np.random.default_rng(args.seed)
     ds = datamod.generate_simulated(grid, kick, device, rng,
@@ -172,8 +173,12 @@ def cmd_gen_dataset(args):
 
 
 def _file_sha256(path):
+    """SHA-256 of a file, read in 64 KiB blocks so it never sits whole in memory."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def cmd_train(args):
@@ -226,15 +231,23 @@ def _load_model(path):
     return ckpt
 
 
+def _consistency_residual(volts, kick):
+    """How far predicted (..., 4) voltages sit from one kick apart: the
+    larger gap, in volts, between the predicted kicked pair and the
+    predicted base pair plus the kick."""
+    return np.maximum(np.abs(volts[..., 2] - volts[..., 0] - kick.dv1),
+                      np.abs(volts[..., 3] - volts[..., 1] - kick.dv2))
+
+
 def cmd_predict(args):
     ckpt = _load_model(args.model)
     feats = _parse_floats_arg(args.probs, N_FEATURES, "--probs")
     if feats.min() < 0.0 or feats.max() > 1.0:
         raise InvalidParameterError("probabilities must lie in [0, 1]")
-    v1, v2, residual = predict(ckpt.params, feats, ckpt.scaling, ckpt.kick)
-    print(f"v1 = {format_value(v1)}")
-    print(f"v2 = {format_value(v2)}")
-    print(f"consistency_residual = {format_value(residual)}")
+    volts = predict(ckpt.params, feats, ckpt.scaling)
+    print(f"v1 = {format_value(volts[0])}")
+    print(f"v2 = {format_value(volts[1])}")
+    print(f"consistency_residual = {format_value(_consistency_residual(volts, ckpt.kick))}")
     return 0
 
 
@@ -254,10 +267,12 @@ def cmd_evaluate(args):
     else:
         pool_probs, pool_targets = uniform_feature_pool(ds, device, rng)
     span = ckpt.scaling.pooled_span()
-    ev, rep_nrmse, rep_cosine = repeated_test_evaluation(
-        lambda feats: ckpt.scaling.invert(forward(ckpt.params, feats)),
+    rep_nrmse, rep_cosine = repeated_test_evaluation(
+        lambda feats: predict(ckpt.params, feats, ckpt.scaling),
         pool_probs, pool_targets, mean_total, span,
         rep_count=args.reps, rep_size=args.rep_size, rng=rng)
+    nrmse_mean, nrmse_sd = mean_and_sd(rep_nrmse)
+    cosine_mean, cosine_sd = mean_and_sd(rep_cosine)
     os.makedirs(args.output, exist_ok=True)
     write_rows_csv(os.path.join(args.output, "reps.csv"),
                    ["rep", "nrmse", "cosine"],
@@ -268,17 +283,17 @@ def cmd_evaluate(args):
         ("sampling", args.sampling),
         ("mean_total", mean_total),
         ("normalization_span_volts", span),
-        ("repetitions", ev.n_repetitions),
-        ("examples_per_repetition", ev.n_examples_per_rep),
+        ("repetitions", args.reps),
+        ("examples_per_repetition", args.rep_size),
         ("seed", args.seed),
-        ("nrmse_mean", ev.nrmse),
-        ("nrmse_sd", ev.nrmse_spread),
-        ("cosine_mean", ev.cosine),
-        ("cosine_sd", ev.cosine_spread),
-        ("spread_degenerate", ev.degenerate_spread),
+        ("nrmse_mean", nrmse_mean),
+        ("nrmse_sd", nrmse_sd),
+        ("cosine_mean", cosine_mean),
+        ("cosine_sd", cosine_sd),
+        ("spread_degenerate", args.reps < 2),
     ])
-    print(f"nrmse = {format_value(ev.nrmse)} +- {format_value(ev.nrmse_spread)}")
-    print(f"cosine = {format_value(ev.cosine)} +- {format_value(ev.cosine_spread)}")
+    print(f"nrmse = {format_value(nrmse_mean)} +- {format_value(nrmse_sd)}")
+    print(f"cosine = {format_value(cosine_mean)} +- {format_value(cosine_sd)}")
     return 0
 
 
@@ -316,7 +331,9 @@ def cmd_surface(args):
     device, ckpt, ds, mean_total = _load_evaluation(args)
     idx, probs = noisy_draw(exact_feature_pool(ds, device), mean_total, args.n_new,
                             np.random.default_rng(args.seed))
-    v1, v2, residual = predict(ckpt.params, probs, ckpt.scaling, ckpt.kick)
+    volts = predict(ckpt.params, probs, ckpt.scaling)
+    v1, v2 = volts[:, 0], volts[:, 1]
+    residual = _consistency_residual(volts, ckpt.kick)
     truth = ds.targets[idx]
     error = np.sqrt((v1 - truth[:, 0]) ** 2 + (v2 - truth[:, 1]) ** 2)
     os.makedirs(args.output, exist_ok=True)
@@ -335,8 +352,7 @@ def cmd_surface(args):
         ("rms_error_volts", float(np.sqrt((error**2).mean()))),
         ("median_error_volts", float(np.median(error))),
         ("median_consistency_residual_volts", float(np.median(residual))),
-        ("nrmse_pair", nrmse(truth[:, :2].ravel(), np.stack([v1, v2], axis=-1).ravel(),
-                             0.0, ckpt.scaling.pooled_span())),
+        ("nrmse_pair", nrmse(truth[:, :2], volts[:, :2], ckpt.scaling.pooled_span())),
     ])
     print(f"prediction surface in {args.output}")
     return 0

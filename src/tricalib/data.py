@@ -154,13 +154,13 @@ def build_grid(v_min: float, v_max: float, n: int) -> VoltageGrid:
     return VoltageGrid(v1_values=vals, v2_values=vals.copy())
 
 
-def kick_from_steps(grid: VoltageGrid, steps1: int, steps2: int) -> KickConfig:
-    """Kick offsets as integer multiples of the grid step."""
-    if steps1 < 1 or steps2 < 1:
+def kick_from_steps(grid: VoltageGrid, steps: int) -> KickConfig:
+    """A kick of `steps` grid steps along each voltage axis."""
+    if steps < 1:
         raise InvalidParameterError("kick steps must be >= 1")
     step1 = float(grid.v1_values[1] - grid.v1_values[0])
     step2 = float(grid.v2_values[1] - grid.v2_values[0])
-    return KickConfig(dv1=steps1 * step1, dv2=steps2 * step2)
+    return KickConfig(dv1=steps * step1, dv2=steps * step2)
 
 
 def exact_features(targets, device: DeviceConfig):

@@ -35,11 +35,12 @@ from .metrics import (
     write_report,
     write_rows_csv,
 )
-from .net import TrainConfig, _one_blas_thread, forward, train
+from .net import TrainConfig, _one_blas_thread, predict, train
 
 __all__ = [
     "SweepConfig",
     "train_on_dataset",
+    "train_config_pairs",
     "exact_feature_pool",
     "uniform_feature_pool",
     "run_grid_sweep",
@@ -58,8 +59,8 @@ class SweepConfig:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.grid_sizes)
-        if not sizes or any(s < 2 for s in sizes) or list(sizes) != sorted(sizes):
-            raise InvalidParameterError("sweep sizes must be ascending and >= 2")
+        if not sizes or sizes[0] < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise InvalidParameterError("sweep sizes must be strictly ascending and >= 2")
         if self.trainings_per_size < 1 or self.test_size < 1:
             raise InvalidParameterError("trainings per size and test size must be >= 1")
         object.__setattr__(self, "grid_sizes", sizes)
@@ -148,8 +149,8 @@ def _sweep_run(dataset, cfg, split_seed, test_probs, test_targets, eval_seed):
     rows at the dataset's photon budget: (best val NRMSE, test cosine)."""
     params, scaling, report, _ = train_on_dataset(dataset, cfg, split_seed)
     # cosine goes over the full 4-target concatenation of the test draw
-    ev, _, _ = repeated_test_evaluation(
-        lambda feats: scaling.invert(forward(params, feats)),
+    _, cosine = repeated_test_evaluation(
+        lambda feats: predict(params, feats, scaling),
         test_probs,
         test_targets,
         dataset.mean_total,
@@ -158,7 +159,7 @@ def _sweep_run(dataset, cfg, split_seed, test_probs, test_targets, eval_seed):
         rep_size=len(test_targets),
         rng=np.random.default_rng(eval_seed),
     )
-    return report.val_nrmse[report.best_epoch], ev.cosine
+    return report.val_nrmse[report.best_epoch], float(cosine[0])
 
 
 def run_grid_sweep(
@@ -195,7 +196,7 @@ def run_grid_sweep(
     sizes = sweep.grid_sizes
     largest = sizes[-1]
     ref_grid = build_grid(grid_min, grid_max, largest)
-    kick = kick_from_steps(ref_grid, kick_steps, kick_steps)
+    kick = kick_from_steps(ref_grid, kick_steps)
 
     datasets = {}
     for size in sizes:
@@ -260,7 +261,7 @@ def run_grid_sweep(
 def _ablation_run(dataset, cfg, split_seed):
     """One ablation training: (validation RMSE in volts, best epoch)."""
     params, scaling, report, val_raw = train_on_dataset(dataset, cfg, split_seed)
-    err = scaling.invert(forward(params, val_raw.features)) - val_raw.targets
+    err = predict(params, val_raw.features, scaling) - val_raw.targets
     return float(np.sqrt((err**2).mean())), report.best_epoch
 
 
@@ -294,7 +295,7 @@ def run_kick_ablation(
     (rmse_with, rmse_without, improvement_fraction), validation RMSE in volts.
     """
     grid = build_grid(grid_min, grid_max, grid_n)
-    kick = kick_from_steps(grid, kick_steps, kick_steps)
+    kick = kick_from_steps(grid, kick_steps)
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
     kicked_ds = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
     bare_budget = None if mean_total is None else 2.0 * mean_total

@@ -2,17 +2,16 @@
 
 Two scalar metrics compare a prediction vector with its truth:
 
-    NRMSE(y, yhat) = ||y - yhat|| / (sqrt(K) * (y_max - y_min))
+    NRMSE(y, yhat) = ||y - yhat|| / (sqrt(K) * span)
     c(y, yhat)     = (y . yhat) / (||y|| * ||yhat||)
 
-K is the vector length and (y_max - y_min) the target-voltage range the
-model was trained over, so the NRMSE is a dimensionless fraction of the
-operating range.  Both are evaluated on the full concatenation of all
-examples under test, and the repeated-test protocol re-draws the shot
-noise each repetition to expose the statistical spread.
+K is the vector length and span the target-voltage range the model was
+trained over, so the NRMSE is a dimensionless fraction of the operating
+range.  Both are evaluated on the full concatenation of all examples
+under test, and the repeated-test protocol re-draws the shot noise each
+repetition to expose the statistical spread.  It returns the
+per-repetition samples; `mean_and_sd` summarizes them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "fresh_noise",
     "noisy_draw",
     "mean_and_sd",
-    "EvaluationReport",
     "repeated_test_evaluation",
     "format_value",
     "write_report",
@@ -33,16 +31,16 @@ __all__ = [
 ]
 
 
-def nrmse(y, yhat, y_min: float, y_max: float) -> float:
-    """Range-normalized root-mean-square error of a flat vector pair."""
+def nrmse(y, yhat, span: float) -> float:
+    """Root-mean-square error of a flat vector pair over the range `span`."""
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
     if y.shape != yhat.shape or y.size == 0:
         raise InvalidParameterError("nrmse needs two equal-length nonempty vectors")
-    if not y_max > y_min:
-        raise InvalidParameterError("degenerate normalization range: y_max must exceed y_min")
+    if not span > 0.0:
+        raise InvalidParameterError("degenerate normalization range: span must be > 0")
     e = y - yhat
-    return float(np.sqrt(np.dot(e, e) / y.size) / (y_max - y_min))
+    return float(np.sqrt(np.dot(e, e) / y.size) / span)
 
 
 def cosine_similarity(y, yhat) -> float:
@@ -67,19 +65,6 @@ def mean_and_sd(values) -> tuple[float, float]:
     x = np.asarray(values, dtype=float)
     equal = x.size < 2 or (x == x[0]).all()
     return float(x.mean()), 0.0 if equal else float(x.std(ddof=1))
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Mean and sample standard deviation over noise repetitions."""
-
-    nrmse: float
-    nrmse_spread: float
-    cosine: float
-    cosine_spread: float
-    n_repetitions: int
-    n_examples_per_rep: int
-    degenerate_spread: bool = False
 
 
 def fresh_noise(probs, mean_total, rng):
@@ -133,19 +118,19 @@ def repeated_test_evaluation(
     pool_targets,
     mean_total,
     span: float,
-    rep_count: int = 500,
-    rep_size: int = 100,
+    rep_count: int,
+    rep_size: int,
     *,
     rng: np.random.Generator,
 ):
-    """Metric statistics over repeated noisy test draws.
+    """Both metrics over repeated noisy test draws, one value per repetition.
 
     Each repetition is one `noisy_draw` of `rep_size` pool entries
     (mean_total=None skips the noise); it predicts, and evaluates both
     metrics on the concatenated vectors.
     `predict_fn` maps an (n, 12) feature block to (n, 4) voltages.
-    Returns (report, per_rep_nrmse, per_rep_cosine): an EvaluationReport
-    and the two per-repetition metric arrays.
+    Returns (per_rep_nrmse, per_rep_cosine), two arrays of `rep_count`
+    values; `mean_and_sd` gives their summary.
     """
     pool_probs = np.asarray(pool_probs, dtype=float)
     pool_targets = np.asarray(pool_targets, dtype=float)
@@ -157,16 +142,9 @@ def repeated_test_evaluation(
         idx, feats = noisy_draw(pool_probs, mean_total, rep_size, rng)
         yhat = np.asarray(predict_fn(feats), dtype=float).ravel()
         y = pool_targets[idx].ravel()
-        nr[r] = nrmse(y, yhat, 0.0, span)
+        nr[r] = nrmse(y, yhat, span)
         cs[r] = cosine_similarity(y, yhat)
-    report = EvaluationReport(
-        *mean_and_sd(nr),
-        *mean_and_sd(cs),
-        n_repetitions=rep_count,
-        n_examples_per_rep=rep_size,
-        degenerate_spread=rep_count < 2,
-    )
-    return report, nr, cs
+    return nr, cs
 
 
 def _format_value(x) -> str:

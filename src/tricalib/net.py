@@ -27,9 +27,10 @@ per operation, in the same order and dtype, hence the same bits, with
 one allocation per hidden layer instead of three.
 
 The network maps the 12 kick-augmented probabilities to the 4 target
-voltages (scaled to [0, 1] for training).  Parameters are a list of
-(weight, bias) pairs, weights stored (out, in).  The training loss is
-the batch mean of per-example RMSE over the K outputs:
+voltages, scaled to [0, 1] for training; `predict` is the one function
+that maps features to volts, undoing that scaling.  Parameters are a
+list of (weight, bias) pairs, weights stored (out, in).  The training
+loss is the batch mean of per-example RMSE over the K outputs:
 
     L = (1/B) * sum_k sqrt( (1/K) * sum_m (yhat_km - y_km)^2 )
 
@@ -428,7 +429,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
             yhat_volts = scaling.invert(vout)
             report.train_loss.append(train_loss)
             report.val_loss.append(val_loss)
-            report.val_nrmse.append(nrmse(y_val_volts.ravel(), yhat_volts.ravel(), 0.0, span))
+            report.val_nrmse.append(nrmse(y_val_volts.ravel(), yhat_volts.ravel(), span))
             report.val_cosine.append(cosine_similarity(y_val_volts.ravel(), yhat_volts.ravel()))
 
             if val_loss < best_loss:
@@ -444,22 +445,14 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     return best_params, scaling, report
 
 
-def predict(params, features, scaling: TargetScaling, kick: KickConfig):
-    """Voltage estimate plus a self-consistency residual.
+def predict(params, features, scaling: TargetScaling):
+    """The voltages the network reads from `features`, in volts.
 
-    The network predicts all four targets; the estimate is the first
-    pair and the residual measures how far the predicted kicked pair is
-    from sitting exactly one kick away, a cheap sanity signal at
-    deployment time.  Vectorized over leading axes.
+    The one function that undoes the network's [0, 1] target scaling:
+    (..., 12) features map to the (..., 4) base and kicked voltages of a
+    calibration model.  Vectorized over leading axes.
     """
-    out = forward(params, features)
-    volts = scaling.invert(out)
-    v1, v2 = volts[..., 0], volts[..., 1]
-    residual = np.maximum(
-        np.abs(volts[..., 2] - v1 - kick.dv1),
-        np.abs(volts[..., 3] - v2 - kick.dv2),
-    )
-    return v1, v2, residual
+    return scaling.invert(forward(params, features))
 
 
 # ---------------------------------------------------------------------------

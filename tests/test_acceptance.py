@@ -192,8 +192,8 @@ def test_criterion_6_determinism(capsys, default_pipeline, tmp_path):
 
 def test_criterion_7_metric_hand_cases(capsys):
     checks = [
-        nrmse([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], 0.0, 1.0) == 0.0,
-        nrmse(np.zeros(4), np.ones(4), 0.0, 1.0) == 1.0,
+        nrmse([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], span=1.0) == 0.0,
+        nrmse(np.zeros(4), np.ones(4), span=1.0) == 1.0,
         cosine_similarity([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0,
         cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0,
         cosine_similarity([1.0, 2.0], [-1.0, -2.0]) == -1.0,

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,6 +161,22 @@ def test_train_provenance_is_input_hash(toy):
     assert ck.provenance == hashlib.sha256(toy["ds"].read_bytes()).hexdigest()
 
 
+def test_file_hash_reads_in_blocks(tmp_path):
+    """The provenance hash of an 8 MiB file equals `hashlib.sha256` of its
+    bytes, and its Python allocations peak far below the file's size."""
+    payload = np.random.default_rng(0).bytes(8 << 20)
+    path = tmp_path / "big.csv"
+    path.write_bytes(payload)
+    tracemalloc.start()
+    try:
+        digest = cli._file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(payload).hexdigest()
+    assert peak < len(payload) // 32, peak
+
+
 def test_train_epoch_curves_rows_and_best(toy, tmp_path):
     """curves.csv holds one row per epoch run with the library's losses bit
     for bit, and report.txt names the best of them."""
@@ -227,6 +244,37 @@ def test_evaluate_writes_reports(toy, tmp_path):
     assert len((out / "reps.csv").read_text().splitlines()) == 4
 
 
+def test_evaluate_summary_is_mean_and_sd_of_reps(toy, tmp_path):
+    """report.txt's means and SDs are `mean_and_sd` of the reps.csv
+    columns, bit for bit."""
+    out = tmp_path / "eval"
+    assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                    "-o", str(out), "--reps", "7", "--rep-size", "10"]) == 0
+    header, *lines = (out / "reps.csv").read_text().splitlines()
+    assert header == "rep,nrmse,cosine"
+    cols = np.array([[float(x) for x in line.split(",")] for line in lines]).T
+    assert list(cols[0]) == list(range(7))
+    text = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines())
+    for name, col in (("nrmse", cols[1]), ("cosine", cols[2])):
+        mean, sd = metrics.mean_and_sd(col)
+        assert text[f"{name}_mean"] == repr(mean)
+        assert text[f"{name}_sd"] == repr(sd)
+    assert text["spread_degenerate"] == "False"
+
+
+def test_evaluate_single_repetition_is_degenerate(toy, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                    "-o", str(out), "--reps", "1", "--rep-size", "10"]) == 0
+    text = dict(line.split(" = ") for line in (out / "report.txt").read_text().splitlines())
+    assert text["repetitions"] == "1"
+    assert text["spread_degenerate"] == "True"
+    assert text["nrmse_sd"] == text["cosine_sd"] == "0.0"
+    _, row = (out / "reps.csv").read_text().splitlines()
+    assert row.split(",")[1:] == [text["nrmse_mean"], text["cosine_mean"]]
+    assert capsys.readouterr().out.endswith(f"cosine = {text['cosine_mean']} +- 0.0\n")
+
+
 def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     out = tmp_path / "eval_u"
     assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(toy["ds"]),
@@ -235,21 +283,21 @@ def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     assert read_report(out / "report.txt")["sampling"] == "uniform"
 
 
-@pytest.mark.parametrize("command, wrapped", [("predict", "predict"), ("evaluate", "forward")])
-def test_commands_run_on_one_blas_thread(toy, tmp_path, monkeypatch, blas_count, command, wrapped):
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_commands_run_on_one_blas_thread(toy, tmp_path, monkeypatch, blas_count, command):
     """`main` runs every command inside `net._one_blas_thread`: the
-    forward passes of `predict` and `evaluate` see one OpenBLAS thread,
+    `predict` calls of `predict` and `evaluate` see one OpenBLAS thread,
     and the caller's count is back when `main` returns, on success and
     on an error exit (a missing model, exit 10)."""
     outside = blas_count()
     seen = []
-    real = getattr(cli, wrapped)
+    real = cli.predict
 
     def recording(*args):
         seen.append(blas_count())
         return real(*args)
 
-    monkeypatch.setattr(cli, wrapped, recording)
+    monkeypatch.setattr(cli, "predict", recording)
     argv = {"predict": ["predict", "--probs", ",".join(["0.1"] * 12)],
             "evaluate": ["evaluate", "-i", str(toy["ds"]), "-o", str(tmp_path / "eval"),
                          "--reps", "2", "--rep-size", "10"]}[command]
@@ -396,6 +444,19 @@ def test_diverging_training_leaves_no_directory(tmp_path, capsys, monkeypatch, h
     assert err == "error[training-diverged]: non-finite loss at epoch 0\n", err
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sizes", ["20,20", "10,20,20", "20,10"])
+def test_sweep_grid_rejects_sizes_not_strictly_ascending(tmp_path, capsys, sizes):
+    """A repeated size would train the same runs twice and write its rows
+    twice: exit 3 before anything is trained or written."""
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-grid", "--sizes", sizes, "--trainings", "1", "--epochs", "1",
+                    "--patience", "1", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error[invalid-parameter]: sweep sizes must be strictly ascending "
+                   "and >= 2\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])

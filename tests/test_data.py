@@ -42,7 +42,7 @@ DEV = default_device_config()
 
 def small_dataset(mean_total=1000.0, n=9, seed=0):
     grid = build_grid(2.0, 5.0, n)
-    kick = kick_from_steps(grid, 2, 2)
+    kick = kick_from_steps(grid, 2)
     return generate_simulated(grid, kick, DEV, np.random.default_rng(seed),
                               mean_total=mean_total)
 
@@ -74,7 +74,7 @@ def test_build_grid_validation():
 
 def test_kick_from_steps():
     grid = build_grid(1.0, 7.0, 53)
-    kick = kick_from_steps(grid, 5, 5)
+    kick = kick_from_steps(grid, 5)
     step = 6.0 / 52.0
     assert kick.dv1 == pytest.approx(5 * step)
     assert kick.dv2 == pytest.approx(5 * step)
@@ -83,7 +83,7 @@ def test_kick_from_steps():
 def test_zero_step_kick_rejected():
     grid = build_grid(1.0, 7.0, 10)
     with pytest.raises(InvalidParameterError):
-        kick_from_steps(grid, 0, 1)
+        kick_from_steps(grid, 0)
     with pytest.raises(InvalidParameterError):
         KickConfig(dv1=0.0, dv2=0.5)
 
@@ -93,7 +93,7 @@ def test_zero_step_kick_rejected():
 
 def test_generate_full_grid_shape():
     grid = build_grid(1.0, 7.0, 53)
-    kick = kick_from_steps(grid, 5, 5)
+    kick = kick_from_steps(grid, 5)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(0), mean_total=None)
     assert ds.features.shape == (2809, 12)
     assert ds.targets.shape == (2809, 4)
@@ -126,7 +126,7 @@ def test_generate_rejects_out_of_range_kick():
 
 def test_generate_replicas():
     grid = build_grid(2.0, 5.0, 4)
-    kick = kick_from_steps(grid, 1, 1)
+    kick = kick_from_steps(grid, 1)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(3),
                             mean_total=500.0, replicas=3)
     assert len(ds) == 48
@@ -163,7 +163,7 @@ def test_split_partition():
 
 def test_split_reference_sizes():
     grid = build_grid(1.0, 7.0, 53)
-    kick = kick_from_steps(grid, 5, 5)
+    kick = kick_from_steps(grid, 5)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(0), mean_total=None)
     tr, va = split(ds, 0.15, np.random.default_rng(1))
     assert len(va) == 421  # round(0.15 * 2809)
@@ -474,7 +474,7 @@ def test_replicas_are_consecutive_fresh_noise_draws():
     """Each replica is one `fresh_noise` draw of the exact features, in
     order from one generator: this pins the dataset's draw order."""
     grid = build_grid(2.0, 5.0, 6)
-    kick = kick_from_steps(grid, 1, 1)
+    kick = kick_from_steps(grid, 1)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(8),
                             mean_total=700.0, replicas=3)
     exact = exact_features(ds.targets[:36], DEV)
@@ -500,7 +500,7 @@ def traced_peak(fn, *args):
 def replicated(replicas):
     """A shot-noise dataset of 1 024 settings times `replicas`."""
     grid = build_grid(2.0, 5.0, 32)
-    return generate_simulated(grid, kick_from_steps(grid, 2, 2), DEV,
+    return generate_simulated(grid, kick_from_steps(grid, 2), DEV,
                               np.random.default_rng(5), mean_total=1000.0, replicas=replicas)
 
 

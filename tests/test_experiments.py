@@ -37,7 +37,7 @@ TOY_CFG = TrainConfig(max_epochs=8, patience=8, seed=1, hidden=(16, 16))
 
 def toy_dataset(n=9, seed=3):
     grid = build_grid(2.0, 5.0, n)
-    kick = kick_from_steps(grid, 1, 1)
+    kick = kick_from_steps(grid, 1)
     return generate_simulated(grid, kick, DEV, np.random.default_rng(seed),
                               mean_total=1000.0)
 
@@ -80,8 +80,9 @@ def test_exact_feature_pool_experimental_passthrough():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(InvalidParameterError):
-        SweepConfig(grid_sizes=(20, 10))
+    for sizes in ((20, 10), (10, 10), (10, 20, 20), (1, 10)):
+        with pytest.raises(InvalidParameterError, match="strictly ascending and >= 2"):
+            SweepConfig(grid_sizes=sizes)
     with pytest.raises(InvalidParameterError):
         SweepConfig(grid_sizes=())
     with pytest.raises(InvalidParameterError):

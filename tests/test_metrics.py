@@ -17,6 +17,7 @@ from tricalib.metrics import (
     format_value,
     fresh_noise,
     mean_and_sd,
+    noisy_draw,
     nrmse,
     repeated_test_evaluation,
     write_report,
@@ -31,19 +32,19 @@ DEV = default_device_config()
 
 def test_nrmse_zero_for_perfect_prediction():
     y = np.array([1.0, 2.5, 4.0, 6.5])
-    assert nrmse(y, y.copy(), 0.0, 7.0) == 0.0
+    assert nrmse(y, y.copy(), 7.0) == 0.0
 
 
 def test_nrmse_unit_constant_error():
     # every coordinate off by exactly the range: sqrt(4/4) / 1 = 1
     y = np.zeros(4)
     yhat = np.ones(4)
-    assert nrmse(y, yhat, 0.0, 1.0) == 1.0
+    assert nrmse(y, yhat, 1.0) == 1.0
 
 
 def test_nrmse_hand_value():
     # errors (3, 4) over K=2, range 10: sqrt(25/2)/10
-    got = nrmse([0.0, 0.0], [3.0, 4.0], 0.0, 10.0)
+    got = nrmse([0.0, 0.0], [3.0, 4.0], 10.0)
     assert got == pytest.approx(np.sqrt(12.5) / 10.0, rel=1e-15)
 
 
@@ -51,8 +52,8 @@ def test_nrmse_scales_linearly_with_error():
     rng = np.random.default_rng(0)
     y = rng.uniform(1.0, 7.0, size=40)
     e = rng.normal(size=40)
-    a = nrmse(y, y + e, 1.0, 7.0)
-    b = nrmse(y, y + 2.0 * e, 1.0, 7.0)
+    a = nrmse(y, y + e, 6.0)
+    b = nrmse(y, y + 2.0 * e, 6.0)
     assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
@@ -61,20 +62,19 @@ def test_nrmse_intensive_under_concatenation():
     rng = np.random.default_rng(1)
     y = rng.uniform(size=25)
     yhat = y + rng.normal(0.0, 0.1, size=25)
-    single = nrmse(y, yhat, 0.0, 1.0)
-    double = nrmse(np.concatenate([y, y]), np.concatenate([yhat, yhat]), 0.0, 1.0)
+    single = nrmse(y, yhat, 1.0)
+    double = nrmse(np.concatenate([y, y]), np.concatenate([yhat, yhat]), 1.0)
     assert double == pytest.approx(single, rel=1e-12)
 
 
 def test_nrmse_validation():
     with pytest.raises(InvalidParameterError):
-        nrmse([1.0, 2.0], [1.0], 0.0, 1.0)
+        nrmse([1.0, 2.0], [1.0], 1.0)
     with pytest.raises(InvalidParameterError):
-        nrmse([], [], 0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        nrmse([1.0], [1.0], 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        nrmse([1.0], [1.0], 2.0, 1.0)
+        nrmse([], [], 1.0)
+    for span in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidParameterError, match="span must be > 0"):
+            nrmse([1.0], [1.0], span)
 
 
 # ------------------------------------------------------------------- cosine
@@ -113,7 +113,7 @@ def test_cosine_validation():
 
 def small_pool():
     grid = build_grid(2.0, 5.0, 7)
-    kick = kick_from_steps(grid, 1, 1)
+    kick = kick_from_steps(grid, 1)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(0), mean_total=None)
     return ds.features, ds.targets
 
@@ -172,23 +172,19 @@ def test_fresh_noise_zero_photons_name_the_budget():
 
 def test_repeated_evaluation_perfect_oracle():
     """Noise-free pool plus a predictor that answers from a lookup table:
-    the protocol must report zero error with zero spread."""
+    the protocol must report zero error in every repetition."""
     probs, targets = small_pool()
     table = {row.tobytes(): t for row, t in zip(probs, targets)}
 
     def predict_fn(feats):
         return np.array([table[row.tobytes()] for row in feats])
 
-    report, _, _ = repeated_test_evaluation(
+    nr, cs = repeated_test_evaluation(
         predict_fn, probs, targets, None, span=3.0,
         rep_count=20, rep_size=10, rng=np.random.default_rng(5))
-    assert report.nrmse == 0.0
-    assert report.nrmse_spread == 0.0
-    assert report.cosine == pytest.approx(1.0, abs=1e-12)
-    assert report.cosine_spread < 1e-12
-    assert report.n_repetitions == 20
-    assert report.n_examples_per_rep == 10
-    assert not report.degenerate_spread
+    assert nr.shape == cs.shape == (20,)
+    assert (nr == 0.0).all()
+    np.testing.assert_allclose(cs, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_repeated_evaluation_noise_raises_error():
@@ -199,36 +195,50 @@ def test_repeated_evaluation_noise_raises_error():
         # noisy features no longer match the table, so answer a constant
         return np.tile(targets.mean(axis=0), (feats.shape[0], 1))
 
-    report, _, _ = repeated_test_evaluation(
+    nr, _ = repeated_test_evaluation(
         truth_at_clean_rows, probs, targets, 500.0, span=3.0,
         rep_count=10, rep_size=10, rng=np.random.default_rng(6))
-    assert report.nrmse > 0.0
-    assert report.nrmse_spread > 0.0
+    assert (nr > 0.0).all()
+    assert mean_and_sd(nr)[1] > 0.0
     assert len(table) == probs.shape[0]  # rows were distinct to begin with
 
 
 def test_repeated_evaluation_single_rep_degenerate():
+    """One repetition gives one sample per metric: its mean is that
+    sample bit for bit, and its SD is exactly 0.0."""
     probs, targets = small_pool()
-    report, _, _ = repeated_test_evaluation(
+    nr, cs = repeated_test_evaluation(
         lambda f: np.tile(targets.mean(axis=0), (f.shape[0], 1)),
         probs, targets, None, span=3.0,
         rep_count=1, rep_size=5, rng=np.random.default_rng(7))
-    assert report.degenerate_spread
-    assert report.nrmse_spread == 0.0
-    assert report.cosine_spread == 0.0
+    assert nr.shape == cs.shape == (1,)
+    for sample in (nr, cs):
+        mean, sd = mean_and_sd(sample)
+        assert np.float64(mean).view(np.uint64) == sample[0].view(np.uint64)
+        assert sd == 0.0
 
 
 def test_repeated_evaluation_samples_match_summary():
+    """Sample r is the metric pair of repetition r's draw: replaying the
+    draws from the same seed and scoring the recorded predictions gives
+    the same values bit for bit."""
     probs, targets = small_pool()
-    report, nr, cs = repeated_test_evaluation(
-        lambda f: np.tile(targets.mean(axis=0), (f.shape[0], 1)),
-        probs, targets, 300.0, span=3.0,
+    predicted = []
+
+    def predict_fn(feats):
+        predicted.append(np.tile(targets.mean(axis=0), (feats.shape[0], 1)) + feats[:, :4])
+        return predicted[-1]
+
+    nr, cs = repeated_test_evaluation(
+        predict_fn, probs, targets, 300.0, span=3.0,
         rep_count=15, rep_size=8, rng=np.random.default_rng(8))
     assert nr.shape == cs.shape == (15,)
-    assert report.nrmse == float(nr.mean())
-    assert report.nrmse_spread == float(nr.std(ddof=1))
-    assert report.cosine == float(cs.mean())
-    assert report.cosine_spread == float(cs.std(ddof=1))
+    replay = np.random.default_rng(8)
+    for r in range(15):
+        idx, _ = noisy_draw(probs, 300.0, 8, replay)
+        y, yhat = targets[idx].ravel(), predicted[r].ravel()
+        assert nr[r] == nrmse(y, yhat, 3.0)
+        assert cs[r] == cosine_similarity(y, yhat)
 
 
 def test_repeated_evaluation_pool_bounds():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricalib import net
+from tricalib import cli, net
 from tricalib.config import default_device_config
 from tricalib.data import (
     Dataset,
@@ -51,7 +51,7 @@ DEV = default_device_config()
 
 def toy_dataset(n=5, mean_total=None, seed=0):
     grid = build_grid(2.0, 5.0, n)
-    kick = kick_from_steps(grid, 1, 1)
+    kick = kick_from_steps(grid, 1)
     return generate_simulated(grid, kick, DEV, np.random.default_rng(seed),
                               mean_total=mean_total)
 
@@ -914,7 +914,7 @@ def test_training_loss_decreases_over_ten_seeds():
     reference dataset. Uses the full default grid, so this is the
     slowest unit test here (about 6 s)."""
     grid = build_grid(1.0, 7.0, 53)
-    kick = kick_from_steps(grid, 5, 5)
+    kick = kick_from_steps(grid, 5)
     ds = generate_simulated(grid, kick, DEV, np.random.default_rng(7),
                             mean_total=1000.0)
     tr, va = splits(ds, split_seed=20, fraction=0.15)
@@ -938,35 +938,43 @@ def test_train_divergence_reports_epoch():
 
 def test_predict_constant_network():
     # zero weights with output biases equal to a known scaled target:
-    # every input predicts that target, so the kick residual vanishes
+    # every input predicts that target, one kick apart, so the CLI's
+    # consistency residual vanishes
     scaling = TargetScaling(lo=np.array([1.0, 1.0, 1.5, 1.5]),
                             hi=np.array([7.0, 7.0, 7.5, 7.5]))
     kick = KickConfig(dv1=0.5, dv2=0.5)
     volts = np.array([3.0, 4.0, 3.5, 4.5])
     params = [(np.zeros((8, 12)), np.zeros(8)),
               (np.zeros((4, 8)), scaling.transform(volts))]
-    v1, v2, residual = predict(params, np.random.default_rng(0).uniform(size=12),
-                               scaling, kick)
-    assert v1 == pytest.approx(3.0, abs=1e-12)
-    assert v2 == pytest.approx(4.0, abs=1e-12)
-    assert residual == pytest.approx(0.0, abs=1e-12)
+    got = predict(params, np.random.default_rng(0).uniform(size=12), scaling)
+    assert got.shape == (4,)
+    np.testing.assert_allclose(got, volts, rtol=0.0, atol=1e-12)
+    assert cli._consistency_residual(got, kick) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_predict_untrained_zero_network():
     scaling = TargetScaling(lo=np.array([1.0, 1.0, 1.5, 1.5]),
                             hi=np.array([7.0, 7.0, 7.5, 7.5]))
     params = [(np.zeros((4, 12)), np.zeros(4))]
-    v1, v2, _ = predict(params, np.zeros(12), scaling, KickConfig(0.5, 0.5))
-    assert v1 == 1.0 and v2 == 1.0  # inverse scale of zero is the lower bound
+    got = predict(params, np.zeros(12), scaling)
+    assert (got == scaling.lo).all()  # inverse scale of zero is the lower bound
 
 
 def test_predict_vectorized():
-    scaling = TargetScaling(lo=np.zeros(4), hi=np.ones(4))
+    scaling = TargetScaling(lo=np.array([1.0, 1.0, 1.5, 1.5]),
+                            hi=np.array([7.0, 7.0, 7.5, 7.5]))
     params = init_he([12, 6, 4], np.random.default_rng(0))
-    feats = np.random.default_rng(1).uniform(size=(9, 12))
-    v1, v2, res = predict(params, feats, scaling, KickConfig(0.5, 0.5))
-    assert v1.shape == v2.shape == res.shape == (9,)
-    assert np.all(res >= 0.0)
+    feats = np.random.default_rng(1).uniform(size=(3, 9, 12))
+    volts = predict(params, feats, scaling)
+    assert volts.shape == (3, 9, 4)
+    # the one features-to-volts map: the scaling undone on the network output
+    assert same_bits(volts, scaling.invert(forward(params, feats)))
+    # row by row too (a matrix-vector product may round differently)
+    for row, f in zip(volts.reshape(-1, 4), feats.reshape(-1, 12)):
+        np.testing.assert_allclose(row, predict(params, f, scaling), rtol=1e-12)
+    residual = cli._consistency_residual(volts, KickConfig(0.5, 0.5))
+    assert residual.shape == (3, 9)
+    assert np.all(residual >= 0.0)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -1272,8 +1280,8 @@ def test_checkpoint_written_elsewhere_loads(tmp_path, dtype):
     feats = rng.uniform(size=12)
     expected = W1 @ np.maximum(W0 @ feats + b0, 0.0) + b1
     np.testing.assert_allclose(forward(ck.params, feats), expected, atol=1e-12)
-    v1, v2, res = predict(ck.params, feats, ck.scaling, ck.kick)
-    assert np.isfinite([v1, v2, res]).all()
+    volts = predict(ck.params, feats, ck.scaling)
+    assert volts.shape == (4,) and np.isfinite(volts).all()
 
 
 @pytest.mark.parametrize("extra", ["line", "moments"])

@@ -24,20 +24,20 @@ dev = default_device_config()
 rng = np.random.default_rng(0)
 
 print("== device configuration ==")
-print(f"alpha (rad/W):\n{dev.coeffs.alpha}")
-print(f"alpha_nl (rad/W^2):\n{dev.coeffs.alpha_nl}")
-print(f"resistances (ohm): {dev.coeffs.resistances}")
+print(f"alpha (rad/W):\n{dev.alpha}")
+print(f"alpha_nl (rad/W^2):\n{dev.alpha_nl}")
+print(f"resistances (ohm): {dev.resistances}")
 print(f"voltage range: [{dev.v_min}, {dev.v_max}] V, "
       f"photon budget {dev.mean_total} per acquisition")
 
 print("\n== zero volts routes photons deterministically ==")
-p0 = voltage_probabilities([0.0, 0.0], dev.coeffs, dev.tritter)
+p0 = voltage_probabilities([0.0, 0.0], dev)
 print(f"P(1->1..3) = {np.round(p0[:3], 12)}")
 print(f"P(2->1..3) = {np.round(p0[3:], 12)}")
 
 print("\n== phases grow past 2*pi across the operating range ==")
 for v in (1.0, 3.0, 5.0, 7.0):
-    ph = phases_from_voltages([v, v], dev.coeffs)
+    ph = phases_from_voltages([v, v], dev)
     print(f"  V = ({v}, {v}) V -> phases = ({ph[0]:7.3f}, {ph[1]:7.3f}) rad"
           f"  ({ph[0] / (2 * np.pi):.2f} turns)")
 
@@ -51,7 +51,7 @@ print(f"max |U+ U - I| over 500 random phase pairs: "
 print("\n== a fringe along v2 at fixed v1 = 4 V ==")
 v2_axis = np.linspace(1.0, 7.0, 61)
 settings = np.stack([np.full_like(v2_axis, 4.0), v2_axis], axis=-1)
-p11 = voltage_probabilities(settings, dev.coeffs, dev.tritter)[:, 0]
+p11 = voltage_probabilities(settings, dev)[:, 0]
 for v2, p in zip(v2_axis[::3], p11[::3]):
     bar = "#" * int(round(40 * p))
     print(f"  v2 = {v2:4.1f} V  P(1->1) = {p:.3f} |{bar}")
@@ -62,16 +62,16 @@ print("\n== the map is not injective: a witness pair ==")
 # phase space (swapping and negating the two phases, modulo 2*pi).
 wa = np.array([4.8, 3.7])
 wb = np.array([6.7696837237899299, 6.1575411827881057])
-pa = voltage_probabilities(wa, dev.coeffs, dev.tritter)
-pb = voltage_probabilities(wb, dev.coeffs, dev.tritter)
+pa = voltage_probabilities(wa, dev)
+pb = voltage_probabilities(wb, dev)
 print(f"A = {wa} V, B = {np.round(wb, 4)} V, "
       f"separation {np.linalg.norm(wa - wb):.2f} V")
 print(f"max |P_A - P_B| on the base features: {np.abs(pa - pb).max():.2e}")
 
-grid = build_grid(1.0, 7.0, 53)
-kick = kick_from_steps(grid, 5)
-ka = voltage_probabilities(wa + kick.offset(), dev.coeffs, dev.tritter)
-kb = voltage_probabilities(wb + kick.offset(), dev.coeffs, dev.tritter)
+axis = build_grid(1.0, 7.0, 53)
+kick = kick_from_steps(axis, 5)
+ka = voltage_probabilities(wa + kick.offset(), dev)
+kb = voltage_probabilities(wb + kick.offset(), dev)
 print(f"after a ({kick.dv1:.3f}, {kick.dv2:.3f}) V kick: "
       f"max |P_A - P_B| = {np.abs(ka - kb).max():.3f}")
 print("-> the kicked acquisition separates what the base one cannot.")

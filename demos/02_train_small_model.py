@@ -27,11 +27,11 @@ from tricalib.net import TrainConfig, predict
 dev = default_device_config()
 rng = np.random.default_rng(1)
 
-grid = build_grid(1.0, 7.0, 21)
-kick = kick_from_steps(grid, 2)  # 2 grid steps = 0.6 V on each axis
+axis = build_grid(1.0, 7.0, 21)
+kick = kick_from_steps(axis, 2)  # 2 grid steps = 0.6 V on each axis
 print(f"grid: 21x21 over [1, 7] V, kick ({kick.dv1:.2f}, {kick.dv2:.2f}) V")
 
-dataset = generate_simulated(grid, kick, dev, rng, mean_total=dev.mean_total)
+dataset = generate_simulated(axis, kick, dev, rng, mean_total=dev.mean_total)
 print(f"dataset: {len(dataset)} examples, "
       f"{dataset.features.shape[1]} features, mean_total {dataset.mean_total}")
 

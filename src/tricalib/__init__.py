@@ -15,7 +15,6 @@ the `tricalib` command line tool.
 
 from .config import (
     CONFIG_DIR_ENV,
-    DeviceConfig,
     default_device_config,
     read_device_config,
     resolve_device_config,
@@ -25,7 +24,6 @@ from .data import (
     Dataset,
     KickConfig,
     TargetScaling,
-    VoltageGrid,
     build_grid,
     generate_simulated,
     kick_from_steps,
@@ -34,7 +32,7 @@ from .data import (
     write_csv,
 )
 from .device import (
-    ResponseCoefficients,
+    DeviceConfig,
     device_unitary,
     dissipated_power,
     estimate_probabilities,
@@ -79,13 +77,11 @@ __all__ = [
     "FileFormatError",
     "InvalidParameterError",
     "KickConfig",
-    "ResponseCoefficients",
     "TargetScaling",
     "TrainConfig",
     "TrainReport",
     "TrainingDivergedError",
     "UndefinedMetricError",
-    "VoltageGrid",
     "backward",
     "build_grid",
     "cosine_similarity",

@@ -149,8 +149,8 @@ def cmd_simulate(args):
     if v.min() < device.v_min or v.max() > device.v_max:
         raise InvalidParameterError(
             f"voltages outside the device range [{device.v_min}, {device.v_max}] V")
-    phases = phases_from_voltages(v, device.coeffs)
-    probs = voltage_probabilities(v, device.coeffs, device.tritter)
+    phases = phases_from_voltages(v, device)
+    probs = voltage_probabilities(v, device)
     print(f"phases = {format_value(phases[0])} {format_value(phases[1])}")
     print("probabilities = " + " ".join(format_value(p) for p in probs))
     if mean_total is not None:
@@ -161,11 +161,11 @@ def cmd_simulate(args):
 
 def cmd_gen_dataset(args):
     device = cfgmod.resolve_device_config(args.device_config)
-    grid = datamod.build_grid(args.grid_min, args.grid_max, args.grid)
-    kick = datamod.kick_from_steps(grid, args.kick_steps)
+    axis = datamod.build_grid(args.grid_min, args.grid_max, args.grid)
+    kick = datamod.kick_from_steps(axis, args.kick_steps)
     mean_total = _mean_total(args.counts, device)
     rng = np.random.default_rng(args.seed)
-    ds = datamod.generate_simulated(grid, kick, device, rng,
+    ds = datamod.generate_simulated(axis, kick, device, rng,
                                     mean_total=mean_total, replicas=args.replicas)
     datamod.write_csv(ds, args.output)
     print(f"wrote {len(ds)} examples to {args.output}")
@@ -231,14 +231,6 @@ def _load_model(path):
     return ckpt
 
 
-def _consistency_residual(volts, kick):
-    """How far predicted (..., 4) voltages sit from one kick apart: the
-    larger gap, in volts, between the predicted kicked pair and the
-    predicted base pair plus the kick."""
-    return np.maximum(np.abs(volts[..., 2] - volts[..., 0] - kick.dv1),
-                      np.abs(volts[..., 3] - volts[..., 1] - kick.dv2))
-
-
 def cmd_predict(args):
     ckpt = _load_model(args.model)
     feats = _parse_floats_arg(args.probs, N_FEATURES, "--probs")
@@ -247,7 +239,7 @@ def cmd_predict(args):
     volts = predict(ckpt.params, feats, ckpt.scaling)
     print(f"v1 = {format_value(volts[0])}")
     print(f"v2 = {format_value(volts[1])}")
-    print(f"consistency_residual = {format_value(_consistency_residual(volts, ckpt.kick))}")
+    print(f"consistency_residual = {format_value(ckpt.kick.residual(volts))}")
     return 0
 
 
@@ -333,7 +325,7 @@ def cmd_surface(args):
                             np.random.default_rng(args.seed))
     volts = predict(ckpt.params, probs, ckpt.scaling)
     v1, v2 = volts[:, 0], volts[:, 1]
-    residual = _consistency_residual(volts, ckpt.kick)
+    residual = ckpt.kick.residual(volts)
     truth = ds.targets[idx]
     error = np.sqrt((v1 - truth[:, 0]) ** 2 + (v2 - truth[:, 1]) ** 2)
     os.makedirs(args.output, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Device configuration: defaults, validation, and the text file format.
+"""Device configuration: the reference values and the text file format.
 
 The config file is plain key-value text, one `key = values` pair per
 line, `#` comments allowed.  Matrices are flattened row-major:
@@ -17,28 +17,30 @@ line, `#` comments allowed.  Matrices are flattened row-major:
 If `--device-config` is not given on the command line, the file
 `device.cfg` inside the directory named by the environment variable
 TRICALIB_CONFIG_DIR is used when present, otherwise the built-in
-defaults above.
+defaults above.  The device object itself, `device.DeviceConfig`,
+checks the values.
 """
 
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ResponseCoefficients
+from .device import DeviceConfig
 from .errors import FileFormatError, InvalidParameterError
 from .metrics import format_value
 
 __all__ = [
-    "DeviceConfig",
     "default_device_config",
     "read_device_config",
     "write_device_config",
     "resolve_device_config",
+    "parse_float_rows",
     "split_floats",
     "parse_float",
     "parse_int",
+    "text_lines",
+    "check_one_line",
     "CONFIG_DIR_ENV",
     "CONFIG_FILE_NAME",
     "GRID_V_MIN",
@@ -61,34 +63,6 @@ GRID_N = 53
 KICK_STEPS = 5
 
 _KEYS = ("resistances", "alpha", "alpha_nl", "v_min", "v_max", "mean_total", "tritter")
-
-
-@dataclass(frozen=True)
-class DeviceConfig:
-    """Response coefficients plus the operating envelope of the device."""
-
-    coeffs: ResponseCoefficients
-    v_min: float = 0.0
-    v_max: float = 8.0
-    mean_total: float = 1000.0
-    tritter: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.v_min) and np.isfinite(self.v_max)):
-            raise InvalidParameterError("voltage range must be finite")
-        if self.v_min < 0.0 or self.v_max <= self.v_min:
-            raise InvalidParameterError("voltage range must satisfy 0 <= v_min < v_max")
-        if not np.isfinite(self.mean_total) or self.mean_total <= 0.0:
-            raise InvalidParameterError("mean_total must be positive")
-        if self.tritter is not None:
-            t = np.asarray(self.tritter, dtype=complex)
-            if t.shape != (3, 3):
-                raise InvalidParameterError("tritter override must be a 3x3 matrix")
-            if not np.isfinite(t).all():
-                raise InvalidParameterError("tritter override must be finite")
-            if not np.abs(t.conj().T @ t - np.eye(3)).max() <= 1e-6:
-                raise InvalidParameterError("tritter override is not unitary")
-            object.__setattr__(self, "tritter", t)
 
 
 def default_device_config() -> DeviceConfig:
@@ -114,12 +88,12 @@ def default_device_config() -> DeviceConfig:
     landscape is sharp (for example, dropping the crosstalk ratio to
     0.4 roughly doubles the reachable validation error).
     """
-    coeffs = ResponseCoefficients(
+    return DeviceConfig(
         alpha=np.array([[6.0, 3.0], [3.0, 6.0]]),
         alpha_nl=np.array([[2.7, 1.35], [1.35, 2.7]]),
         resistances=np.array([100.0, 100.0]),
+        v_min=0.0, v_max=8.0, mean_total=1000.0,
     )
-    return DeviceConfig(coeffs=coeffs, v_min=0.0, v_max=8.0, mean_total=1000.0)
 
 
 def parse_float_rows(lines):
@@ -212,23 +186,17 @@ def read_device_config(path) -> DeviceConfig:
             raise FileFormatError(f"key {key!r} needs {count} value(s), got {len(values[key])}")
         return values[key]
 
-    coeffs = ResponseCoefficients(
+    def interleaved_matrix(flat):
+        return np.array(flat[0::2]).reshape(3, 3) + 1j * np.array(flat[1::2]).reshape(3, 3)
+
+    return DeviceConfig(
         alpha=np.array(need("alpha", 4)).reshape(2, 2),
         alpha_nl=np.array(need("alpha_nl", 4)).reshape(2, 2),
         resistances=np.array(need("resistances", 2)),
-    )
-    tritter = None
-    if "tritter" in values:
-        flat = need("tritter", 18)
-        re = np.array(flat[0::2]).reshape(3, 3)
-        im = np.array(flat[1::2]).reshape(3, 3)
-        tritter = re + 1j * im
-    return DeviceConfig(
-        coeffs=coeffs,
+        tritter=interleaved_matrix(need("tritter", 18)) if "tritter" in values else None,
         v_min=need("v_min", 1)[0],
         v_max=need("v_max", 1)[0],
         mean_total=need("mean_total", 1)[0],
-        tritter=tritter,
     )
 
 
@@ -239,9 +207,9 @@ def _fmt(values) -> str:
 def write_device_config(cfg: DeviceConfig, path):
     lines = [
         "# tricalib device configuration",
-        f"resistances = {_fmt(cfg.coeffs.resistances)}",
-        f"alpha = {_fmt(cfg.coeffs.alpha)}",
-        f"alpha_nl = {_fmt(cfg.coeffs.alpha_nl)}",
+        f"resistances = {_fmt(cfg.resistances)}",
+        f"alpha = {_fmt(cfg.alpha)}",
+        f"alpha_nl = {_fmt(cfg.alpha_nl)}",
         f"v_min = {_fmt([cfg.v_min])}",
         f"v_max = {_fmt([cfg.v_max])}",
         f"mean_total = {_fmt([cfg.mean_total])}",

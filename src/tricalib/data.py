@@ -32,13 +32,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig, check_one_line, parse_float, parse_float_rows, text_lines
-from .device import voltage_probabilities
+from .config import check_one_line, parse_float, parse_float_rows, text_lines
+from .device import DeviceConfig, voltage_probabilities
 from .errors import DegenerateDataError, FileFormatError, InvalidParameterError
 from .metrics import format_value, fresh_noise
 
 __all__ = [
-    "VoltageGrid",
     "KickConfig",
     "Dataset",
     "TargetScaling",
@@ -57,28 +56,6 @@ METADATA_KEYS = ("provenance", "dv1", "dv2", "mean_total")
 
 
 @dataclass(frozen=True)
-class VoltageGrid:
-    """Cartesian grid of settings; v1 sweeps the outer loop."""
-
-    v1_values: np.ndarray
-    v2_values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v1_values", "v2_values"):
-            vals = np.asarray(getattr(self, name), dtype=float)
-            if vals.ndim != 1 or vals.size < 2:
-                raise InvalidParameterError(f"{name} must be a vector of at least 2 values")
-            if not np.all(np.isfinite(vals)) or np.any(np.diff(vals) <= 0):
-                raise InvalidParameterError(f"{name} must be finite and strictly increasing")
-            object.__setattr__(self, name, vals)
-
-    def settings(self) -> np.ndarray:
-        """All (n1*n2, 2) voltage pairs, row-major in (v1, v2)."""
-        g1, g2 = np.meshgrid(self.v1_values, self.v2_values, indexing="ij")
-        return np.stack([g1.ravel(), g2.ravel()], axis=-1)
-
-
-@dataclass(frozen=True)
 class KickConfig:
     """Fixed voltage offsets (dv1, dv2) of the second measurement."""
 
@@ -93,6 +70,13 @@ class KickConfig:
 
     def offset(self) -> np.ndarray:
         return np.array([self.dv1, self.dv2])
+
+    def residual(self, volts):
+        """How far (..., 4) voltages sit from one kick apart: the larger
+        gap, in volts, between the kicked pair and the base pair plus the
+        kick."""
+        return np.maximum(np.abs(volts[..., 2] - volts[..., 0] - self.dv1),
+                          np.abs(volts[..., 3] - volts[..., 1] - self.dv2))
 
 
 @dataclass(frozen=True)
@@ -144,41 +128,46 @@ class Dataset:
         return replace(self, features=self.features[idx], targets=self.targets[idx])
 
 
-def build_grid(v_min: float, v_max: float, n: int) -> VoltageGrid:
-    """`n` equally spaced values per axis over [v_min, v_max]."""
+def build_grid(v_min: float, v_max: float, n: int) -> np.ndarray:
+    """The axis of a square grid: `n` equally spaced voltages over
+    [v_min, v_max], taken by V1 and V2 alike."""
     if n < 2:
         raise InvalidParameterError("grid needs at least 2 values per axis")
     if not (np.isfinite(v_min) and np.isfinite(v_max)) or v_min >= v_max:
         raise InvalidParameterError("grid range must satisfy v_min < v_max")
-    vals = np.linspace(v_min, v_max, n)
-    return VoltageGrid(v1_values=vals, v2_values=vals.copy())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        axis = np.linspace(v_min, v_max, n)
+    # a range a few ulps wide rounds to repeated values, one too wide overflows
+    if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
+        raise InvalidParameterError("grid values must be finite and strictly increasing")
+    return axis
 
 
-def kick_from_steps(grid: VoltageGrid, steps: int) -> KickConfig:
+def kick_from_steps(axis, steps: int) -> KickConfig:
     """A kick of `steps` grid steps along each voltage axis."""
     if steps < 1:
         raise InvalidParameterError("kick steps must be >= 1")
-    step1 = float(grid.v1_values[1] - grid.v1_values[0])
-    step2 = float(grid.v2_values[1] - grid.v2_values[0])
-    return KickConfig(dv1=steps * step1, dv2=steps * step2)
+    step = float(axis[1] - axis[0])
+    return KickConfig(dv1=steps * step, dv2=steps * step)
 
 
 def exact_features(targets, device: DeviceConfig):
     """The 12 exact model probabilities at (N, 4) base-and-kicked voltages."""
     return np.concatenate(
-        [voltage_probabilities(targets[:, :2], device.coeffs, device.tritter),
-         voltage_probabilities(targets[:, 2:4], device.coeffs, device.tritter)], axis=-1)
+        [voltage_probabilities(targets[:, :2], device),
+         voltage_probabilities(targets[:, 2:4], device)], axis=-1)
 
 
 def generate_simulated(
-    grid: VoltageGrid,
+    axis,
     kick: KickConfig,
     device: DeviceConfig,
     rng: np.random.Generator,
     mean_total: float | None,
     replicas: int = 1,
 ) -> Dataset:
-    """One example per grid setting (times `replicas` noise draws).
+    """One example per setting of the square grid on `axis` (times
+    `replicas` noise draws), V1 the outer loop.
 
     Probabilities are estimated from Poisson counts with `mean_total`
     expected photons per input, like a real acquisition would: each
@@ -192,7 +181,8 @@ def generate_simulated(
     """
     if replicas < 1:
         raise InvalidParameterError("replicas must be >= 1")
-    base = grid.settings()
+    v1, v2 = np.meshgrid(axis, axis, indexing="ij")
+    base = np.stack([v1.ravel(), v2.ravel()], axis=-1)
     kicked = base + kick.offset()
     if base.min() < device.v_min or base.max() > device.v_max:
         raise InvalidParameterError("grid exceeds the device voltage range")
@@ -257,12 +247,18 @@ def write_csv(dataset: Dataset, path):
     """Serialize a dataset; lossless (floats round-trip bit-exactly).
 
     Refuses a provenance that spans lines or starts or ends with
-    whitespace, which the reader would strip.
+    whitespace, which the reader would strip, and arrays that do not fill
+    the schema's columns: (N, 4) targets beside (N, 12) features.
     """
     check_one_line("provenance", dataset.provenance)
     if dataset.provenance != dataset.provenance.strip():
         raise InvalidParameterError(
             f"provenance must not start or end with whitespace, got {dataset.provenance!r}")
+    n = len(dataset.targets)
+    if np.shape(dataset.targets) != (n, 4) or np.shape(dataset.features) != (n, _N_COLS - 4):
+        raise InvalidParameterError(
+            f"a dataset row needs 4 targets and {_N_COLS - 4} features, got arrays of shape "
+            f"{np.shape(dataset.targets)} and {np.shape(dataset.features)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# provenance = {dataset.provenance}\n"
                  f"# dv1 = {format_value(dataset.kick.dv1)}\n"
@@ -372,11 +368,7 @@ def read_csv(path) -> Dataset:
     except (ValueError, InvalidParameterError) as exc:
         raise FileFormatError(
             f"bad kick metadata dv1 = {meta['dv1']!r}, dv2 = {meta['dv2']!r}: {exc}")
-    drift = np.maximum(
-        np.abs((targets[:, 2] - targets[:, 0]) - kick.dv1),
-        np.abs((targets[:, 3] - targets[:, 1]) - kick.dv2),
-    )
-    bad = np.nonzero(drift > 1e-9)[0]
+    bad = np.nonzero(kick.residual(targets) > 1e-9)[0]
     if bad.size:
         raise FileFormatError("kick offset differs from the dataset's", line=linenos[bad[0]])
     mean_total = None

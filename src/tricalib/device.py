@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateDataError, InvalidParameterError
 
 __all__ = [
-    "ResponseCoefficients",
+    "DeviceConfig",
     "dissipated_power",
     "phases_from_voltages",
     "tritter_unitary",
@@ -38,19 +38,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ResponseCoefficients:
-    """Phase response of the two heaters.
+class DeviceConfig:
+    """The simulated device: heater response, operating envelope, tritter.
 
     alpha       : 2x2 linear coefficients, radians per watt
     alpha_nl    : 2x2 quadratic coefficients, radians per watt^2
     resistances : length-2 heater resistances in ohm, strictly positive
+    v_min, v_max: the drivable voltage range, 0 <= v_min < v_max
+    mean_total  : expected photons per input of one acquisition
+    tritter     : optional 3x3 unitary replacing the ideal splitter on
+                  both sides, for a fabricated (imperfect) tritter
 
-    Off-diagonal entries model thermal crosstalk between the arms.
+    Off-diagonal entries of alpha and alpha_nl model thermal crosstalk
+    between the arms.  `config.default_device_config()` holds the
+    reference values.
     """
 
     alpha: np.ndarray
     alpha_nl: np.ndarray
     resistances: np.ndarray
+    v_min: float
+    v_max: float
+    mean_total: float
+    tritter: np.ndarray | None = None
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -67,6 +77,21 @@ class ResponseCoefficients:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_nl", alpha_nl)
         object.__setattr__(self, "resistances", res)
+        if not (np.isfinite(self.v_min) and np.isfinite(self.v_max)):
+            raise InvalidParameterError("voltage range must be finite")
+        if self.v_min < 0.0 or self.v_max <= self.v_min:
+            raise InvalidParameterError("voltage range must satisfy 0 <= v_min < v_max")
+        if not np.isfinite(self.mean_total) or self.mean_total <= 0.0:
+            raise InvalidParameterError("mean_total must be positive")
+        if self.tritter is not None:
+            t = np.asarray(self.tritter, dtype=complex)
+            if t.shape != (3, 3):
+                raise InvalidParameterError("tritter override must be a 3x3 matrix")
+            if not np.isfinite(t).all():
+                raise InvalidParameterError("tritter override must be finite")
+            if not np.abs(t.conj().T @ t - np.eye(3)).max() <= 1e-6:
+                raise InvalidParameterError("tritter override is not unitary")
+            object.__setattr__(self, "tritter", t)
 
 
 def _check_voltages(v):
@@ -80,20 +105,20 @@ def _check_voltages(v):
     return v
 
 
-def dissipated_power(v, coeffs: ResponseCoefficients):
+def dissipated_power(v, device: DeviceConfig):
     """Ohmic power P_j = v_j^2 / R_j for each heater, in watts."""
     v = _check_voltages(v)
-    return v**2 / coeffs.resistances
+    return v**2 / device.resistances
 
 
-def phases_from_voltages(v, coeffs: ResponseCoefficients):
+def phases_from_voltages(v, device: DeviceConfig):
     """Phase pair produced by a voltage pair, crosstalk included.
 
     Sums the linear and quadratic power terms over both resistors for
     each of the two phases.  Shape follows the input: (..., 2).
     """
-    p = dissipated_power(v, coeffs)
-    return p @ coeffs.alpha.T + (p**2) @ coeffs.alpha_nl.T
+    p = dissipated_power(v, device)
+    return p @ device.alpha.T + (p**2) @ device.alpha_nl.T
 
 
 def tritter_unitary() -> np.ndarray:
@@ -141,9 +166,9 @@ def output_probabilities(phases, tritter: np.ndarray | None = None):
     return np.clip(p, 0.0, 1.0)
 
 
-def voltage_probabilities(v, coeffs: ResponseCoefficients, tritter=None):
-    """Convenience composition: voltages -> phases -> probabilities."""
-    return output_probabilities(phases_from_voltages(v, coeffs), tritter)
+def voltage_probabilities(v, device: DeviceConfig):
+    """Voltages -> phases -> probabilities, through the device's tritter."""
+    return output_probabilities(phases_from_voltages(v, device), device.tritter)
 
 
 def sample_counts(p, mean_total: float, rng: np.random.Generator):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DeviceConfig
 from .data import (
     Dataset,
     build_grid,
@@ -25,7 +24,7 @@ from .data import (
     kick_from_steps,
     split,
 )
-from .device import voltage_probabilities
+from .device import DeviceConfig, voltage_probabilities
 from .errors import InvalidParameterError
 from .metrics import (
     fresh_noise,
@@ -195,14 +194,13 @@ def run_grid_sweep(
         raise InvalidParameterError("jobs must be >= 1")
     sizes = sweep.grid_sizes
     largest = sizes[-1]
-    ref_grid = build_grid(grid_min, grid_max, largest)
-    kick = kick_from_steps(ref_grid, kick_steps)
+    kick = kick_from_steps(build_grid(grid_min, grid_max, largest), kick_steps)
 
     datasets = {}
     for size in sizes:
-        grid = build_grid(grid_min, grid_max, size)
+        axis = build_grid(grid_min, grid_max, size)
         rng = np.random.default_rng(_combine(data_seed, size, 0))
-        datasets[size] = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
+        datasets[size] = generate_simulated(axis, kick, device, rng, mean_total=mean_total)
 
     pick, test_probs = noisy_draw(exact_feature_pool(datasets[largest], device), None,
                                   sweep.test_size, np.random.default_rng(_combine(eval_seed, 0, 0)))
@@ -294,14 +292,13 @@ def run_kick_ablation(
     the output directory is made only once both have returned.  Returns
     (rmse_with, rmse_without, improvement_fraction), validation RMSE in volts.
     """
-    grid = build_grid(grid_min, grid_max, grid_n)
-    kick = kick_from_steps(grid, kick_steps)
+    axis = build_grid(grid_min, grid_max, grid_n)
+    kick = kick_from_steps(axis, kick_steps)
     rng = np.random.default_rng(_combine(data_seed, grid_n, 0))
-    kicked_ds = generate_simulated(grid, kick, device, rng, mean_total=mean_total)
+    kicked_ds = generate_simulated(axis, kick, device, rng, mean_total=mean_total)
     bare_budget = None if mean_total is None else 2.0 * mean_total
-    bare_feats = fresh_noise(
-        voltage_probabilities(kicked_ds.targets[:, :2], device.coeffs, device.tritter),
-        bare_budget, rng)
+    bare_feats = fresh_noise(voltage_probabilities(kicked_ds.targets[:, :2], device),
+                             bare_budget, rng)
     bare_ds = replace(kicked_ds, features=bare_feats,
                       targets=kicked_ds.targets[:, :2], mean_total=bare_budget)
     (rmse_with, best_with), (rmse_without, best_without) = _in_workers(

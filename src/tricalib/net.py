@@ -401,7 +401,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     state = init_adam([flat])
     report = TrainReport()
     best_loss = np.inf
-    best_params = _cast(params, float)
+    best_params = None  # a finite validation loss beats inf at epoch 0
     stale = 0
     t0 = time.perf_counter()
 
@@ -497,6 +497,23 @@ def _tensor_lines(name, arr, dtype, out):
     out.append(np.ascontiguousarray(arr, dtype=dtype).tobytes().hex())
 
 
+def _chained_sizes(params, scaling: TargetScaling):
+    """The layer sizes [n_in, ..., n_out] of `params`.  Layers whose shapes
+    do not chain, or scaling bounds that do not match the outputs, would
+    make a file `load_checkpoint` refuses: InvalidParameterError."""
+    sizes = [np.shape(params[0][0])[-1]]
+    for li, (W, b) in enumerate(params):
+        if np.ndim(W) != 2 or np.shape(W)[1] != sizes[-1] or np.shape(b) != np.shape(W)[:1]:
+            raise InvalidParameterError(
+                f"cannot save layer {li}: W{li} has shape {np.shape(W)} and b{li} "
+                f"{np.shape(b)}, expected (n, {sizes[-1]}) and (n,)")
+        sizes.append(np.shape(W)[0])
+    if not np.size(scaling.lo) == np.size(scaling.hi) == sizes[-1]:
+        raise InvalidParameterError(f"cannot save layer sizes {sizes} with "
+                                    f"{np.size(scaling.lo)}/{np.size(scaling.hi)} scaling bounds")
+    return sizes
+
+
 def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
                     provenance: str = "unknown"):
     """Serialize the weights, scaling and kick config (format 4).
@@ -510,17 +527,18 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
     in that dtype, C order.  The trailing line carries a SHA-256 of the
     file bytes above it, so truncation or bit rot is caught at load time.
 
-    A provenance that spans lines and a non-finite weight, bias or
-    scaling bound are refused (InvalidParameterError).  The file is
+    A provenance that spans lines, layers whose shapes do not chain and
+    a non-finite weight, bias or scaling bound are refused
+    (InvalidParameterError) before any file is opened.  The file is
     written beside `path` under a temporary name and then renamed over
     it, so a save that fails part-way leaves any earlier file intact.
     """
     check_one_line("provenance", provenance)
+    sizes = _chained_sizes(params, scaling)
     tensors = [a for pair in params for a in pair]
     if not all(np.isfinite(a).all() for a in [*tensors, scaling.lo, scaling.hi]):
         raise InvalidParameterError("cannot save a checkpoint with a non-finite weight, bias or scaling bound")
     dtype = _storage_dtype(tensors)
-    sizes = [params[0][0].shape[1]] + [W.shape[0] for W, _ in params]
     lines = [
         _MAGIC,
         f"format {_FORMAT}",

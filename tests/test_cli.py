@@ -24,13 +24,22 @@ from tricalib.data import (
     METADATA_KEYS,
     KickConfig,
     TargetScaling,
+    build_grid,
+    exact_features,
+    generate_simulated,
+    kick_from_steps,
     read_csv,
     write_csv,
 )
-from tricalib.device import ResponseCoefficients, tritter_unitary
+from tricalib.device import (
+    output_probabilities,
+    phases_from_voltages,
+    tritter_unitary,
+    voltage_probabilities,
+)
 from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
 from tricalib.metrics import noisy_draw
-from tricalib.net import TrainConfig, forward, load_checkpoint, save_checkpoint
+from tricalib.net import TrainConfig, forward, load_checkpoint, predict, save_checkpoint
 
 from conftest import read_report, run_cli, same_bits
 
@@ -141,6 +150,15 @@ def test_gen_dataset_kick_beyond_device_range(tmp_path):
                     "-o", str(tmp_path / "x.csv")]) == 3
 
 
+def test_gen_dataset_grid_of_repeated_values(tmp_path, capsys):
+    """A range two ulps wide gives five equal grid values: exit 3, no file."""
+    out = tmp_path / "x.csv"
+    assert run_cli(["gen-dataset", "--grid-min", "1", "--grid-max", "1.0000000000000004",
+                    "--grid", "5", "-o", str(out)]) == 3
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------- train and predict
 
 
@@ -215,6 +233,22 @@ def test_predict_round_trip(toy, capsys):
     assert np.isfinite(float(out["v1"]))
     assert np.isfinite(float(out["v2"]))
     assert float(out["consistency_residual"]) >= 0.0
+
+
+@pytest.mark.parametrize("row", [0, 37, 99])
+def test_predict_cli_is_library_predict_of_one_row(toy, capsys, row):
+    """`predict --probs` prints, bit for bit, what library `predict` gives
+    for that one feature vector: the batch `evaluate` and `surface`
+    predict may round a row differently (matrix-vector against
+    matrix-matrix products), the one-row call may not."""
+    ckpt = load_checkpoint(toy["model"])
+    feats = read_csv(toy["ds"]).features[row]
+    assert run_cli(["predict", "-m", str(toy["model"]),
+                    "--probs", ",".join(repr(float(p)) for p in feats)]) == 0
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    volts = predict(ckpt.params, feats, ckpt.scaling)
+    printed = np.array([float(out["v1"]), float(out["v2"]), float(out["consistency_residual"])])
+    assert same_bits(printed, np.array([volts[0], volts[1], ckpt.kick.residual(volts)]))
 
 
 def test_predict_rejects_bad_probs(toy):
@@ -647,8 +681,7 @@ def test_checkpoint_format_doc_agrees():
 
 def test_device_config_override_changes_phases(tmp_path, capsys):
     dev = default_device_config()
-    softer = replace(dev, coeffs=ResponseCoefficients(
-        dev.coeffs.alpha * 0.5, dev.coeffs.alpha_nl * 0.5, dev.coeffs.resistances))
+    softer = replace(dev, alpha=dev.alpha * 0.5, alpha_nl=dev.alpha_nl * 0.5)
     cfg_path = tmp_path / "device.cfg"
     write_device_config(softer, cfg_path)
 
@@ -661,6 +694,36 @@ def test_device_config_override_changes_phases(tmp_path, capsys):
     ph_default = [float(x) for x in default_out.splitlines()[0].split(" = ")[1].split()]
     ph_soft = [float(x) for x in override_out.splitlines()[0].split(" = ")[1].split()]
     assert ph_soft[0] == pytest.approx(0.5 * ph_default[0], rel=1e-12)
+
+
+def test_tritter_reaches_every_voltage_path(tmp_path, capsys):
+    """A fabricated tritter on the device object reaches `exact_features`,
+    noise-free `generate_simulated` and `simulate`: each equals the model
+    through that tritter and differs from the ideal device's."""
+    ideal = default_device_config()
+    rotation = np.array([[np.cos(0.3), -np.sin(0.3), 0.0], [np.sin(0.3), np.cos(0.3), 0.0],
+                         [0.0, 0.0, 1.0]])
+    phases = np.diag(np.exp([0.2j, -0.4j, 0.1j]))
+    dev = replace(ideal, tritter=tritter_unitary() @ phases @ rotation)
+
+    def model(v, device):
+        return output_probabilities(phases_from_voltages(v, device), device.tritter)
+
+    axis = build_grid(2.0, 5.0, 6)
+    ds = generate_simulated(axis, kick_from_steps(axis, 1), dev, np.random.default_rng(0),
+                            mean_total=None)
+    expected = np.hstack([model(ds.targets[:, :2], dev), model(ds.targets[:, 2:], dev)])
+    assert same_bits(exact_features(ds.targets, dev), expected)
+    assert same_bits(ds.features, expected)
+    assert not np.allclose(expected, exact_features(ds.targets, ideal))
+
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(dev, cfg_path)
+    assert run_cli(["simulate", "--volts", "3,4", "--device-config", str(cfg_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    printed = np.array([float(p) for p in line.split(" = ")[1].split()])
+    assert same_bits(printed, model([3.0, 4.0], dev))
+    assert not np.allclose(printed, voltage_probabilities([3.0, 4.0], ideal))
 
 
 def test_exit_code_non_utf8_device_config(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Device config: defaults, file round-trip, lookup order, rejection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from tricalib.config import (
     CONFIG_DIR_ENV,
     CONFIG_FILE_NAME,
-    DeviceConfig,
     default_device_config,
     parse_float,
     parse_int,
@@ -16,7 +17,7 @@ from tricalib.config import (
     resolve_device_config,
     write_device_config,
 )
-from tricalib.device import ResponseCoefficients, tritter_unitary
+from tricalib.device import tritter_unitary
 from tricalib.errors import CalibrationError, FileFormatError, InvalidParameterError
 
 from conftest import BYTE_MUTATION, mutate_bytes
@@ -27,11 +28,11 @@ def test_default_config_sanity():
     assert cfg.v_min == 0.0 and cfg.v_max == 8.0
     assert cfg.mean_total == 1000.0
     assert cfg.tritter is None
-    assert np.array_equal(cfg.coeffs.resistances, [100.0, 100.0])
+    assert np.array_equal(cfg.resistances, [100.0, 100.0])
     # symmetric response with crosstalk at half the direct coefficient
-    a = cfg.coeffs.alpha
+    a = cfg.alpha
     assert a[0, 1] == a[1, 0] == a[0, 0] / 2.0
-    nl = cfg.coeffs.alpha_nl
+    nl = cfg.alpha_nl
     assert nl[0, 0] / a[0, 0] == pytest.approx(0.45)
 
 
@@ -40,9 +41,9 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "device.cfg"
     write_device_config(cfg, path)
     back = read_device_config(path)
-    assert np.array_equal(back.coeffs.alpha, cfg.coeffs.alpha)
-    assert np.array_equal(back.coeffs.alpha_nl, cfg.coeffs.alpha_nl)
-    assert np.array_equal(back.coeffs.resistances, cfg.coeffs.resistances)
+    assert np.array_equal(back.alpha, cfg.alpha)
+    assert np.array_equal(back.alpha_nl, cfg.alpha_nl)
+    assert np.array_equal(back.resistances, cfg.resistances)
     assert back.v_min == cfg.v_min and back.v_max == cfg.v_max
     assert back.mean_total == cfg.mean_total
     assert back.tritter is None
@@ -54,7 +55,7 @@ def test_tritter_override_round_trip(tmp_path):
     noisy = tritter_unitary() + 0.05 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     q, r = np.linalg.qr(noisy)
     q = q * (np.diag(r) / np.abs(np.diag(r)))  # fix the phase convention
-    cfg = DeviceConfig(coeffs=default_device_config().coeffs, tritter=q)
+    cfg = replace(default_device_config(), tritter=q)
     path = tmp_path / "device.cfg"
     write_device_config(cfg, path)
     back = read_device_config(path)
@@ -64,8 +65,7 @@ def test_tritter_override_round_trip(tmp_path):
 
 def test_non_unitary_tritter_rejected():
     with pytest.raises(InvalidParameterError):
-        DeviceConfig(coeffs=default_device_config().coeffs,
-                     tritter=np.ones((3, 3), dtype=complex))
+        replace(default_device_config(), tritter=np.ones((3, 3), dtype=complex))
 
 
 def _tritter_with(entry, value):
@@ -82,17 +82,17 @@ def _tritter_with(entry, value):
 ], ids=["nan", "inf-imag", "overflow"])
 def test_non_finite_tritter_rejected(tritter):
     with pytest.raises(InvalidParameterError, match="tritter override"):
-        DeviceConfig(coeffs=default_device_config().coeffs, tritter=tritter)
+        replace(default_device_config(), tritter=tritter)
 
 
 def test_invalid_ranges_rejected():
-    coeffs = default_device_config().coeffs
+    dev = default_device_config()
     with pytest.raises(InvalidParameterError):
-        DeviceConfig(coeffs=coeffs, v_min=-1.0)
+        replace(dev, v_min=-1.0)
     with pytest.raises(InvalidParameterError):
-        DeviceConfig(coeffs=coeffs, v_min=5.0, v_max=5.0)
+        replace(dev, v_min=5.0, v_max=5.0)
     with pytest.raises(InvalidParameterError):
-        DeviceConfig(coeffs=coeffs, mean_total=0.0)
+        replace(dev, mean_total=0.0)
 
 
 def write_lines(path, lines):
@@ -178,11 +178,11 @@ def test_wrong_value_count_rejected(tmp_path):
 def test_resolve_lookup_order(tmp_path, monkeypatch):
     env_dir = tmp_path / "envcfg"
     env_dir.mkdir()
-    env_cfg = DeviceConfig(coeffs=default_device_config().coeffs, v_max=9.0)
+    env_cfg = replace(default_device_config(), v_max=9.0)
     write_device_config(env_cfg, env_dir / CONFIG_FILE_NAME)
 
     explicit = tmp_path / "explicit.cfg"
-    write_device_config(DeviceConfig(coeffs=default_device_config().coeffs, v_max=10.0),
+    write_device_config(replace(default_device_config(), v_max=10.0),
                         explicit)
 
     monkeypatch.delenv(CONFIG_DIR_ENV, raising=False)
@@ -204,7 +204,7 @@ def config_fuzz_base(tmp_path_factory):
     """A config file with every key, the tritter included, and a path for
     its mutants."""
     root = tmp_path_factory.mktemp("config_fuzz")
-    cfg = DeviceConfig(coeffs=default_device_config().coeffs, tritter=tritter_unitary())
+    cfg = replace(default_device_config(), tritter=tritter_unitary())
     write_device_config(cfg, root / "base.cfg")
     return (root / "base.cfg").read_bytes(), root / "mutant.cfg"
 
@@ -226,7 +226,7 @@ def test_device_config_byte_mutation_fuzz(config_fuzz_base, mutations):
         cfg = read_device_config(path)
     except CalibrationError:
         return
-    numbers = [cfg.coeffs.alpha, cfg.coeffs.alpha_nl, cfg.coeffs.resistances,
+    numbers = [cfg.alpha, cfg.alpha_nl, cfg.resistances,
                cfg.v_min, cfg.v_max, cfg.mean_total]
     if cfg.tritter is not None:
         numbers.append(cfg.tritter)

@@ -51,16 +51,22 @@ def small_dataset(mean_total=1000.0, n=9, seed=0):
 
 
 def test_build_grid_reference_shape():
-    grid = build_grid(0.0, 7.0, 53)
-    assert grid.v1_values.size == 53
-    assert grid.v1_values[1] - grid.v1_values[0] == pytest.approx(7.0 / 52.0)
-    assert grid.settings().shape == (2809, 2)
+    axis = build_grid(0.0, 7.0, 53)
+    assert axis.shape == (53,)
+    assert axis[1] - axis[0] == pytest.approx(7.0 / 52.0)
 
 
 def test_build_grid_two_points():
-    grid = build_grid(0.0, 1.0, 2)
-    np.testing.assert_array_equal(grid.v1_values, [0.0, 1.0])
-    assert grid.settings().shape == (4, 2)
+    axis = build_grid(0.0, 1.0, 2)
+    np.testing.assert_array_equal(axis, [0.0, 1.0])
+
+
+def test_generate_simulated_settings_are_the_square_grid_v1_outer():
+    axis = build_grid(2.0, 5.0, 3)
+    ds = generate_simulated(axis, KickConfig(0.5, 0.5), DEV, np.random.default_rng(0),
+                            mean_total=None)
+    want = [(v1, v2) for v1 in axis for v2 in axis]
+    assert np.array_equal(ds.targets[:, :2], want)
 
 
 def test_build_grid_validation():
@@ -70,6 +76,12 @@ def test_build_grid_validation():
         build_grid(2.0, 2.0, 5)
     with pytest.raises(InvalidParameterError):
         build_grid(3.0, 1.0, 5)
+    # a range two ulps wide: linspace repeats values, which no grid may
+    with pytest.raises(InvalidParameterError, match="finite and strictly increasing"):
+        build_grid(1.0, 1.0000000000000004, 5)
+    # a range too wide for float64: the step overflows
+    with pytest.raises(InvalidParameterError, match="finite and strictly increasing"):
+        build_grid(-1e308, 1e308, 5)
 
 
 def test_kick_from_steps():
@@ -463,11 +475,26 @@ def test_padded_provenance_refused(tmp_path, provenance):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("features, targets", [((5, 6), (5, 2)), ((5, 12), (4, 4)),
+                                               ((5, 12), (5, 5)), ((12,), (4,))],
+                         ids=["6-and-2-columns", "row-counts-differ", "5-targets", "one-row-1d"])
+def test_write_csv_refuses_arrays_off_the_schema(tmp_path, features, targets):
+    """Only (N, 12) features beside (N, 4) targets fill the 16 columns the
+    reader requires; anything else is refused before the file opens."""
+    ds = replace(small_dataset(n=3), features=np.full(features, 0.25),
+                 targets=np.full(targets, 3.0))
+    path = tmp_path / "d.csv"
+    with pytest.raises(InvalidParameterError, match="4 targets and 12 features") as exc:
+        write_csv(ds, path)
+    assert exc.value.exit_code == 3
+    assert not path.exists()
+
+
 def test_exact_features_are_the_model_at_both_settings():
     targets = np.array([[1.0, 2.0, 1.5, 2.5], [3.0, 0.5, 3.5, 1.0]])
     got = exact_features(targets, DEV)
-    assert np.array_equal(got[:, :6], voltage_probabilities(targets[:, :2], DEV.coeffs))
-    assert np.array_equal(got[:, 6:], voltage_probabilities(targets[:, 2:], DEV.coeffs))
+    assert np.array_equal(got[:, :6], voltage_probabilities(targets[:, :2], DEV))
+    assert np.array_equal(got[:, 6:], voltage_probabilities(targets[:, 2:], DEV))
 
 
 def test_replicas_are_consecutive_fresh_noise_draws():

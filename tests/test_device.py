@@ -2,6 +2,7 @@
 Poisson sampling and frequency estimation."""
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tricalib.config import GRID_N, GRID_V_MAX, GRID_V_MIN, KICK_STEPS, default_device_config
 from tricalib.device import (
-    ResponseCoefficients,
+    DeviceConfig,
     device_unitary,
     dissipated_power,
     estimate_probabilities,
@@ -32,6 +33,11 @@ WITNESS_A = np.array([4.8, 3.7])
 WITNESS_B = np.array([6.7696837237899299, 6.1575411827881057])
 
 
+def response(alpha, alpha_nl, resistances):
+    """The reference device with other heater response coefficients."""
+    return replace(DEV, alpha=alpha, alpha_nl=alpha_nl, resistances=resistances)
+
+
 def default_kick_offset():
     step = (GRID_V_MAX - GRID_V_MIN) / (GRID_N - 1)
     return np.array([KICK_STEPS * step, KICK_STEPS * step])
@@ -41,69 +47,77 @@ def default_kick_offset():
 
 
 def test_dissipated_power_zero_voltage():
-    coeffs = ResponseCoefficients(np.eye(2), np.zeros((2, 2)), np.array([50.0, 70.0]))
-    assert np.array_equal(dissipated_power([0.0, 0.0], coeffs), [0.0, 0.0])
+    dev = response(np.eye(2), np.zeros((2, 2)), np.array([50.0, 70.0]))
+    assert np.array_equal(dissipated_power([0.0, 0.0], dev), [0.0, 0.0])
 
 
 def test_dissipated_power_direct_substitution():
-    coeffs = ResponseCoefficients(np.eye(2), np.zeros((2, 2)), np.array([1.0, 1.0]))
-    np.testing.assert_allclose(dissipated_power([1.0, 2.0], coeffs), [1.0, 4.0], rtol=0)
+    dev = response(np.eye(2), np.zeros((2, 2)), np.array([1.0, 1.0]))
+    np.testing.assert_allclose(dissipated_power([1.0, 2.0], dev), [1.0, 4.0], rtol=0)
 
 
 def test_dissipated_power_reference_values():
     # v = (3.5, 5.0) into (100, 120) ohm: 12.25/100 and 25/120
-    coeffs = ResponseCoefficients(np.eye(2), np.zeros((2, 2)), np.array([100.0, 120.0]))
-    p = dissipated_power([3.5, 5.0], coeffs)
+    dev = response(np.eye(2), np.zeros((2, 2)), np.array([100.0, 120.0]))
+    p = dissipated_power([3.5, 5.0], dev)
     np.testing.assert_allclose(p, [0.1225, 0.20833333333333334], rtol=1e-15)
 
 
 def test_phases_zero_voltage():
-    assert np.array_equal(phases_from_voltages([0.0, 0.0], DEV.coeffs), [0.0, 0.0])
+    assert np.array_equal(phases_from_voltages([0.0, 0.0], DEV), [0.0, 0.0])
 
 
 def test_phases_single_power_substitution():
     # one watt on the first heater only, identity linear response plus
     # a 0.1 quadratic term: phase 1 = 1*1 + 0.1*1 = 1.1, phase 2 = 0
-    coeffs = ResponseCoefficients(np.eye(2), 0.1 * np.eye(2), np.array([1.0, 1.0]))
-    np.testing.assert_allclose(phases_from_voltages([1.0, 0.0], coeffs), [1.1, 0.0],
+    dev = response(np.eye(2), 0.1 * np.eye(2), np.array([1.0, 1.0]))
+    np.testing.assert_allclose(phases_from_voltages([1.0, 0.0], dev), [1.1, 0.0],
                                rtol=0, atol=1e-15)
 
 
 def test_phases_term_by_term_reference():
     """Vectorized phase response agrees with a scalar summation."""
     v = np.array([3.0, 4.0])
-    p = v**2 / DEV.coeffs.resistances
+    p = v**2 / DEV.resistances
     expected = np.zeros(2)
     for i in range(2):
         for j in range(2):
-            expected[i] += DEV.coeffs.alpha[i, j] * p[j]
-            expected[i] += DEV.coeffs.alpha_nl[i, j] * p[j] ** 2
-    np.testing.assert_allclose(phases_from_voltages(v, DEV.coeffs), expected, atol=1e-12)
+            expected[i] += DEV.alpha[i, j] * p[j]
+            expected[i] += DEV.alpha_nl[i, j] * p[j] ** 2
+    np.testing.assert_allclose(phases_from_voltages(v, DEV), expected, atol=1e-12)
 
 
 def test_crosstalk_moves_the_other_phase():
     # driving only heater 2 still shifts phase 1 through the off-diagonal
-    phases = phases_from_voltages([0.0, 4.0], DEV.coeffs)
+    phases = phases_from_voltages([0.0, 4.0], DEV)
     assert phases[0] != 0.0
 
 
 def test_voltage_validation():
     with pytest.raises(InvalidParameterError):
-        dissipated_power([-1.0, 2.0], DEV.coeffs)
+        dissipated_power([-1.0, 2.0], DEV)
     with pytest.raises(InvalidParameterError):
-        dissipated_power([np.nan, 2.0], DEV.coeffs)
+        dissipated_power([np.nan, 2.0], DEV)
     with pytest.raises(InvalidParameterError):
-        dissipated_power([1.0, 2.0, 3.0], DEV.coeffs)
+        dissipated_power([1.0, 2.0, 3.0], DEV)
 
 
 def test_coefficient_validation():
-    with pytest.raises(InvalidParameterError):
-        ResponseCoefficients(np.eye(3), np.zeros((2, 2)), np.array([1.0, 1.0]))
-    with pytest.raises(InvalidParameterError):
-        ResponseCoefficients(np.eye(2), np.zeros((2, 2)), np.array([1.0, 0.0]))
-    with pytest.raises(InvalidParameterError):
-        ResponseCoefficients(np.full((2, 2), np.inf), np.zeros((2, 2)),
-                             np.array([1.0, 1.0]))
+    with pytest.raises(InvalidParameterError, match="2x2"):
+        response(np.eye(3), np.zeros((2, 2)), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidParameterError, match="resistances must be finite"):
+        response(np.eye(2), np.zeros((2, 2)), np.array([1.0, 0.0]))
+    with pytest.raises(InvalidParameterError, match="coefficients must be finite"):
+        response(np.full((2, 2), np.inf), np.zeros((2, 2)), np.array([1.0, 1.0]))
+
+
+def test_device_config_has_no_reference_defaults():
+    """Only the tritter has a default: the reference values live in
+    `default_device_config` alone."""
+    with pytest.raises(TypeError):
+        DeviceConfig(DEV.alpha, DEV.alpha_nl, DEV.resistances)
+    dev = DeviceConfig(DEV.alpha, DEV.alpha_nl, DEV.resistances, 0.0, 8.0, 1000.0)
+    assert dev.tritter is None
 
 
 # ------------------------------------------------------------ tritter algebra
@@ -252,14 +266,14 @@ def test_phase_validation():
 def test_two_voltages_same_bare_probabilities():
     """The single-measurement map is not injective on the default grid
     range; the kicked 12-feature map separates the same pair."""
-    pa = voltage_probabilities(WITNESS_A, DEV.coeffs, DEV.tritter)
-    pb = voltage_probabilities(WITNESS_B, DEV.coeffs, DEV.tritter)
+    pa = voltage_probabilities(WITNESS_A, DEV)
+    pb = voltage_probabilities(WITNESS_B, DEV)
     assert np.linalg.norm(pa - pb) < 1e-6
     assert np.linalg.norm(WITNESS_A - WITNESS_B) > 0.5
 
     dv = default_kick_offset()
-    ka = np.concatenate([pa, voltage_probabilities(WITNESS_A + dv, DEV.coeffs, DEV.tritter)])
-    kb = np.concatenate([pb, voltage_probabilities(WITNESS_B + dv, DEV.coeffs, DEV.tritter)])
+    ka = np.concatenate([pa, voltage_probabilities(WITNESS_A + dv, DEV)])
+    kb = np.concatenate([pb, voltage_probabilities(WITNESS_B + dv, DEV)])
     assert np.linalg.norm(ka - kb) > 0.01
 
 
@@ -273,7 +287,7 @@ def test_sample_counts_zero_probability():
 
 
 def test_sample_counts_deterministic():
-    p = voltage_probabilities([3.0, 4.0], DEV.coeffs, DEV.tritter)
+    p = voltage_probabilities([3.0, 4.0], DEV)
     a = sample_counts(p, 1000.0, np.random.default_rng(123))
     b = sample_counts(p, 1000.0, np.random.default_rng(123))
     assert np.array_equal(a, b)
@@ -326,6 +340,6 @@ def test_estimate_probabilities_negative_rejected():
 
 
 def test_estimate_converges_to_model_probabilities():
-    probs = voltage_probabilities([3.0, 4.0], DEV.coeffs, DEV.tritter)
+    probs = voltage_probabilities([3.0, 4.0], DEV)
     est = estimate_probabilities(sample_counts(probs, 1e6, np.random.default_rng(5)))
     assert np.abs(est - probs).max() < 1e-2

@@ -65,8 +65,8 @@ def test_train_on_dataset_returns_raw_val_split():
 def test_exact_feature_pool_simulated():
     ds = toy_dataset()
     pool = exact_feature_pool(ds, DEV)
-    base = voltage_probabilities(ds.targets[:, :2], DEV.coeffs, DEV.tritter)
-    kicked = voltage_probabilities(ds.targets[:, 2:4], DEV.coeffs, DEV.tritter)
+    base = voltage_probabilities(ds.targets[:, :2], DEV)
+    kicked = voltage_probabilities(ds.targets[:, 2:4], DEV)
     assert np.array_equal(pool, np.concatenate([base, kicked], axis=-1))
     # noise-free by construction even though the dataset itself is noisy
     assert np.abs(pool - ds.features).max() > 0.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricalib import cli, net
+from tricalib import net
 from tricalib.config import default_device_config
 from tricalib.data import (
     Dataset,
@@ -938,8 +938,8 @@ def test_train_divergence_reports_epoch():
 
 def test_predict_constant_network():
     # zero weights with output biases equal to a known scaled target:
-    # every input predicts that target, one kick apart, so the CLI's
-    # consistency residual vanishes
+    # every input predicts that target, one kick apart, so the kick
+    # residual vanishes
     scaling = TargetScaling(lo=np.array([1.0, 1.0, 1.5, 1.5]),
                             hi=np.array([7.0, 7.0, 7.5, 7.5]))
     kick = KickConfig(dv1=0.5, dv2=0.5)
@@ -949,7 +949,7 @@ def test_predict_constant_network():
     got = predict(params, np.random.default_rng(0).uniform(size=12), scaling)
     assert got.shape == (4,)
     np.testing.assert_allclose(got, volts, rtol=0.0, atol=1e-12)
-    assert cli._consistency_residual(got, kick) == pytest.approx(0.0, abs=1e-12)
+    assert kick.residual(got) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_predict_untrained_zero_network():
@@ -972,7 +972,7 @@ def test_predict_vectorized():
     # row by row too (a matrix-vector product may round differently)
     for row, f in zip(volts.reshape(-1, 4), feats.reshape(-1, 12)):
         np.testing.assert_allclose(row, predict(params, f, scaling), rtol=1e-12)
-    residual = cli._consistency_residual(volts, KickConfig(0.5, 0.5))
+    residual = KickConfig(0.5, 0.5).residual(volts)
     assert residual.shape == (3, 9)
     assert np.all(residual >= 0.0)
 
@@ -1129,6 +1129,26 @@ def test_checkpoint_non_finite_parameters_refused(tmp_path, bad):
     {"weight": params[0][0], "bias": params[0][1], "scale_hi": scaling.hi}[where][-1] = float(value)
     path = tmp_path / "n.ckpt"
     with pytest.raises(InvalidParameterError, match="non-finite") as exc:
+        save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling)
+    assert exc.value.exit_code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("layer, W1, b0, scale", [
+    (1, (4, 5), (3,), 4),   # W1 takes 5 inputs from a 3-unit layer
+    (0, (4, 3), (5,), 4),   # b0 has 5 entries for W0's 3 rows
+    (0, (4, 3), (1, 3), 4),  # a bias is a vector
+    (None, (4, 3), (3,), 2),  # 2 scaling bounds for 4 outputs
+], ids=["W1-in", "b0-length", "b0-2d", "scaling"])
+def test_checkpoint_unchained_shapes_refused(tmp_path, layer, W1, b0, scale):
+    """Layers whose shapes do not chain would be written as a file the
+    loader refuses, so the save refuses them first, naming the layer, and
+    leaves no file or temporary file behind."""
+    params = [(np.ones((3, 12)), np.zeros(b0)), (np.ones(W1), np.zeros(4))]
+    scaling = TargetScaling(lo=np.zeros(scale), hi=np.ones(scale))
+    path = tmp_path / "s.ckpt"
+    match = f"layer {layer}" if layer is not None else "scaling bounds"
+    with pytest.raises(InvalidParameterError, match=match) as exc:
         save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling)
     assert exc.value.exit_code == 3
     assert list(tmp_path.iterdir()) == []

@@ -19,7 +19,8 @@ def test_package_names_exist():
     assert [name for name in tricalib.__all__ if not hasattr(tricalib, name)] == []
 
 
-@pytest.mark.parametrize("layer", ["device", "data", "net", "metrics", "experiments"])
+@pytest.mark.parametrize("layer", ["config", "device", "data", "net", "metrics",
+                                   "experiments"])
 def test_layer_all_lists_every_public_function(layer):
     module = importlib.import_module(f"tricalib.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []

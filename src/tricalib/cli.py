@@ -234,8 +234,10 @@ def _load_model(path):
 def cmd_predict(args):
     ckpt = _load_model(args.model)
     feats = _parse_floats_arg(args.probs, N_FEATURES, "--probs")
-    if feats.min() < 0.0 or feats.max() > 1.0:
-        raise InvalidParameterError("probabilities must lie in [0, 1]")
+    if datamod.bad_feature_rows([feats]).size:
+        raise InvalidParameterError(
+            "--probs holds no acquisition's frequencies: each value must lie in [0, 1] and "
+            f"each input's three must sum to 1 within {datamod.FEATURE_SUM_TOLERANCE}")
     volts = predict(ckpt.params, feats, ckpt.scaling)
     print(f"v1 = {format_value(volts[0])}")
     print(f"v2 = {format_value(volts[1])}")

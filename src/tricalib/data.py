@@ -44,6 +44,7 @@ __all__ = [
     "build_grid",
     "kick_from_steps",
     "exact_features",
+    "bad_feature_rows",
     "generate_simulated",
     "split",
     "write_csv",
@@ -53,6 +54,11 @@ __all__ = [
 DATASET_HEADER = "v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23"
 _N_COLS = DATASET_HEADER.count(",") + 1
 METADATA_KEYS = ("provenance", "dv1", "dv2", "mean_total")
+
+# How far the three frequencies of one input may sum from 1.  Loose
+# enough for a vector typed to two decimals (0.44,0.35,0.20 sums to
+# 0.99); the frequencies this code computes sum to 1 within 1e-15.
+FEATURE_SUM_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,22 @@ def exact_features(targets, device: DeviceConfig):
          voltage_probabilities(targets[:, 2:4], device)], axis=-1)
 
 
+def bad_feature_rows(features):
+    """Indices of the rows of (N, 12) `features` that no acquisition can
+    produce: a value outside [0, 1], or an input triple (columns 3i to
+    3i+2) summing more than FEATURE_SUM_TOLERANCE away from 1, or a nan.
+    Beyond the range check's (N, 12) masks, the temporaries are (N,)
+    columns: a large file's read stays near the rows it holds."""
+    features = np.asarray(features, dtype=float)
+    bad = ((features < 0.0) | (features > 1.0)).any(axis=1)
+    for col in range(0, features.shape[1], 3):
+        gap = features[:, col] + features[:, col + 1]
+        gap += features[:, col + 2]
+        gap -= 1.0
+        bad |= ~(np.abs(gap, out=gap) <= FEATURE_SUM_TOLERANCE)  # a nan gap is bad
+    return np.nonzero(bad)[0]
+
+
 def generate_simulated(
     axis,
     kick: KickConfig,
@@ -206,14 +228,36 @@ def generate_simulated(
 
 
 def split(dataset: Dataset, validation_fraction: float, rng: np.random.Generator):
-    """Random disjoint (train, validation) partition of the examples."""
+    """Random disjoint (train, validation) partition by setting.
+
+    A setting is the exact bits of a row's four targets.  All rows of one
+    setting (replicas, repeated measurements) fall on one side, so
+    validation never scores a setting the network trained on.
+    `rng.permutation` of the settings, numbered by first appearance, puts
+    the validation share (rounded, at least one) first.  Each side holds
+    its settings in that order and a setting's rows in dataset order, so
+    one row per setting gives the row permutation.  Raises
+    degenerate-data for fewer than two settings.
+    """
     if not 0.0 < validation_fraction < 1.0:
         raise InvalidParameterError("validation fraction must lie in (0, 1)")
-    n = len(dataset)
+    bits = np.ascontiguousarray(dataset.targets, dtype=np.float64).view(np.uint64)
+    _, first, setting = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    n = len(first)
+    if n < 2:
+        raise DegenerateDataError(
+            f"cannot split {len(dataset)} rows into training and validation: "
+            f"they hold {n} distinct settings, at least 2 are needed")
     n_val = int(round(validation_fraction * n))
     n_val = min(max(n_val, 1), n - 1)
-    perm = rng.permutation(n)
-    return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
+    # place[s]: where the permutation puts the setting np.unique sorted
+    # to index s, whose number by first appearance is its rank in `first`
+    place = np.empty(n, dtype=np.intp)
+    place[np.argsort(first)] = rng.permutation(n).argsort()
+    place = place[setting.ravel()]
+    rows = np.argsort(place, kind="stable")
+    n_val_rows = np.count_nonzero(place < n_val)
+    return dataset.subset(rows[n_val_rows:]), dataset.subset(rows[:n_val_rows])
 
 
 # Rows the writer formats at a time: its temporaries stay near a
@@ -360,9 +404,12 @@ def read_csv(path) -> Dataset:
     """Load a dataset CSV; validates schema, metadata, ranges and kick consistency."""
     meta, rows, linenos = _parse_rows(path)
     targets, features = rows[:, :4], rows[:, 4:]
-    bad = np.nonzero((features < 0.0) | (features > 1.0))[0]
+    bad = bad_feature_rows(features)
     if bad.size:
-        raise FileFormatError("probability outside [0, 1] (column 5+)", line=linenos[bad[0]])
+        raise FileFormatError(
+            "features no acquisition can produce (columns 5-16): each probability must lie "
+            f"in [0, 1] and each input's three must sum to 1 within {FEATURE_SUM_TOLERANCE}",
+            line=linenos[bad[0]])
     try:
         kick = KickConfig(dv1=parse_float(meta["dv1"]), dv2=parse_float(meta["dv2"]))
     except (ValueError, InvalidParameterError) as exc:

@@ -89,7 +89,9 @@ class DeviceConfig:
                 raise InvalidParameterError("tritter override must be a 3x3 matrix")
             if not np.isfinite(t).all():
                 raise InvalidParameterError("tritter override must be finite")
-            if not np.abs(t.conj().T @ t - np.eye(3)).max() <= 1e-6:
+            with np.errstate(over="ignore", invalid="ignore"):  # a nan gap fails the `<=`
+                gap = np.abs(t.conj().T @ t - np.eye(3)).max()
+            if not gap <= 1e-6:
                 raise InvalidParameterError("tritter override is not unitary")
             object.__setattr__(self, "tritter", t)
 

@@ -27,10 +27,10 @@ from .data import (
 from .device import DeviceConfig, voltage_probabilities
 from .errors import InvalidParameterError
 from .metrics import (
+    cosine_similarity,
     fresh_noise,
     mean_and_sd,
     noisy_draw,
-    repeated_test_evaluation,
     write_report,
     write_rows_csv,
 )
@@ -147,18 +147,11 @@ def _sweep_run(dataset, cfg, split_seed, test_probs, test_targets, eval_seed):
     """One sweep training, then one fresh-noise draw of the fixed test
     rows at the dataset's photon budget: (best val NRMSE, test cosine)."""
     params, scaling, report, _ = train_on_dataset(dataset, cfg, split_seed)
+    idx, feats = noisy_draw(test_probs, dataset.mean_total, len(test_targets),
+                            np.random.default_rng(eval_seed))
     # cosine goes over the full 4-target concatenation of the test draw
-    _, cosine = repeated_test_evaluation(
-        lambda feats: predict(params, feats, scaling),
-        test_probs,
-        test_targets,
-        dataset.mean_total,
-        scaling.pooled_span(),
-        rep_count=1,
-        rep_size=len(test_targets),
-        rng=np.random.default_rng(eval_seed),
-    )
-    return report.val_nrmse[report.best_epoch], float(cosine[0])
+    cosine = cosine_similarity(test_targets[idx], predict(params, feats, scaling))
+    return report.val_nrmse[report.best_epoch], cosine
 
 
 def run_grid_sweep(

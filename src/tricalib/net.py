@@ -12,12 +12,13 @@ float64.
 Inside `train` every weight matrix lives in one contiguous float32
 buffer and every bias in a second one; the per-layer (W, b) pairs are
 views into them, and so are the gradients, which the backward pass
-writes in place.  Adam's moments are shaped like the two buffers, so a
-step is one `adam_step` over the single pair (weights, biases): the
-same element-wise operations in the same order as one pass per tensor,
-hence the same bits, but a few large numpy calls instead of many small
-ones.  OpenBLAS is held on one thread for the whole loop: the
-matrices are small, and idle BLAS workers only compete with it.
+writes in place.  `train` owns Adam's moments, shaped like the two
+buffers, and its step count, so a step is one `adam_step` over the
+single pair (weights, biases): the same element-wise operations in the
+same order as one pass per tensor, hence the same bits, but a few large
+numpy calls instead of many small ones.  OpenBLAS is held on one thread
+for the whole loop: the matrices are small, and idle BLAS workers only
+compete with it.
 
 Each layer of the forward pass allocates one array, its matmul's
 result, and adds the bias and applies the ReLU to it in place; the
@@ -66,7 +67,6 @@ __all__ = [
     "forward",
     "loss",
     "backward",
-    "init_adam",
     "adam_step",
     "train",
     "predict",
@@ -121,13 +121,6 @@ class TrainReport:
     @property
     def epochs_run(self) -> int:
         return len(self.train_loss)
-
-
-@dataclass
-class AdamState:
-    m: list
-    v: list
-    t: int = 0
 
 
 def layer_sizes(n_in: int, n_out: int, hidden=DEFAULT_HIDDEN):
@@ -233,13 +226,9 @@ def backward(params, X, Y):
     return grads
 
 
-def init_adam(params) -> AdamState:
-    zeros = lambda: [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    return AdamState(m=zeros(), v=zeros(), t=0)
-
-
-def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One bias-corrected Adam update; mutates params and state in place.
+def adam_step(params, grads, m, v, t, learning_rate):
+    """Bias-corrected Adam update number `t` (from 1), in place on
+    `params` and the moments `m` and `v`: (W, b) pairs shaped like `grads`.
 
     Per element this is m = m*b1 + (1-b1)*g, v = v*b2 + (1-b2)*g^2,
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), evaluated in that order with
@@ -247,30 +236,28 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
     rounds to exactly 1.0, and m/1.0 is m bit for bit, so that division
     is skipped: one pass fewer per tensor for nearly every step.
     """
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
-    state.t += 1
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    for layer in zip(params, grads, state.m, state.v):
-        for p, g, m, v in zip(*layer):
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, learning_rate
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for layer in zip(params, grads, m, v):
+        for p, g, mi, vi in zip(*layer):
             tmp = np.multiply(g, 1.0 - b1)
-            m *= b1
-            m += tmp
+            mi *= b1
+            mi += tmp
             np.square(g, out=tmp)
             tmp *= 1.0 - b2
-            v *= b2
-            v += tmp
-            den = np.divide(v, c2)
+            vi *= b2
+            vi += tmp
+            den = np.divide(vi, c2)
             np.sqrt(den, out=den)
             den += eps
             if c1 == 1.0:
-                np.multiply(m, lr, out=tmp)
+                np.multiply(mi, lr, out=tmp)
             else:
-                np.divide(m, c1, out=tmp)
+                np.divide(mi, c1, out=tmp)
                 tmp *= lr
             tmp /= den
             p -= tmp
-    return params, state
 
 
 def _flush_subnormal(pairs):
@@ -398,7 +385,9 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     for (W, b), (W0, b0) in zip(params, he):
         W[...], b[...] = W0, b0
     flat_grads, grads = _flat_views(he, np.float32)
-    state = init_adam([flat])
+    m = [tuple(map(np.zeros_like, flat))]  # Adam's moments, shaped like [flat]
+    v = [tuple(map(np.zeros_like, flat))]
+    step = 0
     report = TrainReport()
     best_loss = np.inf
     best_params = None  # a finite validation loss beats inf at epoch 0
@@ -406,7 +395,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
     t0 = time.perf_counter()
 
     n = X.shape[0]
-    with _one_blas_thread():
+    # a diverging run overflows without numpy warnings: its loss is refused below
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
             order = rng.permutation(n)
             loss_sum = 0.0
@@ -414,10 +404,11 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig):
                 idx = order[start : start + config.batch_size]
                 acts = _forward_cached(params, X[idx])
                 batch_loss = _grads_from_cache(params, acts, Y[idx], grads)
-                adam_step([flat], [flat_grads], state, config)
+                step += 1
+                adam_step([flat], [flat_grads], m, v, step, config.learning_rate)
                 loss_sum += batch_loss * idx.size
             train_loss = loss_sum / n
-            _flush_subnormal(state.m)
+            _flush_subnormal(m)
 
             params64 = _cast(params, float)
             vout = forward(params64, Xv)

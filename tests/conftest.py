@@ -49,6 +49,44 @@ def blas_count():
         set_(before)
 
 
+def flatten(grads):
+    """Gradient pairs as one vector: each layer's weights, then its biases."""
+    return np.concatenate([np.concatenate([gW.ravel(), gb.ravel()]) for gW, gb in grads])
+
+
+def numeric_gradient(params, X, Y, h=1e-5):
+    """Central-difference gradient of `net.loss`, ordered as `flatten`."""
+    out = []
+    for W, b in params:
+        for arr in (W, b):
+            g = np.zeros_like(arr)
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                old = arr[idx]
+                arr[idx] = old + h
+                lp = net.loss(params, X, Y)
+                arr[idx] = old - h
+                lm = net.loss(params, X, Y)
+                arr[idx] = old
+                g[idx] = (lp - lm) / (2.0 * h)
+            out.append(g.ravel())
+    return np.concatenate(out)
+
+
+def kink_mask(params, X, tol=1e-6):
+    """Whether every hidden pre-activation of `X` lies at least `tol`
+    from zero, so a central difference of a smaller step crosses no ReLU
+    kink: whole instances near a kink are skipped."""
+    A = np.atleast_2d(X)
+    for W, b in params[:-1]:
+        Z = A @ W.T + b
+        if np.abs(Z).min() < tol:
+            return False
+        A = np.maximum(Z, 0.0)
+    return True
+
+
 def mutate_bytes(data, kind, line, offset, byte):
     """Flip bits of, insert before or delete the byte at `offset` of line
     `line` (both taken modulo what exists) of `data`."""

@@ -17,9 +17,16 @@ from tricalib.errors import (
     InvalidParameterError,
 )
 from tricalib.metrics import cosine_similarity, nrmse
-from tricalib.net import backward, forward, init_he, load_checkpoint, loss
+from tricalib.net import backward, forward, init_he, load_checkpoint
 
-from conftest import PipelineArtifacts, run_cli, read_report
+from conftest import (
+    PipelineArtifacts,
+    flatten,
+    kink_mask,
+    numeric_gradient,
+    read_report,
+    run_cli,
+)
 
 DEV = default_device_config()
 
@@ -53,40 +60,6 @@ def test_criterion_1_unitarity(capsys):
 # 2 ------------------------------------------------------- gradient fidelity
 
 
-def _flat(grads):
-    return np.concatenate([np.concatenate([gW.ravel(), gb.ravel()])
-                           for gW, gb in grads])
-
-
-def _numeric(params, X, Y, h=1e-5):
-    out = []
-    for W, b in params:
-        for arr in (W, b):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = arr[idx]
-                arr[idx] = old + h
-                lp = loss(params, X, Y)
-                arr[idx] = old - h
-                lm = loss(params, X, Y)
-                arr[idx] = old
-                g[idx] = (lp - lm) / (2.0 * h)
-            out.append(g.ravel())
-    return np.concatenate(out)
-
-
-def _clear_of_kinks(params, X, margin=1e-4):
-    A = X
-    for W, b in params[:-1]:
-        Z = A @ W.T + b
-        if np.abs(Z).min() < margin:
-            return False
-        A = np.maximum(Z, 0.0)
-    return True
-
-
 def test_criterion_2_gradients(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
@@ -96,10 +69,10 @@ def test_criterion_2_gradients(capsys):
         params = init_he([12, 8, 4], rng)
         X = rng.uniform(size=(4, 12))
         Y = rng.uniform(size=(4, 4))
-        if not _clear_of_kinks(params, X):
+        if not kink_mask(params, X, tol=1e-4):
             continue
-        g = _flat(backward(params, X, Y))
-        gn = _numeric(params, X, Y)
+        g = flatten(backward(params, X, Y))
+        gn = numeric_gradient(params, X, Y)
         rel = (np.abs(g - gn) / np.maximum(np.abs(gn), 1e-8)).max()
         worst = max(worst, rel)
         checked += 1

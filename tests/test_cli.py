@@ -251,7 +251,7 @@ def test_predict_cli_is_library_predict_of_one_row(toy, capsys, row):
     assert same_bits(printed, np.array([volts[0], volts[1], ckpt.kick.residual(volts)]))
 
 
-def test_predict_rejects_bad_probs(toy):
+def test_predict_rejects_bad_probs(toy, capsys):
     eleven = ",".join(["0.1"] * 11)
     assert run_cli(["predict", "-m", str(toy["model"]), "--probs", eleven]) == 3
     bad = ",".join(["0.1"] * 11 + ["1.5"])
@@ -260,6 +260,16 @@ def test_predict_rejects_bad_probs(toy):
     for value in ("nan", "inf"):
         bad = ",".join([value] + ["0.1"] * 11)
         assert run_cli(["predict", "-m", str(toy["model"]), "--probs", bad]) == 3
+    # each input's three frequencies sum to 1: all zeros and all ones are
+    # refused, a vector typed to two decimals (its triples sum to 0.99) is not
+    capsys.readouterr()
+    for bad in (",".join(["0"] * 12), ",".join(["1"] * 12)):
+        assert run_cli(["predict", "-m", str(toy["model"]), "--probs", bad]) == 3
+        assert capsys.readouterr().err == (
+            "error[invalid-parameter]: --probs holds no acquisition's frequencies: each value "
+            "must lie in [0, 1] and each input's three must sum to 1 within 0.02\n")
+    typed = "0.44,0.35,0.20," * 3 + "0.44,0.35,0.21"
+    assert run_cli(["predict", "-m", str(toy["model"]), "--probs", typed]) == 0
 
 
 # ----------------------------------------------------------------- evaluate
@@ -332,7 +342,7 @@ def test_commands_run_on_one_blas_thread(toy, tmp_path, monkeypatch, blas_count,
         return real(*args)
 
     monkeypatch.setattr(cli, "predict", recording)
-    argv = {"predict": ["predict", "--probs", ",".join(["0.1"] * 12)],
+    argv = {"predict": ["predict", "--probs", ",".join(["0.5", "0.25", "0.25"] * 4)],
             "evaluate": ["evaluate", "-i", str(toy["ds"]), "-o", str(tmp_path / "eval"),
                          "--reps", "2", "--rep-size", "10"]}[command]
     assert run_cli([*argv, "-m", str(toy["model"])]) == 0
@@ -1033,6 +1043,30 @@ def test_exit_code_zero_count_acquisitions(toy, tmp_path, capsys, argv, message)
     err = capsys.readouterr().err
     assert err == f"error[degenerate-data]: {message}; cannot normalize\n", err
     assert not out.exists()
+
+
+def test_exit_code_triple_not_summing_to_one(toy, tmp_path, capsys):
+    """A row whose first input's three frequencies sum to 1.9, each in
+    [0, 1], is exit 5 with its line number, not a trained model."""
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l[0].isdigit())
+        parts = lines[i].split(",")
+        parts[4:7] = "0.9", "0.5", "0.5"
+        lines[i] = ",".join(parts)
+    _rejects_edited_dataset(toy, tmp_path, capsys, edit, "line 6: features no acquisition")
+
+
+def test_exit_code_one_setting_dataset(toy, tmp_path, capsys):
+    """Three replicas of one setting cannot be split by setting: exit 4."""
+    lines = toy["ds"].read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l[0].isdigit())
+    bad = tmp_path / "one.csv"
+    bad.write_text("\n".join(lines[:first + 1] + [lines[first]] * 2) + "\n")
+    assert run_cli(["train", "-i", str(bad), "-o", str(tmp_path / "m.ckpt"), *FAST]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error[degenerate-data]: cannot split 3 rows into training and validation: "
+                   "they hold 1 distinct settings, at least 2 are needed\n"), err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_exit_code_bad_mean_total_header(toy, tmp_path, capsys):

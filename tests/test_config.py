@@ -1,5 +1,6 @@
 """Device config: defaults, file round-trip, lookup order, rejection."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -81,8 +82,10 @@ def _tritter_with(entry, value):
     np.full((3, 3), 1e200 * (1 + 1j)),
 ], ids=["nan", "inf-imag", "overflow"])
 def test_non_finite_tritter_rejected(tritter):
-    with pytest.raises(InvalidParameterError, match="tritter override"):
-        replace(default_device_config(), tritter=tritter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a numpy warning
+        with pytest.raises(InvalidParameterError, match="tritter override"):
+            replace(default_device_config(), tritter=tritter)
 
 
 def test_invalid_ranges_rejected():

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tricalib import data as datamod
@@ -207,6 +207,41 @@ def test_split_fraction_validation():
             split(ds, bad, np.random.default_rng(0))
 
 
+def test_split_one_row_per_setting_is_a_row_permutation():
+    """With one row per setting, the split is the row permutation it
+    always was: validation first, in permutation order."""
+    ds = small_dataset()
+    tr, va = split(ds, 0.2, np.random.default_rng(7))
+    perm = np.random.default_rng(7).permutation(len(ds))
+    n_val = round(0.2 * len(ds))
+    assert same_bits(va.features, ds.features[perm[:n_val]])
+    assert same_bits(tr.features, ds.features[perm[n_val:]])
+    assert same_bits(tr.targets, ds.targets[perm[n_val:]])
+
+
+def test_split_keeps_replicas_of_a_setting_together():
+    grid = build_grid(2.0, 5.0, 9)
+    ds = generate_simulated(grid, kick_from_steps(grid, 2), DEV, np.random.default_rng(0),
+                            mean_total=1000.0, replicas=3)
+    tr, va = split(ds, 0.15, np.random.default_rng(20))
+    assert len(tr) + len(va) == len(ds) and len(va) == 3 * round(0.15 * 81)
+    seen = {row.tobytes() for row in tr.targets}
+    assert not any(row.tobytes() in seen for row in va.targets)
+    # each side holds all three replicas of its settings, in file order
+    for part in (tr, va):
+        _, counts = np.unique(part.targets, axis=0, return_counts=True)
+        assert set(counts) == {3}
+    first = np.flatnonzero((ds.targets == va.targets[0]).all(axis=1))
+    assert same_bits(va.features[:3], ds.features[first])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_split_refuses_one_setting(rows):
+    ds = small_dataset().subset(np.zeros(rows, dtype=int))
+    with pytest.raises(DegenerateDataError, match="1 distinct settings, at least 2"):
+        split(ds, 0.2, np.random.default_rng(0))
+
+
 # ------------------------------------------------------------- normalization
 
 
@@ -300,13 +335,48 @@ def test_wrong_column_count_reports_line(tmp_path):
 
 
 def test_probability_out_of_range_rejected(tmp_path):
-    def bump(ls):
-        parts = ls[5].split(",")
-        parts[4] = "1.5"
-        ls[5] = ",".join(parts)
-    path = corrupt(tmp_path, bump)
-    with pytest.raises(FileFormatError, match="probability"):
-        read_csv(path)
+    """A value above 1, and a first triple of values in [0, 1] that sums
+    to 1.9, which no acquisition gives either."""
+    for triple in (["1.5"], ["0.9", "0.5", "0.5"]):
+        def bump(ls):
+            parts = ls[5].split(",")
+            parts[4:4 + len(triple)] = triple
+            ls[5] = ",".join(parts)
+        path = corrupt(tmp_path, bump)
+        with pytest.raises(FileFormatError, match=r"line 6: .*probability.* sum to 1 within 0\.02"):
+            read_csv(path)
+
+
+@pytest.mark.parametrize("features,bad", [
+    ([0.44, 0.35, 0.20] * 4, False),  # sums to 0.99: a vector typed to two decimals
+    ([0.5, 0.25, 0.25] * 3 + [0.5, 0.5, 0.03], True),  # one triple sums to 1.03
+    ([1.0, 0.0, 0.0] * 4, False),
+    ([0.0] * 12, True),
+    ([1.0] * 12, True),
+    ([1.01, -0.01, 0.0] * 4, True),  # sums to 1, but outside [0, 1]
+    ([np.nan, 0.5, 0.5] + [0.5, 0.25, 0.25] * 3, True),
+])
+def test_feature_rule_hand_cases(features, bad):
+    assert datamod.bad_feature_rows([features]).tolist() == ([0] if bad else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(volts=st.lists(st.tuples(st.floats(0.0, 7.0), st.floats(0.0, 7.0)), min_size=1,
+                      max_size=20),
+       mean_total=st.floats(1e-3, 1e9), seed=st.integers(0, 2**32 - 1))
+def test_acquisitions_obey_the_feature_rule(volts, mean_total, seed):
+    """`fresh_noise` and `generate_simulated` make only features the rule
+    passes, at any photon budget that draws photons."""
+    targets = np.hstack([np.array(volts), np.array(volts) + 0.5])
+    rng = np.random.default_rng(seed)
+    try:
+        noisy = fresh_noise(exact_features(targets, DEV), mean_total, rng)
+        grid = build_grid(2.0, 5.0, 3)
+        ds = generate_simulated(grid, kick_from_steps(grid, 1), DEV, rng, mean_total, replicas=2)
+    except DegenerateDataError:  # some acquisition drew no photon
+        assume(False)
+    assert datamod.bad_feature_rows(noisy).size == 0
+    assert datamod.bad_feature_rows(ds.features).size == 0
 
 
 def test_non_numeric_field_rejected(tmp_path):
@@ -627,9 +697,14 @@ def test_write_rows_keeps_signed_zeros_apart():
 def test_dataset_csv_round_trip_property(tmp_path_factory, data, n, dv, mean_total):
     """write -> read is the identity on every bit; writing again gives the
     same bytes.  Kick offsets below 1e-9 V let the targets take any finite
-    value and still pass the kick-consistency check."""
+    value and still pass the kick-consistency check.  The drawn features
+    are scaled triple by triple to sum to 1, as an acquisition's do, an
+    all-zero triple becoming (1, 0, 0)."""
     base = cells(data, (n, 2), FINITE)
-    ds = Dataset(features=cells(data, (n, 12), PROBABILITY),
+    triples = cells(data, (n, 12), PROBABILITY).reshape(n, 4, 3)
+    total = triples.sum(axis=2, keepdims=True)
+    triples = np.where(total > 0.0, triples / np.where(total > 0.0, total, 1.0), [1.0, 0.0, 0.0])
+    ds = Dataset(features=triples.reshape(n, 12),
                  targets=np.hstack([base, base + np.array(dv)]),
                  kick=KickConfig(*dv), provenance="property", mean_total=mean_total)
     root = tmp_path_factory.mktemp("csv")

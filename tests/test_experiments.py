@@ -189,16 +189,24 @@ def test_grid_sweep_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_count,
     on one OpenBLAS thread, and the count of this process is unchanged.
 
     The trainings run in forked workers, so a list here would stay empty:
-    each step appends `pid seed count` to a file instead."""
+    each step appends `pid seed count` to a file instead.  A worker runs
+    one training at a time, so the seed of its running training is read
+    from a wrapper around `train`."""
     outside = blas_count()
     log = tmp_path / "steps.log"
-    real_step = net.adam_step
+    real_train, real_step = experiments.train, net.adam_step
+    running = {}
 
-    def recording_step(params, grads, state, config):
+    def recording_train(train_ds, val_ds, config):
+        running["seed"] = config.seed
+        return real_train(train_ds, val_ds, config)
+
+    def recording_step(*args):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {config.seed} {blas_count()}\n")
-        return real_step(params, grads, state, config)
+            fh.write(f"{os.getpid()} {running['seed']} {blas_count()}\n")
+        real_step(*args)
 
+    monkeypatch.setattr(experiments, "train", recording_train)
     monkeypatch.setattr(net, "adam_step", recording_step)
     small_sweep(tmp_path / "sweep", jobs=jobs)
     steps = [line.split() for line in log.read_text().splitlines()]

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from tricalib.net import (
     adam_step,
     backward,
     forward,
-    init_adam,
     init_he,
     layer_sizes,
     load_checkpoint,
@@ -44,7 +44,14 @@ from tricalib.net import (
     train,
 )
 
-from conftest import BYTE_MUTATION, mutate_bytes, same_bits
+from conftest import (
+    BYTE_MUTATION,
+    flatten,
+    kink_mask,
+    mutate_bytes,
+    numeric_gradient,
+    same_bits,
+)
 
 DEV = default_device_config()
 
@@ -169,41 +176,6 @@ def test_loss_matches_per_example_recomputation():
 # ----------------------------------------------------------------- backward
 
 
-def flatten(grads):
-    return np.concatenate([np.concatenate([gW.ravel(), gb.ravel()]) for gW, gb in grads])
-
-
-def numeric_gradient(params, X, Y, h=1e-5):
-    out = []
-    for li, (W, b) in enumerate(params):
-        for arr in (W, b):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = arr[idx]
-                arr[idx] = old + h
-                lp = loss(params, X, Y)
-                arr[idx] = old - h
-                lm = loss(params, X, Y)
-                arr[idx] = old
-                g[idx] = (lp - lm) / (2.0 * h)
-            out.append(g.ravel())
-    return np.concatenate(out)
-
-
-def kink_mask(params, X, tol=1e-6):
-    """True for parameter coordinates safe from ReLU kinks: we simply
-    flag whole instances whose hidden preactivations approach zero."""
-    A = np.atleast_2d(X)
-    for W, b in params[:-1]:
-        Z = A @ W.T + b
-        if np.abs(Z).min() < tol:
-            return False
-        A = np.maximum(Z, 0.0)
-    return True
-
-
 def test_backward_zero_error_gives_zero_gradient():
     params = [(np.zeros((4, 12)), np.array([0.5, 0.5, 0.5, 0.5]))]
     X = np.random.default_rng(1).uniform(size=(5, 12))
@@ -281,40 +253,42 @@ def test_backward_permutation_invariant():
 # --------------------------------------------------------------------- adam
 
 
+def zeros_like_pairs(params):
+    """Zeroed (W, b) pairs shaped like `params`: Adam's initial moments."""
+    return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+
+
 def test_adam_first_step_magnitude():
     params = [(np.array([[2.0]]), np.array([0.5]))]
-    state = init_adam(params)
     grads = [(np.array([[3.0]]), np.array([-0.7]))]
-    cfg = TrainConfig()
+    lr = TrainConfig().learning_rate
     W0 = params[0][0].copy()
-    adam_step(params, grads, state, cfg)
+    assert adam_step(params, grads, zeros_like_pairs(params), zeros_like_pairs(params),
+                     1, lr) is None
     # bias correction makes the first step lr * g / (|g| + eps) ~ lr
     step = (W0 - params[0][0])[0, 0]
-    assert step == pytest.approx(cfg.learning_rate, rel=1e-6)
-    assert state.t == 1
+    assert step == pytest.approx(lr, rel=1e-6)
 
 
 def test_adam_zero_gradient_is_a_no_op():
     params = init_he([3, 4, 2], np.random.default_rng(0))
     before = [(W.copy(), b.copy()) for W, b in params]
-    state = init_adam(params)
-    zeros = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    adam_step(params, zeros, state, TrainConfig())
+    zeros = zeros_like_pairs(params)
+    adam_step(params, zeros, zeros_like_pairs(params), zeros_like_pairs(params),
+              1, TrainConfig().learning_rate)
     for (W, b), (W0, b0) in zip(params, before):
         assert np.array_equal(W, W0) and np.array_equal(b, b0)
-    assert state.t == 1
 
 
 def test_adam_second_moments_nonnegative():
     rng = np.random.default_rng(2)
     params = init_he([3, 4, 2], rng)
-    state = init_adam(params)
-    for _ in range(5):
+    m, v = zeros_like_pairs(params), zeros_like_pairs(params)
+    for t in range(1, 6):
         grads = [(rng.normal(size=W.shape), rng.normal(size=b.shape)) for W, b in params]
-        adam_step(params, grads, state, TrainConfig())
-    for vW, vb in state.v:
+        adam_step(params, grads, m, v, t, TrainConfig().learning_rate)
+    for vW, vb in v:
         assert vW.min() >= 0.0 and vb.min() >= 0.0
-    assert state.t == 5
 
 
 def reference_adam_scalar(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -334,24 +308,23 @@ def test_adam_scalar_trajectory_matches_reference():
     gs = np.random.default_rng(3).normal(size=10)
     cfg = TrainConfig(learning_rate=1e-3)
     params = [(np.array([[1.5]]), np.array([0.0]))]
-    state = init_adam(params)
+    m, v = zeros_like_pairs(params), zeros_like_pairs(params)
     mine = []
-    for g in gs:
-        adam_step(params, [(np.array([[g]]), np.array([0.0]))], state, cfg)
+    for t, g in enumerate(gs, start=1):
+        adam_step(params, [(np.array([[g]]), np.array([0.0]))], m, v, t, cfg.learning_rate)
         mine.append(params[0][0][0, 0])
     ref = reference_adam_scalar(1.5, gs, cfg.learning_rate)
     assert np.abs(np.array(mine) - ref).max() < 1e-12
 
 
-def reference_adam_step(params, grads, state, config):
+def reference_adam_step(params, grads, m, v, t, learning_rate):
     """The one-expression-per-moment update `adam_step` must match bitwise."""
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
-    state.t += 1
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, learning_rate
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
     for li, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-        mW, mb = state.m[li]
-        vW, vb = state.v[li]
+        mW, mb = m[li]
+        vW, vb = v[li]
         mW *= b1
         mW += (1.0 - b1) * gW
         mb *= b1
@@ -368,17 +341,16 @@ def assert_adam_matches_reference(dtype, t0):
     rng = np.random.default_rng(5)
     params = [(W.astype(dtype), b.astype(dtype)) for W, b in init_he([12, 8, 8, 4], rng)]
     ref_params = [(W.copy(), b.copy()) for W, b in params]
-    state, ref_state = init_adam(params), init_adam(ref_params)
-    state.t = ref_state.t = t0
-    cfg = TrainConfig()
-    for _ in range(20):
+    m, v = zeros_like_pairs(params), zeros_like_pairs(params)
+    ref_m, ref_v = zeros_like_pairs(params), zeros_like_pairs(params)
+    lr = TrainConfig().learning_rate
+    for t in range(t0 + 1, t0 + 21):
         # about a third of the gradient entries are exact zeros
         grads = [tuple((rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)).astype(dtype)
                        for a in pair) for pair in params]
-        adam_step(params, grads, state, cfg)
-        reference_adam_step(ref_params, grads, ref_state, cfg)
-    assert state.t == ref_state.t == t0 + 20
-    for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
+        adam_step(params, grads, m, v, t, lr)
+        reference_adam_step(ref_params, grads, ref_m, ref_v, t, lr)
+    for got, want in ((params, ref_params), (m, ref_m), (v, ref_v)):
         for pair, ref_pair in zip(got, want):
             for a, r in zip(pair, ref_pair):
                 assert same_bits(a, r)
@@ -441,22 +413,22 @@ def test_flat_buffers_match_per_tensor_bitwise(dtype):
         W[...], b[...] = W0, b0
     (gw, gb), grads = net._flat_views(he, dtype)
     ref_params = [(W.copy(), b.copy()) for W, b in params]
-    state, ref_state = init_adam([(weights, biases)]), init_adam(ref_params)
-    cfg = TrainConfig()
-    for _ in range(20):
+    m, v = zeros_like_pairs([(weights, biases)]), zeros_like_pairs([(weights, biases)])
+    ref_m, ref_v = zeros_like_pairs(ref_params), zeros_like_pairs(ref_params)
+    lr = TrainConfig().learning_rate
+    for t in range(1, 21):
         # about a third of the gradient entries are exact zeros
         ref_grads = [tuple((rng.normal(size=a.shape) * (rng.random(a.shape) > 0.3)).astype(dtype)
                            for a in pair) for pair in params]
         for views, pair in zip(grads, ref_grads):
             for view, g in zip(views, pair):
                 view[...] = g
-        adam_step([(weights, biases)], [(gw, gb)], state, cfg)
-        adam_step(ref_params, ref_grads, ref_state, cfg)
-    assert state.t == ref_state.t == 20
-    [(mw, mb)] = state.m
-    [(vw, vb)] = state.v
-    for flat, ref in (((weights, biases), ref_params), ((mw, mb), ref_state.m),
-                      ((vw, vb), ref_state.v)):
+        adam_step([(weights, biases)], [(gw, gb)], m, v, t, lr)
+        adam_step(ref_params, ref_grads, ref_m, ref_v, t, lr)
+    [(mw, mb)] = m
+    [(vw, vb)] = v
+    for flat, ref in (((weights, biases), ref_params), ((mw, mb), ref_m),
+                      ((vw, vb), ref_v)):
         for a, r in zip(flat, (np.concatenate([W.ravel() for W, _ in ref]),
                                np.concatenate([b for _, b in ref]))):
             assert a.dtype == dtype and same_bits(a, r)
@@ -595,7 +567,7 @@ def reference_train(train_ds, val_ds, config):
     rng = np.random.default_rng(config.seed)
     he = init_he(layer_sizes(X.shape[1], Y.shape[1], config.hidden), rng)
     params = [(W.astype(np.float32), b.astype(np.float32)) for W, b in he]
-    state = init_adam(params)
+    m, v, t = zeros_like_pairs(params), zeros_like_pairs(params), 0
     best_loss, best, stale, train_losses = np.inf, None, 0, []
     n = X.shape[0]
     for _ in range(config.max_epochs):
@@ -605,12 +577,13 @@ def reference_train(train_ds, val_ds, config):
             idx = order[start:start + config.batch_size]
             grads, batch_loss = reference_backward(
                 params, *reference_forward(params, X[idx]), Y[idx])
-            reference_adam_step(params, grads, state, config)
+            t += 1
+            reference_adam_step(params, grads, m, v, t, config.learning_rate)
             loss_sum += batch_loss * idx.size
         train_losses.append(loss_sum / n)
-        for pair in state.m:
-            for m in pair:
-                m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
+        for pair in m:
+            for a in pair:
+                a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
         params64 = [(W.astype(float), b.astype(float)) for W, b in params]
         vout = reference_forward(params64, Xv)[0][-1]
         val_loss = float(np.sqrt(((vout - Yv) ** 2).mean(axis=1)).mean())
@@ -662,31 +635,29 @@ def test_train_returns_no_subnormal_first_moment(monkeypatch):
     # ReLU units that no input activates. Its float32 first moments then
     # decay by beta1 per step and fall below the smallest normal float32
     # after about 800 steps (a float64 moment would take about 6 650);
-    # the Adam state captured here is the one at the end of the run,
+    # the moments captured here are the ones at the end of the run,
     # which is later than either.  `train` passes one (weights, biases)
     # pair of flat buffers; the first layer's (8, 12) weights and 8
     # biases lead them.
     first_w, first_b = slice(0, 8 * 12), slice(0, 8)
     real_step = net.adam_step
-    captured = []
+    seen = {}
 
-    def step_with_dead_first_layer(params, grads, state, config):
-        if not captured:
-            captured.append(state)
-        if state.t > 0:
+    def step_with_dead_first_layer(params, grads, m, v, t, learning_rate):
+        seen.setdefault("moments", (m, v))
+        seen["t"] = t
+        if t > 1:
             [(gw, gb)] = grads
             gw[first_w] = 0.0
             gb[first_b] = 0.0
-        return real_step(params, grads, state, config)
+        real_step(params, grads, m, v, t, learning_rate)
 
     monkeypatch.setattr(net, "adam_step", step_with_dead_first_layer)
     tr, va = splits(toy_dataset(n=6))
     cfg = TrainConfig(max_epochs=300, patience=300, batch_size=1, seed=0, hidden=(8, 8))
     train(tr, va, cfg)
-    adam = captured[0]
-    assert adam.t > 7000
-    [(mw, mb)] = adam.m
-    [(vw, vb)] = adam.v
+    assert seen["t"] > 7000
+    [(mw, mb)], [(vw, vb)] = seen["moments"]
     for m in (mw, mb):
         assert m.dtype == np.float32
         tiny = np.finfo(m.dtype).tiny
@@ -706,12 +677,11 @@ def test_train_steps_adam_in_float32_only(monkeypatch):
     real_step = net.adam_step
     dtypes, layouts = set(), set()
 
-    def recording_step(params, grads, state, config):
-        real_step(params, grads, state, config)
-        for group in (params, grads, state.m, state.v):
+    def recording_step(params, grads, m, v, t, learning_rate):
+        real_step(params, grads, m, v, t, learning_rate)
+        for group in (params, grads, m, v):
             dtypes.update(a.dtype for pair in group for a in pair)
             layouts.add(tuple((a.size, a.flags.c_contiguous) for pair in group for a in pair))
-        return params, state
 
     monkeypatch.setattr(net, "adam_step", recording_step)
     tr, va = splits(toy_dataset(n=6))
@@ -729,9 +699,9 @@ def test_train_runs_adam_on_one_blas_thread(blas_count, monkeypatch):
     real_step = net.adam_step
     seen = []
 
-    def recording_step(params, grads, state, config):
+    def recording_step(*args):
         seen.append(blas_count())
-        return real_step(params, grads, state, config)
+        real_step(*args)
 
     monkeypatch.setattr(net, "adam_step", recording_step)
     tr, va = splits(toy_dataset(n=6))
@@ -924,10 +894,13 @@ def test_training_loss_decreases_over_ten_seeds():
 
 
 def test_train_divergence_reports_epoch():
+    """A diverging run is refused by its non-finite loss, without a numpy
+    overflow warning on the way."""
     tr, va = splits(toy_dataset(n=5))
     cfg = TrainConfig(max_epochs=5, patience=5, seed=0, learning_rate=1e160,
                       hidden=(8,))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(TrainingDivergedError) as err:
             train(tr, va, cfg)
     assert err.value.epoch is not None

@@ -27,9 +27,9 @@ out = Path(tempfile.mkdtemp(prefix="tricalib_sweep_"))
 summary = run_grid_sweep(
     dev,
     SweepConfig(grid_sizes=(8, 15, 25), trainings_per_size=3, test_size=60),
-    TrainConfig(max_epochs=60, patience=15, seed=0, hidden=(100, 100)),
+    TrainConfig(max_epochs=60, patience=15, seed=3, hidden=(100, 100)),
     grid_min=1.0, grid_max=7.0, kick_steps=2,
-    data_seed=7, train_seed=3, eval_seed=11, split_seed=20,
+    data_seed=7, eval_seed=11, split_seed=20,
     out_dir=out, mean_total=dev.mean_total, jobs=3)
 
 print(f"{'grid':>6s} {'examples':>9s} {'val NRMSE':>16s} {'test cosine':>18s}")

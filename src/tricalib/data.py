@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 DATASET_HEADER = "v1,v2,v1k,v2k,p11,p12,p13,p21,p22,p23,q11,q12,q13,q21,q22,q23"
-_N_COLS = DATASET_HEADER.count(",") + 1
+# a row: the 4 target voltages (base then kicked), then the 12 probabilities
+N_TARGETS, N_FEATURES = 4, 12
+_N_COLS = N_TARGETS + N_FEATURES
 METADATA_KEYS = ("provenance", "dv1", "dv2", "mean_total")
 
 # How far the three frequencies of one input may sum from 1.  Loose
@@ -196,24 +198,16 @@ def generate_simulated(
     replica is one `fresh_noise` draw of the exact features.  Pass
     mean_total=None for exact model probabilities (no shot noise).
 
-    Raises invalid-parameter if the grid or any kicked setting falls
-    outside the simulable device range, or if mean_total is not a
-    positive photon count.  Raises degenerate-data, naming the budget, if
-    any acquisition of a replica draws zero photons (see `fresh_noise`).
+    Raises invalid-parameter if a base, then a kicked, setting lies outside
+    the device's voltage range, or if mean_total is not a positive photon
+    count.  Raises degenerate-data, naming the budget, if any acquisition
+    of a replica draws zero photons (see `fresh_noise`).
     """
     if replicas < 1:
         raise InvalidParameterError("replicas must be >= 1")
     v1, v2 = np.meshgrid(axis, axis, indexing="ij")
     base = np.stack([v1.ravel(), v2.ravel()], axis=-1)
-    kicked = base + kick.offset()
-    if base.min() < device.v_min or base.max() > device.v_max:
-        raise InvalidParameterError("grid exceeds the device voltage range")
-    if kicked.max() > device.v_max:
-        raise InvalidParameterError(
-            "kicked settings exceed the simulable device range "
-            f"({kicked.max():.6g} V > {device.v_max:.6g} V)"
-        )
-    targets = np.concatenate([base, kicked], axis=-1)
+    targets = np.concatenate([base, base + kick.offset()], axis=-1)
     exact = exact_features(targets, device)
     features = np.empty((replicas,) + exact.shape)
     for draw in features:
@@ -299,10 +293,10 @@ def write_csv(dataset: Dataset, path):
         raise InvalidParameterError(
             f"provenance must not start or end with whitespace, got {dataset.provenance!r}")
     n = len(dataset.targets)
-    if np.shape(dataset.targets) != (n, 4) or np.shape(dataset.features) != (n, _N_COLS - 4):
-        raise InvalidParameterError(
-            f"a dataset row needs 4 targets and {_N_COLS - 4} features, got arrays of shape "
-            f"{np.shape(dataset.targets)} and {np.shape(dataset.features)}")
+    shapes = np.shape(dataset.targets), np.shape(dataset.features)
+    if shapes != ((n, N_TARGETS), (n, N_FEATURES)):
+        raise InvalidParameterError(f"a dataset row needs {N_TARGETS} targets and {N_FEATURES} "
+                                    f"features, got arrays of shape {shapes[0]} and {shapes[1]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# provenance = {dataset.provenance}\n"
                  f"# dv1 = {format_value(dataset.kick.dv1)}\n"
@@ -403,7 +397,7 @@ def _first_bad_line(lines):
 def read_csv(path) -> Dataset:
     """Load a dataset CSV; validates schema, metadata, ranges and kick consistency."""
     meta, rows, linenos = _parse_rows(path)
-    targets, features = rows[:, :4], rows[:, 4:]
+    targets, features = rows[:, :N_TARGETS], rows[:, N_TARGETS:]
     bad = bad_feature_rows(features)
     if bad.size:
         raise FileFormatError(

@@ -15,7 +15,8 @@ injected in mode i leaves in mode j is |U[j, i]|**2.  Only inputs 1 and 2
 are used, giving six probabilities per voltage setting.
 
 All functions are pure and vectorized: a voltage or phase "pair" may be
-a plain length-2 array or an (..., 2) stack of pairs.
+a plain length-2 array or an (..., 2) stack of pairs.  One voltage rule
+(`_check_voltages`) refuses any voltage outside the device's [v_min, v_max].
 """
 
 from dataclasses import dataclass
@@ -96,20 +97,22 @@ class DeviceConfig:
             object.__setattr__(self, "tritter", t)
 
 
-def _check_voltages(v):
+def _check_voltages(v, device: DeviceConfig):
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 2:
         raise InvalidParameterError("voltage input must have a trailing axis of length 2")
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("voltages must be finite")
-    if np.any(v < 0.0):
-        raise InvalidParameterError("voltages must be non-negative")
+    if v.size and (v.min() < device.v_min or v.max() > device.v_max):
+        bad = v.min() if v.min() < device.v_min else v.max()
+        raise InvalidParameterError(f"voltage {bad:.6g} V outside the device range "
+                                    f"[{device.v_min:.6g}, {device.v_max:.6g}] V")
     return v
 
 
 def dissipated_power(v, device: DeviceConfig):
     """Ohmic power P_j = v_j^2 / R_j for each heater, in watts."""
-    v = _check_voltages(v)
+    v = _check_voltages(v, device)
     return v**2 / device.resistances
 
 
@@ -117,10 +120,15 @@ def phases_from_voltages(v, device: DeviceConfig):
     """Phase pair produced by a voltage pair, crosstalk included.
 
     Sums the linear and quadratic power terms over both resistors for
-    each of the two phases.  Shape follows the input: (..., 2).
+    each of the two phases.  Shape follows the input: (..., 2).  Refuses
+    a setting whose response overflows to a non-finite phase.
     """
-    p = dissipated_power(v, device)
-    return p @ device.alpha.T + (p**2) @ device.alpha_nl.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        p = dissipated_power(v, device)
+        phases = p @ device.alpha.T + (p**2) @ device.alpha_nl.T
+    if not np.all(np.isfinite(phases)):
+        raise InvalidParameterError("the heater response overflows to a non-finite phase")
+    return phases
 
 
 def tritter_unitary() -> np.ndarray:

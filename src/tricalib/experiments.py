@@ -162,7 +162,6 @@ def run_grid_sweep(
     grid_max: float,
     kick_steps: int,
     data_seed: int,
-    train_seed: int,
     eval_seed: int,
     split_seed: int,
     out_dir,
@@ -175,7 +174,8 @@ def run_grid_sweep(
     grid) so every size trains and tests the same physical acquisition.
     The 100-example test pool is drawn once from the largest dataset's
     settings, at their exact probabilities, and held fixed; each run sees
-    it with its own fresh shot noise.  Returns the per-size summary rows.
+    it with its own fresh shot noise.  Run `run` of size `size` trains with
+    seed `_combine(train_cfg.seed, size, run)`.  Returns the summary rows.
 
     Trainings run in `jobs` forked worker processes (never more than
     there are trainings), each on one OpenBLAS thread (`_in_workers`).
@@ -201,7 +201,7 @@ def run_grid_sweep(
 
     keys = [(size, run) for size in sizes for run in range(sweep.trainings_per_size)]
     results = _in_workers(_sweep_run, [
-        (datasets[size], replace(train_cfg, seed=_combine(train_seed, size, run)), split_seed,
+        (datasets[size], replace(train_cfg, seed=_combine(train_cfg.seed, size, run)), split_seed,
          test_probs, test_targets, _combine(eval_seed, size, run))
         for size, run in keys], jobs)
     per_run = dict(zip(keys, results))
@@ -223,7 +223,7 @@ def run_grid_sweep(
         ("kick_dv1", kick.dv1), ("kick_dv2", kick.dv2),
         ("mean_total", mean_total),
         ("val_fraction", VAL_FRACTION),
-        ("data_seed", data_seed), ("train_seed", train_seed),
+        ("data_seed", data_seed), ("train_seed", train_cfg.seed),
         ("eval_seed", eval_seed), ("split_seed", split_seed),
         ("seed_rule", "base*1000000 + size*1000 + run"),
         *train_config_pairs(train_cfg),

@@ -108,6 +108,25 @@ def test_simulate_rejects_out_of_range_volts():
     assert run_cli(["simulate", "--volts", "3"]) == 3
 
 
+@pytest.mark.parametrize("volts", ["nan,1", "1,inf", "1,-inf"])
+def test_simulate_rejects_non_finite_volts(volts, capsys):
+    """The device's voltage rule refuses a nan or inf --volts value (exit 3)."""
+    assert run_cli(["simulate", "--volts", volts]) == 3
+    assert capsys.readouterr().err == "error[invalid-parameter]: voltages must be finite\n"
+
+
+def test_simulate_overflowing_setting_exits_3(tmp_path, capsys):
+    """A setting inside a 1e300 V range whose heater response overflows is
+    refused with one line, and no numpy overflow warning on the way."""
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(replace(default_device_config(), v_max=1e300), cfg_path)
+    assert run_cli(["simulate", "--volts", "1e100,1", "--device-config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[invalid-parameter]: the heater response overflows")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 # -------------------------------------------------------------- gen-dataset
 
 
@@ -327,6 +346,23 @@ def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     assert read_report(out / "report.txt")["sampling"] == "uniform"
 
 
+@pytest.mark.parametrize("argv", [["evaluate"], ["evaluate", "--sampling", "uniform"],
+                                  ["surface"]], ids=["grid", "uniform", "surface"])
+def test_device_short_of_the_dataset_exits_3(toy, tmp_path, capsys, argv):
+    """The toy dataset's kicked settings reach 5.33 V: a device driven up
+    to 5 V cannot re-simulate them, so evaluate and surface exit 3 with
+    one line before they make an output directory."""
+    cfg_path = tmp_path / "device.cfg"
+    write_device_config(replace(default_device_config(), v_max=5.0), cfg_path)
+    out = tmp_path / "out"
+    assert run_cli([*argv, "-m", str(toy["model"]), "-i", str(toy["ds"]), "-o", str(out),
+                    "--device-config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error\[invalid-parameter\]: voltage 5\.3\d* V outside the device "
+                        r"range \[0, 5\] V\n", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_commands_run_on_one_blas_thread(toy, tmp_path, monkeypatch, blas_count, command):
     """`main` runs every command inside `net._one_blas_thread`: the
@@ -461,8 +497,8 @@ def test_ablate_kicks_out_of_range_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "ablation"
     assert run_cli(["ablate-kicks", "--grid", "15", "-o", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == ("error[invalid-parameter]: kicked settings exceed the simulable "
-                   "device range (9.14286 V > 8 V)\n"), err
+    assert err == ("error[invalid-parameter]: voltage 9.14286 V outside the device "
+                   "range [0, 8] V\n"), err
     assert not out.exists()
 
 

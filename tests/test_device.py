@@ -102,6 +102,25 @@ def test_voltage_validation():
         dissipated_power([1.0, 2.0, 3.0], DEV)
 
 
+@settings(max_examples=200, deadline=None)
+@given(v_min=st.floats(0.0, 20.0), width=st.floats(0.1, 20.0), data=st.data())
+def test_voltage_probabilities_only_inside_the_device_range(v_min, width, data):
+    """The one voltage rule: a (3, 2) stack is simulated iff every
+    coordinate lies in [v_min, v_max], bounds included."""
+    dev = replace(DEV, v_min=v_min, v_max=v_min + width)
+    coord = st.one_of(st.floats(-1.0, 45.0), st.sampled_from([dev.v_min, dev.v_max]))
+    v = np.array(data.draw(st.lists(coord, min_size=6, max_size=6))).reshape(3, 2)
+    if np.all((v >= dev.v_min) & (v <= dev.v_max)):
+        assert voltage_probabilities(v, dev).shape == (3, 6)
+    else:
+        with pytest.raises(InvalidParameterError, match="outside the device range"):
+            voltage_probabilities(v, dev)
+
+
+def test_empty_voltage_stack_gives_empty_probabilities():
+    assert voltage_probabilities(np.empty((0, 2)), DEV).shape == (0, 6)
+
+
 def test_coefficient_validation():
     with pytest.raises(InvalidParameterError, match="2x2"):
         response(np.eye(3), np.zeros((2, 2)), np.array([1.0, 1.0]))

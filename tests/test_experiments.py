@@ -5,6 +5,7 @@ import concurrent.futures
 import functools
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,11 +136,11 @@ def test_kick_ablation_byte_deterministic(tmp_path):
 # --------------------------------------------------------------- grid sweep
 
 
-def small_sweep(out, jobs=1, trainings=2, mean_total=1000.0):
+def small_sweep(out, jobs=1, trainings=2, mean_total=1000.0, cfg=TOY_CFG):
     sweep = SweepConfig(grid_sizes=(5, 8), trainings_per_size=trainings,
                         test_size=20)
-    return run_grid_sweep(DEV, sweep, TOY_CFG, 2.0, 5.0, 1,
-                          data_seed=3, train_seed=1, eval_seed=5, split_seed=0,
+    return run_grid_sweep(DEV, sweep, cfg, 2.0, 5.0, 1,
+                          data_seed=3, eval_seed=5, split_seed=0,
                           out_dir=out, mean_total=mean_total, jobs=jobs)
 
 
@@ -162,6 +163,16 @@ def test_grid_sweep_summary_and_files(tmp_path):
     assert echo["kick_dv1"] == echo["kick_dv2"]
     # kick fixed in volts from the largest grid: one step of the 8-grid
     assert echo["kick_dv1"] == pytest.approx(3.0 / 7.0, rel=1e-12)
+
+
+def test_grid_sweep_trains_with_its_config_seed(tmp_path):
+    """Every run's training seed comes from `train_cfg.seed`, which
+    config.echo records: two seeds write two different runs.csv files."""
+    for seed in (1, 2):
+        small_sweep(tmp_path / str(seed), trainings=1, cfg=replace(TOY_CFG, seed=seed))
+        assert read_report(tmp_path / str(seed) / "config.echo")["train_seed"] == seed
+    runs = [(tmp_path / str(seed) / "runs.csv").read_bytes() for seed in (1, 2)]
+    assert runs[0] != runs[1]
 
 
 def test_grid_sweep_single_training_flags_degenerate(tmp_path):

@@ -9,7 +9,7 @@ This is the reduced version of
 
     tricalib sweep-grid --sizes 10,15,20,30,40,53 --trainings 50 -o out/
 
-which reproduces the trend at full scale (budget ~1 h with --jobs 4).
+which reproduces the trend at full scale (300 trainings; --jobs N runs N at once).
 
 Run:  python3 demos/04_grid_size_study.py
 """

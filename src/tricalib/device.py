@@ -104,9 +104,11 @@ def _check_voltages(v, device: DeviceConfig):
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("voltages must be finite")
     if v.size and (v.min() < device.v_min or v.max() > device.v_max):
+        from .metrics import format_value  # metrics imports this module
         bad = v.min() if v.min() < device.v_min else v.max()
-        raise InvalidParameterError(f"voltage {bad:.6g} V outside the device range "
-                                    f"[{device.v_min:.6g}, {device.v_max:.6g}] V")
+        lo, hi = format_value(device.v_min), format_value(device.v_max)
+        raise InvalidParameterError(f"voltage {format_value(bad)} V outside the device "
+                                    f"range [{lo}, {hi}] V")
     return v
 
 

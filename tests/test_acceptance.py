@@ -3,9 +3,14 @@ each.  The expensive end-to-end checks share the session-wide default
 pipeline fixture and re-derive every number from the artifact files, so
 a green run here means the shipped defaults actually deliver."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tricalib.config import default_device_config
 from tricalib.data import read_csv, write_csv
@@ -91,12 +96,72 @@ def test_criterion_3_default_pipeline(capsys, default_pipeline):
     reps = default_pipeline.eval_report["repetitions"]
     per_rep = default_pipeline.eval_report["examples_per_repetition"]
     elapsed = default_pipeline.wall_clock
+    sizes = load_checkpoint(default_pipeline.checkpoint).sizes
     ok = (val_nrmse <= 0.03 and cosine >= 0.995
           and reps == 500 and per_rep == 100 and elapsed <= 15 * 60)
     announce(capsys, 3, "end-to-end calibration", ok,
-             f"val NRMSE {val_nrmse:.4f} <= 0.03, "
+             f"network {sizes}, val NRMSE {val_nrmse:.4f} <= 0.03, "
              f"cosine {cosine:.4f} >= 0.995 over {reps}x{per_rep}, "
              f"{elapsed:.0f} s")
+
+
+# The pipeline above runs on the OpenBLAS kernel numpy picks for this CPU,
+# and its bytes hold for that kernel only.  The child below forces the
+# AVX2 kernel, which many CI machines run, and must keep the same gates.
+_HASWELL_CHILD = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+from conftest import PipelineArtifacts
+from tricalib import net
+core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+lib = ctypes.CDLL(core._multiarray_umath.__file__)
+kernel = "no OpenBLAS"
+for get_threads, _ in net._OPENBLAS_THREAD_CALLS:
+    corename = getattr(lib, get_threads.replace("get_num_threads", "get_corename"), None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+        break
+print(kernel, flush=True)
+if kernel == "Haswell":
+    PipelineArtifacts(Path(sys.argv[1])).run()
+"""
+
+
+def _has_avx2():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and " avx2" in line for line in fh)
+    except OSError:
+        return False
+
+
+def test_criterion_3_under_the_haswell_kernel(capsys, tmp_path):
+    """The default gen-dataset, train and evaluate in a fresh process whose
+    OpenBLAS runs its Haswell kernel keep acceptance 3's gates.  Skipped
+    where that kernel cannot be forced; SkylakeX is never forced, since
+    it needs AVX-512."""
+    if not _has_avx2():
+        pytest.skip("no avx2 in /proc/cpuinfo: the Haswell kernel cannot run here")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-c", _HASWELL_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    kernel = proc.stdout.splitlines()[0] if proc.stdout else ""
+    if kernel != "Haswell":
+        pytest.skip(f"OpenBLAS kernel reads {kernel!r} under OPENBLAS_CORETYPE=Haswell")
+    run = PipelineArtifacts(tmp_path)
+    val_nrmse = run.train_report["val_nrmse"]
+    cosine = run.eval_report["cosine_mean"]
+    sizes = load_checkpoint(run.checkpoint).sizes
+    ok = val_nrmse <= 0.03 and cosine >= 0.995
+    announce(capsys, 3, "end-to-end calibration, Haswell kernel", ok,
+             f"network {sizes}, val NRMSE {val_nrmse:.4f} <= 0.03, "
+             f"cosine {cosine:.4f} >= 0.995")
 
 
 # 4 --------------------------------------------------------- kick mechanism

@@ -108,6 +108,15 @@ def test_simulate_rejects_out_of_range_volts():
     assert run_cli(["simulate", "--volts", "3"]) == 3
 
 
+def test_out_of_range_message_tells_the_voltage_from_the_bound(capsys):
+    """A voltage just past a bound is printed with all its digits, so it
+    does not read as the bound it crosses."""
+    assert run_cli(["simulate", "--volts", "8.0000001,1"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error[invalid-parameter]: voltage 8.0000001 V outside the device "
+                   "range [0.0, 8.0] V\n"), err
+
+
 @pytest.mark.parametrize("volts", ["nan,1", "1,inf", "1,-inf"])
 def test_simulate_rejects_non_finite_volts(volts, capsys):
     """The device's voltage rule refuses a nan or inf --volts value (exit 3)."""
@@ -359,7 +368,7 @@ def test_device_short_of_the_dataset_exits_3(toy, tmp_path, capsys, argv):
                     "--device-config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"error\[invalid-parameter\]: voltage 5\.3\d* V outside the device "
-                        r"range \[0, 5\] V\n", err), err
+                        r"range \[0\.0, 5\.0\] V\n", err), err
     assert not out.exists()
 
 
@@ -497,8 +506,8 @@ def test_ablate_kicks_out_of_range_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "ablation"
     assert run_cli(["ablate-kicks", "--grid", "15", "-o", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err == ("error[invalid-parameter]: voltage 9.14286 V outside the device "
-                   "range [0, 8] V\n"), err
+    assert err == ("error[invalid-parameter]: voltage 9.142857142857142 V outside the "
+                   "device range [0.0, 8.0] V\n"), err
     assert not out.exists()
 
 

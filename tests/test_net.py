@@ -71,13 +71,13 @@ def splits(ds, split_seed=0, fraction=0.2):
 
 
 def test_layer_sizes_default():
-    assert layer_sizes(12, 4) == [12, 200, 200, 200, 4]
+    assert layer_sizes(12, 4) == [12, 128, 128, 128, 4]
 
 
 def test_he_init_variance_and_biases():
     params = init_he(layer_sizes(12, 4), np.random.default_rng(0))
     W0, b0 = params[0]
-    assert W0.shape == (200, 12)
+    assert W0.shape == (128, 12)
     var = W0.var()
     assert 0.8 * (2.0 / 12.0) < var < 1.2 * (2.0 / 12.0)
     for _, b in params:
@@ -1017,7 +1017,7 @@ def test_checkpoint_functions_take_path():
 
 
 def test_checkpoint_default_size_round_trip_bitwise(tmp_path):
-    """save -> load of a default-size (12-200-200-200-4) network, whose data
+    """save -> load of a default-size (12-128-128-128-4) network, whose data
     lines are far longer than the toy models', is the identity on every bit."""
     rng = np.random.default_rng(11)
     params = [(W, rng.normal(size=b.shape))
@@ -1026,7 +1026,7 @@ def test_checkpoint_default_size_round_trip_bitwise(tmp_path):
     path = tmp_path / "default.ckpt"
     save_checkpoint(path, params, KickConfig(0.5, 0.25), scaling, provenance="default")
     ck = load_checkpoint(path)
-    assert ck.sizes == [12, 200, 200, 200, 4]
+    assert ck.sizes == [12, 128, 128, 128, 4]
     assert dtype_line(path.read_text().splitlines()) == "<f8"
     for (W, b), (rW, rb) in zip(params, ck.params, strict=True):
         assert same_bits(W, rW) and same_bits(b, rb)

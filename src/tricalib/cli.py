@@ -6,10 +6,10 @@ One binary, eight subcommands:
     gen-dataset   simulate a kick-augmented training dataset -> CSV
     train         fit the regressor on a dataset CSV -> checkpoint, report, curves
     predict       invert one 12-probability feature vector -> voltages
-    evaluate      repeated noisy test protocol for a trained model
+    evaluate      repeated noisy test protocol; repetition 0 per point -> results.csv
     sweep-grid    grid-size study (fresh dataset and trainings per size)
     ablate-kicks  paired kicked vs unkicked comparison
-    surface       predicted-vs-true scatter: one evaluate grid draw, per point
+    surface       evaluate with one repetition of grid sampling (--n-new points)
 
 Config files can be overridden by flags; flags win.  All randomness is
 controlled by explicit seed flags, and identical command lines with
@@ -17,7 +17,8 @@ identical inputs produce byte-identical output files.  Failures exit
 with the category codes documented in `tricalib.errors` (argparse usage
 errors exit 2, missing files and other OS errors exit 10).  Numeric
 flags spell numbers as the file readers do (`config.parse_int` and
-`config.parse_float`), so `--epochs 1_0` is a usage error.
+`config.parse_float`), so `--epochs 1_0` is a usage error, as is a
+negative seed.
 """
 
 import argparse
@@ -44,8 +45,6 @@ from .experiments import (
 from .metrics import (
     format_value,
     mean_and_sd,
-    noisy_draw,
-    nrmse,
     repeated_test_evaluation,
     write_report,
     write_rows_csv,
@@ -69,6 +68,18 @@ def _parse_floats_arg(text, n, what):
     if len(values) != n:
         raise InvalidParameterError(f"{what} needs {n} comma-separated values, got {len(values)}")
     return values
+
+
+def _parse_seed(text):
+    """A seed flag: an integer as `config.parse_int` spells it, and not
+    negative, since numpy's generators refuse a negative seed."""
+    try:
+        seed = cfgmod.parse_int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _parse_int_list(text, what):
@@ -133,6 +144,16 @@ def _add_grid_flags(sp):
                     help="grid points per voltage axis")
     sp.add_argument("--grid-min", type=cfgmod.parse_float, default=cfgmod.GRID_V_MIN)
     sp.add_argument("--grid-max", type=cfgmod.parse_float, default=cfgmod.GRID_V_MAX)
+
+
+def _add_evaluation_flags(sp):
+    """The flags evaluate and surface share: model, test pool, output, seed, budget."""
+    sp.add_argument("-m", "--model", required=True, help="checkpoint path")
+    sp.add_argument("-i", "--input", required=True, help="dataset CSV (test pool)")
+    sp.add_argument("-o", "--output", required=True, help="results directory")
+    sp.add_argument("--seed", type=_parse_seed, default=DEFAULT_EVAL_SEED)
+    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
+                    help="photon budget for fresh noise; -1 = dataset/device, 0 = none")
 
 
 # ---------------------------------------------------------------- handlers
@@ -238,23 +259,18 @@ def cmd_predict(args):
     return 0
 
 
-def _load_evaluation(args):
-    """(device, checkpoint, dataset, photon budget) of evaluate and surface."""
+def cmd_evaluate(args):
     device = cfgmod.resolve_device_config(args.device_config)
     ckpt = _load_model(args.model)
     ds = datamod.read_csv(args.input)
-    return device, ckpt, ds, _mean_total(args.counts, device, ds)
-
-
-def cmd_evaluate(args):
-    device, ckpt, ds, mean_total = _load_evaluation(args)
+    mean_total = _mean_total(args.counts, device, ds)
     rng = np.random.default_rng(args.seed)
     if args.sampling == "grid":
         pool_probs, pool_targets = exact_feature_pool(ds, device), ds.targets
     else:
         pool_probs, pool_targets = uniform_feature_pool(ds, device, rng)
     span = ckpt.scaling.pooled_span()
-    rep_nrmse, rep_cosine = repeated_test_evaluation(
+    rep_nrmse, rep_cosine, (truth, volts) = repeated_test_evaluation(
         lambda feats: predict(ckpt.params, feats, ckpt.scaling),
         pool_probs, pool_targets, mean_total, span,
         rep_count=args.reps, rep_size=args.rep_size, rng=rng)
@@ -264,6 +280,12 @@ def cmd_evaluate(args):
     write_rows_csv(os.path.join(args.output, "reps.csv"),
                    ["rep", "nrmse", "cosine"],
                    [(r, rep_nrmse[r], rep_cosine[r]) for r in range(args.reps)])
+    dv1, dv2 = volts[:, 0] - truth[:, 0], volts[:, 1] - truth[:, 1]
+    write_rows_csv(
+        os.path.join(args.output, "results.csv"),
+        ["true_v1", "true_v2", "pred_v1", "pred_v2", "error", "consistency_residual"],
+        zip(truth[:, 0], truth[:, 1], volts[:, 0], volts[:, 1], np.sqrt(dv1**2 + dv2**2),
+            ckpt.kick.residual(volts)))
     write_report(os.path.join(args.output, "report.txt"), [
         ("command", "evaluate"),
         ("model_provenance", ckpt.provenance),
@@ -312,38 +334,6 @@ def cmd_ablate_kicks(args):
     return 0
 
 
-def cmd_surface(args):
-    """Repetition 0 of `evaluate --sampling grid --rep-size N`, per point."""
-    device, ckpt, ds, mean_total = _load_evaluation(args)
-    idx, probs = noisy_draw(exact_feature_pool(ds, device), mean_total, args.n_new,
-                            np.random.default_rng(args.seed))
-    volts = predict(ckpt.params, probs, ckpt.scaling)
-    v1, v2 = volts[:, 0], volts[:, 1]
-    residual = ckpt.kick.residual(volts)
-    truth = ds.targets[idx]
-    error = np.sqrt((v1 - truth[:, 0]) ** 2 + (v2 - truth[:, 1]) ** 2)
-    os.makedirs(args.output, exist_ok=True)
-    write_report(os.path.join(args.output, "config.echo"), [
-        ("harness", "prediction-surface"),
-        ("n_new", args.n_new), ("seed", args.seed),
-        ("mean_total", mean_total),
-        ("provenance", ds.provenance),
-    ])
-    write_rows_csv(
-        os.path.join(args.output, "results.csv"),
-        ["true_v1", "true_v2", "pred_v1", "pred_v2", "error", "consistency_residual"],
-        zip(truth[:, 0], truth[:, 1], v1, v2, error, residual))
-    write_report(os.path.join(args.output, "report.txt"), [
-        ("n_new", args.n_new),
-        ("rms_error_volts", float(np.sqrt((error**2).mean()))),
-        ("median_error_volts", float(np.median(error))),
-        ("median_consistency_residual_volts", float(np.median(residual))),
-        ("nrmse_pair", nrmse(truth[:, :2], volts[:, :2], ckpt.scaling.pooled_span())),
-    ])
-    print(f"prediction surface in {args.output}")
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -369,7 +359,7 @@ def build_parser():
     sp.add_argument("--volts", required=True, help="one setting 'v1,v2'; prints to stdout")
     sp.add_argument("--counts", type=cfgmod.parse_float, default=0,
                     help="photon budget; 0 = exact probabilities, -1 = device config")
-    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--seed", type=_parse_seed, default=DEFAULT_DATA_SEED)
 
     sp = add("gen-dataset", cmd_gen_dataset, "simulate a kick-augmented dataset")
     _add_grid_flags(sp)
@@ -379,7 +369,7 @@ def build_parser():
                     help="photon budget per input; -1 = device config, 0 = noise-free")
     sp.add_argument("--replicas", type=cfgmod.parse_int, default=1,
                     help="independent noise draws per grid setting")
-    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--seed", type=_parse_seed, default=DEFAULT_DATA_SEED)
     sp.add_argument("-o", "--output", required=True, help="dataset CSV path")
 
     sp = add("train", cmd_train, "train the regressor on a dataset CSV", device=False)
@@ -387,8 +377,8 @@ def build_parser():
     sp.add_argument("-o", "--output", required=True, help="checkpoint path (dir is created)")
     sp.add_argument("--report-dir", default=None,
                     help="where report.txt and curves.csv go (default: checkpoint dir)")
-    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--seed", type=_parse_seed, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--split-seed", type=_parse_seed, default=DEFAULT_SPLIT_SEED)
     _add_train_flags(sp)
 
     sp = add("predict", cmd_predict, "invert one feature vector", device=False)
@@ -397,14 +387,9 @@ def build_parser():
                     help="12 comma-separated probabilities (base then kicked)")
 
     sp = add("evaluate", cmd_evaluate, "repeated noisy test evaluation")
-    sp.add_argument("-m", "--model", required=True)
-    sp.add_argument("-i", "--input", required=True, help="dataset CSV (test pool)")
-    sp.add_argument("-o", "--output", required=True, help="results directory")
+    _add_evaluation_flags(sp)
     sp.add_argument("--reps", type=cfgmod.parse_int, default=500)
     sp.add_argument("--rep-size", type=cfgmod.parse_int, default=100)
-    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
-                    help="photon budget for fresh noise; -1 = dataset/device, 0 = none")
     sp.add_argument("--sampling", choices=("grid", "uniform"), default="grid",
                     help="test points: dataset grid points, or uniform off-grid draws")
 
@@ -418,10 +403,10 @@ def build_parser():
     sp.add_argument("--grid-max", type=cfgmod.parse_float, default=cfgmod.GRID_V_MAX)
     sp.add_argument("--kick-steps", type=cfgmod.parse_int, default=cfgmod.KICK_STEPS)
     sp.add_argument("--counts", type=cfgmod.parse_float, default=-1)
-    sp.add_argument("--data-seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
-    sp.add_argument("--train-seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--eval-seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--data-seed", type=_parse_seed, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--train-seed", type=_parse_seed, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--eval-seed", type=_parse_seed, default=DEFAULT_EVAL_SEED)
+    sp.add_argument("--split-seed", type=_parse_seed, default=DEFAULT_SPLIT_SEED)
     sp.add_argument("--jobs", type=cfgmod.parse_int, default=1,
                     help="trainings run at once, in forked worker processes; "
                          "results do not depend on it")
@@ -434,19 +419,17 @@ def build_parser():
     sp.add_argument("--counts", type=cfgmod.parse_float, default=-1,
                     help="per-acquisition photon budget (bare variant gets 2x); "
                          "-1 = device config, 0 = noise-free")
-    sp.add_argument("--data-seed", type=cfgmod.parse_int, default=DEFAULT_DATA_SEED)
-    sp.add_argument("--train-seed", type=cfgmod.parse_int, default=DEFAULT_TRAIN_SEED)
-    sp.add_argument("--split-seed", type=cfgmod.parse_int, default=DEFAULT_SPLIT_SEED)
+    sp.add_argument("--data-seed", type=_parse_seed, default=DEFAULT_DATA_SEED)
+    sp.add_argument("--train-seed", type=_parse_seed, default=DEFAULT_TRAIN_SEED)
+    sp.add_argument("--split-seed", type=_parse_seed, default=DEFAULT_SPLIT_SEED)
     sp.add_argument("-o", "--output", required=True)
     _add_train_flags(sp)
 
-    sp = add("surface", cmd_surface, "predicted vs true voltages of a model")
-    sp.add_argument("-m", "--model", required=True, help="checkpoint path")
-    sp.add_argument("-i", "--input", required=True, help="dataset CSV")
-    sp.add_argument("--n-new", type=cfgmod.parse_int, default=100)
-    sp.add_argument("--seed", type=cfgmod.parse_int, default=DEFAULT_EVAL_SEED)
-    sp.add_argument("--counts", type=cfgmod.parse_float, default=-1)
-    sp.add_argument("-o", "--output", required=True)
+    sp = add("surface", cmd_evaluate, "evaluate with one repetition of grid sampling")
+    sp.set_defaults(reps=1, sampling="grid")
+    _add_evaluation_flags(sp)
+    sp.add_argument("--n-new", dest="rep_size", metavar="N_NEW", type=cfgmod.parse_int,
+                    default=100, help="test points drawn")
     return ap
 
 

@@ -183,15 +183,24 @@ def voltage_probabilities(v, device: DeviceConfig):
     return output_probabilities(phases_from_voltages(v, device), device.tritter)
 
 
+# The largest Poisson mean numpy draws: int64 max less ten of its square roots.
+MAX_MEAN_TOTAL = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def sample_counts(p, mean_total: float, rng: np.random.Generator):
     """Poisson photon counts with mean `mean_total * p_k` per outcome.
 
     The six outcomes are drawn independently, which is the standard
     model for photon counting with a Poissonian source.  Deterministic
-    given the generator state.
+    given the generator state.  A budget above `MAX_MEAN_TOTAL` is
+    refused, whatever the probabilities.
     """
     if not np.isfinite(mean_total) or mean_total <= 0.0:
         raise InvalidParameterError("mean_total must be a positive finite number")
+    if mean_total > MAX_MEAN_TOTAL:
+        raise InvalidParameterError(
+            f"photon budget {float(mean_total)!r} exceeds {MAX_MEAN_TOTAL!r}, "
+            "the largest Poisson mean numpy can draw")
     p = np.asarray(p, dtype=float)
     if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
         raise InvalidParameterError("probabilities must lie in [0, 1]")

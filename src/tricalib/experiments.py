@@ -111,7 +111,8 @@ def _in_workers(task, arg_lists, jobs):
 def train_config_pairs(cfg: TrainConfig):
     """The `key = value` pairs of the training settings a result file records."""
     return [("max_epochs", cfg.max_epochs), ("batch_size", cfg.batch_size),
-            ("learning_rate", cfg.learning_rate), ("patience", cfg.patience)]
+            ("learning_rate", cfg.learning_rate), ("patience", cfg.patience),
+            ("hidden", ",".join(map(str, cfg.hidden)))]
 
 
 def exact_feature_pool(dataset: Dataset, device: DeviceConfig):

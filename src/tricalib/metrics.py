@@ -10,7 +10,8 @@ trained over, so the NRMSE is a dimensionless fraction of the operating
 range.  Both are evaluated on the full concatenation of all examples
 under test, and the repeated-test protocol re-draws the shot noise each
 repetition to expose the statistical spread.  It returns the
-per-repetition samples; `mean_and_sd` summarizes them.
+per-repetition samples, which `mean_and_sd` summarizes, and the
+per-example voltages of its first repetition.
 """
 
 import numpy as np
@@ -129,8 +130,9 @@ def repeated_test_evaluation(
     (mean_total=None skips the noise); it predicts, and evaluates both
     metrics on the concatenated vectors.
     `predict_fn` maps an (n, 12) feature block to (n, 4) voltages.
-    Returns (per_rep_nrmse, per_rep_cosine), two arrays of `rep_count`
-    values; `mean_and_sd` gives their summary.
+    Returns (per_rep_nrmse, per_rep_cosine, (truth, predicted)): two
+    arrays of `rep_count` values, which `mean_and_sd` summarizes, and
+    the (rep_size, 4) target and predicted voltages of repetition 0.
     """
     pool_probs = np.asarray(pool_probs, dtype=float)
     pool_targets = np.asarray(pool_targets, dtype=float)
@@ -140,11 +142,13 @@ def repeated_test_evaluation(
     cs = np.empty(rep_count)
     for r in range(rep_count):
         idx, feats = noisy_draw(pool_probs, mean_total, rep_size, rng)
-        yhat = np.asarray(predict_fn(feats), dtype=float).ravel()
-        y = pool_targets[idx].ravel()
+        yhat = np.asarray(predict_fn(feats), dtype=float)
+        y = pool_targets[idx]
+        if r == 0:
+            first = (y, yhat)
         nr[r] = nrmse(y, yhat, span)
         cs[r] = cosine_similarity(y, yhat)
-    return nr, cs
+    return nr, cs, first
 
 
 def _format_value(x) -> str:

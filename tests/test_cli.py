@@ -37,7 +37,12 @@ from tricalib.device import (
     tritter_unitary,
     voltage_probabilities,
 )
-from tricalib.experiments import SweepConfig, exact_feature_pool, train_on_dataset
+from tricalib.experiments import (
+    SweepConfig,
+    exact_feature_pool,
+    train_on_dataset,
+    uniform_feature_pool,
+)
 from tricalib.metrics import noisy_draw
 from tricalib.net import TrainConfig, forward, load_checkpoint, predict, save_checkpoint
 
@@ -355,6 +360,26 @@ def test_evaluate_uniform_sampling_on_simulated(toy, tmp_path):
     assert read_report(out / "report.txt")["sampling"] == "uniform"
 
 
+def test_evaluate_uniform_results_hold_its_off_grid_targets(toy, tmp_path):
+    """`evaluate --sampling uniform` writes repetition 0's truths as drawn
+    from its uniform pool (replayed from the same seed), none of them a
+    dataset setting."""
+    out = tmp_path / "eval_u"
+    assert run_cli(["evaluate", "-m", str(toy["model"]), "-i", str(toy["ds"]),
+                    "-o", str(out), "--reps", "2", "--rep-size", "10", "--seed", "5",
+                    "--sampling", "uniform"]) == 0
+    header, *lines = (out / "results.csv").read_text().splitlines()
+    assert header.split(",")[:2] == ["true_v1", "true_v2"] and len(lines) == 10
+    truth = np.array([[float(x) for x in line.split(",")[:2]] for line in lines])
+
+    ds, rng = read_csv(toy["ds"]), np.random.default_rng(5)
+    _, pool_targets = uniform_feature_pool(ds, default_device_config(), rng)
+    idx = rng.choice(len(pool_targets), size=10, replace=False)
+    assert same_bits(truth, np.ascontiguousarray(pool_targets[idx, :2]))
+    on_grid = {tuple(t) for t in ds.targets[:, :2]}
+    assert not any(tuple(t) in on_grid for t in truth)
+
+
 @pytest.mark.parametrize("argv", [["evaluate"], ["evaluate", "--sampling", "uniform"],
                                   ["surface"]], ids=["grid", "uniform", "surface"])
 def test_device_short_of_the_dataset_exits_3(toy, tmp_path, capsys, argv):
@@ -564,6 +589,10 @@ def test_surface_prediction_cli(toy, tmp_path):
                     "--n-new", "8", "--seed", "3", "-o", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 9
+    surface = _subparsers()["surface"]
+    assert {o for a in surface._actions for o in a.option_strings} == {
+        "-h", "--help", "--device-config", "-m", "--model", "-i", "--input", "-o", "--output",
+        "--seed", "--counts", "--n-new"}
     # a model and a dataset are required, and the rendering flags are gone:
     # argparse usage errors, not crashes
     nope = ["-o", str(tmp_path / "nope")]
@@ -584,15 +613,22 @@ def test_prediction_surface_rows(toy, tmp_path):
     assert len(lines) == 12
     assert header.split(",") == ["true_v1", "true_v2", "pred_v1", "pred_v2", "error",
                                  "consistency_residual"]
-    file_rows = [list(map(float, line.split(","))) for line in lines]
+    file_rows = np.array([list(map(float, line.split(","))) for line in lines])
     for tv1, tv2, pv1, pv2, err, res in file_rows:
         assert err == pytest.approx(np.hypot(pv1 - tv1, pv2 - tv2), rel=1e-12)
         assert res >= 0.0
 
+    # the pair RMS error read off the error column equals the one from the
+    # voltage columns, and as the base half of the draw's four targets it
+    # is bounded by the report's NRMSE of that one repetition
+    tv, pv, errors = file_rows[:, :2], file_rows[:, 2:4], file_rows[:, 4]
+    rms_error_volts = np.sqrt((errors**2).mean())
+    assert rms_error_volts == pytest.approx(np.sqrt(((pv - tv) ** 2).sum(axis=1).mean()),
+                                            rel=1e-12)
     rep = read_report(out / "report.txt")
-    errors = np.array([r[4] for r in file_rows])
-    assert rep["rms_error_volts"] == pytest.approx(np.sqrt((errors**2).mean()),
-                                                   rel=1e-12)
+    assert rep["repetitions"] == 1 and rep["examples_per_repetition"] == 12
+    assert (rms_error_volts / 2.0
+            <= rep["nrmse_mean"] * rep["normalization_span_volts"] * (1 + 1e-12))
 
 
 def test_prediction_surface_bounds(toy, tmp_path, capsys):
@@ -612,11 +648,17 @@ def test_prediction_surface_bounds(toy, tmp_path, capsys):
 def test_surface_is_repetition_zero_of_evaluate(toy, tmp_path, monkeypatch, seed, n_new):
     """`surface --seed S --n-new K` writes, bit for bit, the truths and
     predictions of repetition 0 of the grid-pool evaluation with rep_size K
-    and default_rng(S)."""
+    and default_rng(S); `evaluate --seed S --rep-size K` writes the same
+    `results.csv` byte for byte, whatever its --reps."""
     out = tmp_path / "surface"
-    assert run_cli(["surface", "-m", str(toy["model"]), "-i", str(toy["ds"]),
-                    "--seed", str(seed), "--n-new", str(n_new), "-o", str(out)]) == 0
-    header, *lines = (out / "results.csv").read_text().splitlines()
+    common = ["-m", str(toy["model"]), "-i", str(toy["ds"]), "--seed", str(seed)]
+    assert run_cli(["surface", *common, "--n-new", str(n_new), "-o", str(out)]) == 0
+    evaluated = tmp_path / "evaluate"
+    assert run_cli(["evaluate", *common, "--rep-size", str(n_new), "--reps", "3",
+                    "-o", str(evaluated)]) == 0
+    surface_bytes = (out / "results.csv").read_bytes()
+    assert (evaluated / "results.csv").read_bytes() == surface_bytes
+    header, *lines = surface_bytes.decode().splitlines()
     assert header.split(",")[:4] == ["true_v1", "true_v2", "pred_v1", "pred_v2"]
     cols = np.array([[float(x) for x in line.split(",")] for line in lines]).T
 
@@ -659,10 +701,14 @@ MINIMAL_ARGV = {
 }
 
 
-def _subcommand_names():
+def _subparsers():
+    """Subcommand name -> its parser, in build_parser()'s order."""
     ap = cli.build_parser()
-    return set(next(a.choices for a in ap._actions
-                    if isinstance(a, argparse._SubParsersAction)))
+    return next(a.choices for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _subcommand_names():
+    return set(_subparsers())
 
 
 def test_device_config_only_where_it_is_read(tmp_path, monkeypatch, capsys):
@@ -686,11 +732,47 @@ def test_device_config_only_where_it_is_read(tmp_path, monkeypatch, capsys):
 
 def test_subcommand_lists_agree():
     """build_parser(), the README's Subcommands table and the cli module
-    docstring name the same subcommands."""
+    docstring list the same subcommands, once each and in the same order,
+    and the docstring counts them."""
+    names = list(_subparsers())
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Subcommands\n", 1)[1].split("\n## ", 1)[0]
-    assert set(re.findall(r"^\| `([a-z-]+)` \|", table, re.M)) == _subcommand_names()
-    assert set(re.findall(r"^    ([a-z][a-z-]*)  ", cli.__doc__, re.M)) == _subcommand_names()
+    assert re.findall(r"^\| `([a-z-]+)` \|", table, re.M) == names
+    assert re.findall(r"^    ([a-z][a-z-]*)  ", cli.__doc__, re.M) == names
+    count = ("one two three four five six seven eight nine ten").split()[len(names) - 1]
+    assert f"One binary, {count} subcommands:" in cli.__doc__
+
+
+SEED_FLAGS = [("simulate", "--seed"), ("gen-dataset", "--seed"), ("train", "--seed"),
+              ("train", "--split-seed"), ("evaluate", "--seed"), ("sweep-grid", "--data-seed"),
+              ("sweep-grid", "--train-seed"), ("sweep-grid", "--eval-seed"),
+              ("sweep-grid", "--split-seed"), ("ablate-kicks", "--data-seed"),
+              ("ablate-kicks", "--train-seed"), ("ablate-kicks", "--split-seed"),
+              ("surface", "--seed")]
+
+
+def test_seed_flags_listed():
+    """SEED_FLAGS names every seed flag of every subcommand."""
+    found = {(name, o) for name, sp in _subparsers().items() for a in sp._actions
+             for o in a.option_strings if o.endswith("-seed") or o == "--seed"}
+    assert found == set(SEED_FLAGS)
+
+
+@pytest.mark.parametrize("value", ["-1", "1_0"])
+@pytest.mark.parametrize("command, flag", SEED_FLAGS)
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
+    """numpy's generators take no negative seed, so every seed flag reads
+    a non-negative integer: anything else exits 2 before a file or
+    directory is made, with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *MINIMAL_ARGV[command], flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: expected a non-negative integer, "
+                        f"got {value!r}\n"), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_lists_agree():
@@ -1087,6 +1169,36 @@ def test_exit_code_zero_count_acquisitions(toy, tmp_path, capsys, argv, message)
     assert run_cli([*argv, "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == f"error[degenerate-data]: {message}; cannot normalize\n", err
+    assert not out.exists()
+
+
+TOY_GRID = ["--grid", "9", "--grid-min", "2", "--grid-max", "5", "--kick-steps", "1"]
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["simulate", "--volts", "3,4", "--counts", "1e20"], "1e+20"),
+    (["simulate", "--volts", "3,4", "--counts", "1e19"], "1e+19"),
+    (["gen-dataset", *TOY_GRID, "--counts", "1e20", "-o", "{out}"], "1e+20"),
+    (["evaluate", "-m", "{model}", "-i", "{ds}", "--counts", "1e20", "-o", "{out}"], "1e+20"),
+    (["simulate", "--volts", "3,4", "--counts", "-1", "--device-config", "{cfg}"], "1e+20"),
+    (["ablate-kicks", *TOY_GRID, "--epochs", "1", "--patience", "1", "--hidden", "8",
+      "--counts", "6e18", "-o", "{out}"], "1.2e+19"),
+], ids=["simulate", "simulate-1e19", "gen-dataset", "evaluate", "device-file",
+        "ablate-kicks-bare"])
+def test_exit_code_photon_budget_numpy_cannot_draw(toy, tmp_path, capsys, argv, budget):
+    """A photon budget above the largest Poisson mean numpy draws
+    (`device.MAX_MEAN_TOTAL`) exits 3 naming the budget and the limit,
+    before any output is made.  simulate's 1e19 is refused though its
+    largest mean (1e19 times a probability below 0.92) would draw;
+    ablate-kicks' bare variant doubles 6e18 past the limit."""
+    cfg = tmp_path / "device.cfg"
+    write_device_config(replace(default_device_config(), mean_total=1e20), cfg)
+    out = tmp_path / "out"
+    argv = [a.format(model=toy["model"], ds=toy["ds"], cfg=cfg, out=out) for a in argv]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error[invalid-parameter]: photon budget {budget} exceeds "
+                   "9.223372006484771e+18, the largest Poisson mean numpy can draw\n"), err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 Poisson sampling and frequency estimation."""
 
 import cmath
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tricalib.config import GRID_N, GRID_V_MAX, GRID_V_MIN, KICK_STEPS, default_device_config
 from tricalib.device import (
+    MAX_MEAN_TOTAL,
     DeviceConfig,
     device_unitary,
     dissipated_power,
@@ -329,6 +331,23 @@ def test_sample_counts_validation():
         sample_counts(np.full(6, 0.5), np.inf, rng)
     with pytest.raises(InvalidParameterError):
         sample_counts(np.full(6, 1.5), 100.0, rng)
+
+
+def test_sample_counts_budget_limit_is_numpy_poisson_limit():
+    """`MAX_MEAN_TOTAL` is the largest Poisson mean numpy draws: a budget
+    there draws, and the next float is refused with one message naming
+    the budget and the limit, where numpy would raise its own ValueError,
+    even where every probability is below 1."""
+    rng = np.random.default_rng(0)
+    assert sample_counts(np.full(6, 1.0), MAX_MEAN_TOTAL, rng).min() > 0
+    above = float(np.nextafter(MAX_MEAN_TOTAL, np.inf))
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above)
+    for p in (np.full(6, 1.0), np.full(6, 0.5)):
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(
+                f"photon budget {above!r} exceeds {MAX_MEAN_TOTAL!r}, "
+                "the largest Poisson mean numpy can draw") + "$"):
+            sample_counts(p, above, rng)
 
 
 def test_estimate_probabilities_hand_cases():

@@ -24,6 +24,8 @@ from tricalib.metrics import (
     write_rows_csv,
 )
 
+from conftest import same_bits
+
 DEV = default_device_config()
 
 
@@ -179,7 +181,7 @@ def test_repeated_evaluation_perfect_oracle():
     def predict_fn(feats):
         return np.array([table[row.tobytes()] for row in feats])
 
-    nr, cs = repeated_test_evaluation(
+    nr, cs, _ = repeated_test_evaluation(
         predict_fn, probs, targets, None, span=3.0,
         rep_count=20, rep_size=10, rng=np.random.default_rng(5))
     assert nr.shape == cs.shape == (20,)
@@ -195,7 +197,7 @@ def test_repeated_evaluation_noise_raises_error():
         # noisy features no longer match the table, so answer a constant
         return np.tile(targets.mean(axis=0), (feats.shape[0], 1))
 
-    nr, _ = repeated_test_evaluation(
+    nr, _, _ = repeated_test_evaluation(
         truth_at_clean_rows, probs, targets, 500.0, span=3.0,
         rep_count=10, rep_size=10, rng=np.random.default_rng(6))
     assert (nr > 0.0).all()
@@ -207,7 +209,7 @@ def test_repeated_evaluation_single_rep_degenerate():
     """One repetition gives one sample per metric: its mean is that
     sample bit for bit, and its SD is exactly 0.0."""
     probs, targets = small_pool()
-    nr, cs = repeated_test_evaluation(
+    nr, cs, _ = repeated_test_evaluation(
         lambda f: np.tile(targets.mean(axis=0), (f.shape[0], 1)),
         probs, targets, None, span=3.0,
         rep_count=1, rep_size=5, rng=np.random.default_rng(7))
@@ -221,7 +223,8 @@ def test_repeated_evaluation_single_rep_degenerate():
 def test_repeated_evaluation_samples_match_summary():
     """Sample r is the metric pair of repetition r's draw: replaying the
     draws from the same seed and scoring the recorded predictions gives
-    the same values bit for bit."""
+    the same values bit for bit.  The returned truths and predictions are
+    repetition 0's, bit for bit."""
     probs, targets = small_pool()
     predicted = []
 
@@ -229,7 +232,7 @@ def test_repeated_evaluation_samples_match_summary():
         predicted.append(np.tile(targets.mean(axis=0), (feats.shape[0], 1)) + feats[:, :4])
         return predicted[-1]
 
-    nr, cs = repeated_test_evaluation(
+    nr, cs, (truth, pred) = repeated_test_evaluation(
         predict_fn, probs, targets, 300.0, span=3.0,
         rep_count=15, rep_size=8, rng=np.random.default_rng(8))
     assert nr.shape == cs.shape == (15,)
@@ -239,6 +242,8 @@ def test_repeated_evaluation_samples_match_summary():
         y, yhat = targets[idx].ravel(), predicted[r].ravel()
         assert nr[r] == nrmse(y, yhat, 3.0)
         assert cs[r] == cosine_similarity(y, yhat)
+        if r == 0:
+            assert same_bits(truth, targets[idx]) and same_bits(pred, predicted[0])
 
 
 def test_repeated_evaluation_pool_bounds():

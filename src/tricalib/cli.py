@@ -85,12 +85,9 @@ def _parse_seed(text):
 def _parse_int_list(text, what):
     """A comma-separated integer flag such as --hidden or --sizes."""
     try:
-        values = tuple(cfgmod.parse_int(p) for p in text.split(",") if p)
+        return tuple(cfgmod.parse_int(p) for p in text.split(","))
     except ValueError:
         raise InvalidParameterError(f"bad {what} list {text!r}")
-    if not values:
-        raise InvalidParameterError(f"{what} list is empty")
-    return values
 
 
 def _mean_total(counts_flag, device, dataset=None):
@@ -165,11 +162,13 @@ def cmd_simulate(args):
     v = _parse_floats_arg(args.volts, 2, "--volts")
     phases = phases_from_voltages(v, device)
     probs = voltage_probabilities(v, device)
-    print(f"phases = {format_value(phases[0])} {format_value(phases[1])}")
-    print("probabilities = " + " ".join(format_value(p) for p in probs))
+    lines = [f"phases = {format_value(phases[0])} {format_value(phases[1])}",
+             "probabilities = " + " ".join(format_value(p) for p in probs)]
     if mean_total is not None:
         counts = sample_counts(probs, mean_total, np.random.default_rng(args.seed))
-        print("counts = " + " ".join(str(int(c)) for c in counts))
+        lines.append("counts = " + " ".join(str(int(c)) for c in counts))
+    # printed once every value is in hand, so a failed draw prints no result
+    print("\n".join(lines))
     return 0
 
 
@@ -199,14 +198,14 @@ def cmd_train(args):
     ds = datamod.read_csv(args.input)
     cfg = _train_config(args, args.seed)
     model_dir = os.path.dirname(args.output) or "."
+    report_dir = args.report_dir or model_dir
     # created before training, so an unwritable path fails in seconds
     os.makedirs(model_dir, exist_ok=True)
+    os.makedirs(report_dir, exist_ok=True)
     params, scaling, report, val_raw = train_on_dataset(ds, cfg, args.split_seed)
     provenance = _file_sha256(args.input)
     save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
 
-    report_dir = args.report_dir or model_dir
-    os.makedirs(report_dir, exist_ok=True)
     write_rows_csv(os.path.join(report_dir, "curves.csv"),
                    ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
                    [(ep, report.train_loss[ep], report.val_loss[ep],
@@ -286,7 +285,7 @@ def cmd_evaluate(args):
         ["true_v1", "true_v2", "pred_v1", "pred_v2", "error", "consistency_residual"],
         zip(truth[:, 0], truth[:, 1], volts[:, 0], volts[:, 1], np.sqrt(dv1**2 + dv2**2),
             ckpt.kick.residual(volts)))
-    write_report(os.path.join(args.output, "report.txt"), [
+    pairs = [
         ("command", "evaluate"),
         ("model_provenance", ckpt.provenance),
         ("sampling", args.sampling),
@@ -300,7 +299,12 @@ def cmd_evaluate(args):
         ("cosine_mean", cosine_mean),
         ("cosine_sd", cosine_sd),
         ("spread_degenerate", args.reps < 2),
-    ])
+    ]
+    # measured data get no fresh noise, so scoring a model on its own
+    # training file scores the rows it was fitted to
+    if not ds.simulated and _file_sha256(args.input) == ckpt.provenance:
+        pairs.append(("in_sample", True))
+    write_report(os.path.join(args.output, "report.txt"), pairs)
     print(f"nrmse = {format_value(nrmse_mean)} +- {format_value(nrmse_sd)}")
     print(f"cosine = {format_value(cosine_mean)} +- {format_value(cosine_sd)}")
     return 0

@@ -360,9 +360,10 @@ def _parse_rows(path):
     them, so no list of lines is kept.  The errors and their line numbers
     are those of checking the whole file before parsing any number: a
     failed parse stops the scan early, so the file is scanned again into
-    a list, which raises any error of the scan, and the first line that
-    does not parse is found by bisection.  A nan or inf is reported with
-    its line number.
+    a list, which raises any error of the scan, and its lines are then
+    parsed one at a time up to the first that fails.  If none fails, the
+    file changed between the two readings, which is a FileFormatError
+    too.  A nan or inf is reported with its line number.
     """
     meta: dict[str, str] = {}
     linenos = array("q")
@@ -372,26 +373,16 @@ def _parse_rows(path):
     except ValueError:
         lines.close()
         meta, linenos = {}, array("q")
-        lines = list(_data_lines(path, meta, linenos))
-        bad = _first_bad_line(lines)
-        raise FileFormatError(f"non-numeric field in {lines[bad]!r}", line=linenos[bad])
+        for line, lineno in zip(list(_data_lines(path, meta, linenos)), linenos):
+            try:
+                parse_float_rows([line])
+            except ValueError:
+                raise FileFormatError(f"non-numeric field in {line!r}", line=lineno)
+        raise FileFormatError(f"{path} changed while it was read: no data line fails on a second reading")
     bad = np.nonzero(~np.isfinite(rows).all(axis=1))[0]
     if bad.size:
         raise FileFormatError("non-finite field (nan or inf)", line=linenos[bad[0]])
     return meta, rows, linenos
-
-
-def _first_bad_line(lines):
-    """Index of the first line `parse_float_rows` rejects, by bisection."""
-    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] hold a bad one
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            parse_float_rows(lines[lo:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    return lo
 
 
 def read_csv(path) -> Dataset:

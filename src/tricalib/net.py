@@ -24,8 +24,7 @@ Each layer of the forward pass allocates one array, its matmul's
 result, and adds the bias and applies the ReLU to it in place; the
 backward pass reads the ReLU mask from those activations, so no
 pre-activation is kept.  These are the operations of one fresh array
-per operation, in the same order and dtype, hence the same bits, with
-one allocation per hidden layer instead of three.
+per operation, in the same order and dtype, hence the same bits.
 
 The network maps the 12 kick-augmented probabilities to the 4 target
 voltages, scaled to [0, 1] for training; `predict` is the one function
@@ -621,11 +620,12 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a format 4 checkpoint.
 
     Works on the file's bytes without copying them whole.  The checksum
-    is verified over the raw bytes before anything is decoded, and the
-    file is checked to be UTF-8 before any line is read.  Only the header
-    and `tensor` lines are then decoded as text; each data line goes from
-    hex digits straight to values of the header's dtype, float32 or
-    float64, so any other byte in it (whitespace included) is bad hex.
+    is verified over the raw bytes before anything is decoded, then the
+    body is decoded once, whole, to check that it is UTF-8, before any
+    line is read.  Only the header and `tensor` lines are then decoded as
+    text; each data line goes from hex digits straight to values of the
+    header's dtype, float32 or float64, so any other byte in it
+    (whitespace included) is bad hex.
     Every weight and bias is returned as a float64 array of its own, C
     order and writable, whichever dtype stored it.  Raises
     CheckpointError on a bad magic or checksum, on any format but 4
@@ -646,11 +646,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("truncated checkpoint: missing checksum line")
     if hashlib.sha256(body).hexdigest().encode("ascii") != last[len(b"checksum "):].strip():
         raise CheckpointError("checksum mismatch: checkpoint corrupted or truncated")
-    if not raw.isascii():  # the checksum line is ASCII, so only the body can fail
-        try:
-            str(body, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"malformed checkpoint: not UTF-8 text ({exc.reason})") from exc
+    try:
+        str(body, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"malformed checkpoint: not UTF-8 text ({exc.reason})") from exc
 
     reader = _LineReader(raw, len(magic) + 1, body_end)
     fmt = reader.text("format line")

@@ -89,6 +89,15 @@ def test_simulate_point_with_counts(capsys):
     assert len(counts) == 6 and all(c >= 0 for c in counts)
 
 
+def test_simulate_failed_draw_prints_no_result(capsys):
+    """The counts are drawn before anything is printed: a budget numpy
+    cannot draw exits 3 with nothing on stdout."""
+    assert run_cli(["simulate", "--volts", "3,4", "--counts", "1e20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[invalid-parameter]: photon budget 1e+20 exceeds"), captured.err
+
+
 def test_simulate_negative_counts_inherit_device_budget(capsys):
     """--counts -1 means "device config" in simulate as in every subcommand."""
     def outputs(counts):
@@ -256,6 +265,18 @@ def test_train_creates_checkpoint_dir(toy, tmp_path):
                     "--epochs", "1", "--patience", "1", "--hidden", "8"]) == 0
     assert sorted(p.name for p in model.parent.iterdir()) == [
         "curves.csv", "m.ckpt", "report.txt"]
+
+
+def test_train_unwritable_report_dir_fails_before_training(toy, tmp_path, capsys):
+    """The report directory is made beside the checkpoint's, before
+    training: one that cannot be made exits 10 and leaves no checkpoint."""
+    blocker = tmp_path / "d.csv"
+    blocker.write_text("")
+    model = tmp_path / "m2" / "model.ckpt"
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(model),
+                    "--report-dir", str(blocker / "sub"), *FAST]) == 10
+    assert capsys.readouterr().err.startswith("error[os]: ")
+    assert not model.exists()
 
 
 def test_predict_round_trip(toy, capsys):
@@ -465,6 +486,31 @@ def test_evaluate_inherits_no_noise_for_measured_data_without_a_budget(toy, tmp_
     assert evaluate(clean)[0] == default_device_config().mean_total
 
 
+def test_evaluate_marks_a_measured_training_file_in_sample(toy, tmp_path):
+    """Measured data get no fresh noise, so `evaluate` on the very file a
+    model trained on scores the rows it was fitted to: `report.txt` then
+    ends with `in_sample = True`.  A re-acquisition under another seed
+    does not get the key, nor does a simulated training file."""
+    def report(model, dataset):
+        out = tmp_path / f"eval_{dataset.stem}"
+        assert run_cli(["evaluate", "-m", str(model), "-i", str(dataset), "-o", str(out),
+                        "--reps", "2", "--rep-size", "10"]) == 0
+        return (out / "report.txt").read_text()
+
+    measured = relabelled_dataset(toy, tmp_path / "measured.csv", provenance="experimental")
+    model = tmp_path / "m" / "model.ckpt"
+    assert run_cli(["train", "-i", str(measured), "-o", str(model), *FAST]) == 0
+    own = report(model, measured)
+    assert own.endswith("\nspread_degenerate = False\nin_sample = True\n"), own
+    assert read_report(tmp_path / "eval_measured" / "report.txt")["in_sample"] is True
+    acquired = tmp_path / "acquired.csv"
+    assert run_cli(["gen-dataset", "--grid", "10", "--grid-min", "2", "--grid-max", "5",
+                    "--kick-steps", "1", "--seed", "99", "-o", str(acquired)]) == 0
+    write_csv(replace(read_csv(acquired), provenance="experimental"), acquired)
+    assert "in_sample" not in report(model, acquired)
+    assert "in_sample" not in report(toy["model"], toy["ds"])
+
+
 # ---------------------------------------------------------- study front end
 
 
@@ -573,7 +619,7 @@ def test_sweep_grid_rejects_sizes_not_strictly_ascending(tmp_path, capsys, sizes
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sizes", ["10,x", ",", "1_0,20", "\u0661\u0660,20"])
+@pytest.mark.parametrize("sizes", ["10,x", ",", "10,,20", "1_0,20", "\u0661\u0660,20"])
 def test_sweep_grid_rejects_bad_sizes(tmp_path, capsys, sizes):
     out = tmp_path / "sweep"
     assert run_cli(["sweep-grid", "--sizes", sizes, "-o", str(out)]) == 3
@@ -1122,10 +1168,11 @@ def test_exit_code_python_only_float_spelling_device_config(tmp_path, capsys):
     assert err.startswith("error[file-format]: ") and "expected numbers, got '6_0, 3, 3, 6'" in err, err
 
 
-@pytest.mark.parametrize("hidden", ["2_4", "\u0661\u0666"], ids=["underscore", "non-ascii"])
+@pytest.mark.parametrize("hidden", ["2_4", "\u0661\u0666", "16,,16", "128,", ",128"],
+                         ids=["underscore", "non-ascii", "empty-inner", "empty-last", "empty-first"])
 def test_exit_code_python_only_int_spelling_hidden(toy, tmp_path, capsys, hidden):
-    """--hidden spells integers as the CSV readers spell numbers: exit 3
-    before any training."""
+    """--hidden spells integers as the CSV readers spell numbers, and an
+    empty entry is no width: exit 3 before any training."""
     out = tmp_path / "m.ckpt"
     assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(out),
                     *FAST, "--hidden", hidden]) == 3

@@ -450,6 +450,26 @@ def test_non_numeric_field_reports_first_bad_line(tmp_path, bad):
         read_csv(path)
 
 
+def test_non_numeric_rescan_always_raises(tmp_path, monkeypatch):
+    """A streamed parse that fails while every line of the second reading
+    parses alone (the file changed between the readings) is still a
+    FileFormatError, never rows that were not parsed."""
+    path = corrupt(tmp_path, lambda ls: None)
+    calls = []
+    real = datamod.parse_float_rows
+
+    def fail_first_call(lines):
+        calls.append(lines)
+        if len(calls) == 1:
+            raise ValueError("could not convert string to float: 'x'")
+        return real(lines)
+
+    monkeypatch.setattr(datamod, "parse_float_rows", fail_first_call)
+    with pytest.raises(FileFormatError, match="changed while it was read"):
+        read_csv(path)
+    assert len(calls) == 1 + 3 * 3  # the streamed parse, then each of the 9 rows alone
+
+
 @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", "0x1p0", ""])
 def test_python_only_float_spellings_rejected(tmp_path, field):
     """Digit-group underscores and non-ASCII digits, which Python's float()

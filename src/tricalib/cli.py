@@ -22,6 +22,7 @@ negative seed.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data as datamod
+from .config import format_value, format_values, write_report, write_rows_csv
 from .data import N_FEATURES, N_TARGETS
 from .device import phases_from_voltages, sample_counts, voltage_probabilities
 from .errors import CalibrationError, CheckpointError, InvalidParameterError
@@ -42,13 +44,7 @@ from .experiments import (
     train_on_dataset,
     uniform_feature_pool,
 )
-from .metrics import (
-    format_value,
-    mean_and_sd,
-    repeated_test_evaluation,
-    write_report,
-    write_rows_csv,
-)
+from .metrics import mean_and_sd, repeated_test_evaluation
 from .net import TrainConfig, _one_blas_thread, load_checkpoint, predict, save_checkpoint
 
 # Reference seeds for the reproducible default pipeline.
@@ -162,8 +158,7 @@ def cmd_simulate(args):
     v = _parse_floats_arg(args.volts, 2, "--volts")
     phases = phases_from_voltages(v, device)
     probs = voltage_probabilities(v, device)
-    lines = [f"phases = {format_value(phases[0])} {format_value(phases[1])}",
-             "probabilities = " + " ".join(format_value(p) for p in probs)]
+    lines = [f"phases = {format_values(phases)}", f"probabilities = {format_values(probs)}"]
     if mean_total is not None:
         counts = sample_counts(probs, mean_total, np.random.default_rng(args.seed))
         lines.append("counts = " + " ".join(str(int(c)) for c in counts))
@@ -194,39 +189,61 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
+@contextlib.contextmanager
+def _made_dirs(*paths):
+    """Make each directory of `paths` with its missing parents.  If the
+    block then fails, remove each directory made here that is still
+    empty, deepest first; one that existed before is never touched.  A
+    plain file on a path fails `os.mkdir` here, before the block runs."""
+    made = []
+    try:
+        for path in paths:
+            missing, head = [], os.path.normpath(path)
+            while head and not os.path.isdir(head):
+                missing.append(head)
+                head = os.path.dirname(head)
+            for d in reversed(missing):
+                os.mkdir(d)
+                made.append(d)
+        yield
+    except BaseException:
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
+
+
 def cmd_train(args):
     ds = datamod.read_csv(args.input)
     cfg = _train_config(args, args.seed)
     model_dir = os.path.dirname(args.output) or "."
     report_dir = args.report_dir or model_dir
-    # created before training, so an unwritable path fails in seconds
-    os.makedirs(model_dir, exist_ok=True)
-    os.makedirs(report_dir, exist_ok=True)
-    params, scaling, report, val_raw = train_on_dataset(ds, cfg, args.split_seed)
-    provenance = _file_sha256(args.input)
-    save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
-
-    write_rows_csv(os.path.join(report_dir, "curves.csv"),
-                   ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
-                   [(ep, report.train_loss[ep], report.val_loss[ep],
-                     report.val_nrmse[ep], report.val_cosine[ep])
-                    for ep in range(report.epochs_run)])
-    best = report.best_epoch
-    write_report(os.path.join(report_dir, "report.txt"), [
-        ("command", "train"),
-        ("input_sha256", provenance),
-        ("examples", len(ds)),
-        ("validation_examples", len(val_raw)),
-        ("seed", args.seed),
-        ("split_seed", args.split_seed),
-        *train_config_pairs(cfg),
-        ("epochs_run", report.epochs_run),
-        ("best_epoch", best),
-        ("best_val_loss", report.val_loss[best]),
-        ("val_nrmse", report.val_nrmse[best]),
-        ("val_cosine", report.val_cosine[best]),
-        ("normalization_span_volts", scaling.pooled_span()),
-    ])
+    # made before training, so an unwritable path fails in seconds
+    with _made_dirs(model_dir, report_dir):
+        params, scaling, report, val_raw = train_on_dataset(ds, cfg, args.split_seed)
+        provenance = _file_sha256(args.input)
+        save_checkpoint(args.output, params, ds.kick, scaling, provenance=provenance)
+        write_rows_csv(os.path.join(report_dir, "curves.csv"),
+                       ["epoch", "train_loss", "val_loss", "val_nrmse", "val_cosine"],
+                       [(ep, report.train_loss[ep], report.val_loss[ep],
+                         report.val_nrmse[ep], report.val_cosine[ep])
+                        for ep in range(report.epochs_run)])
+        best = report.best_epoch
+        write_report(os.path.join(report_dir, "report.txt"), [
+            ("command", "train"),
+            ("input_sha256", provenance),
+            ("examples", len(ds)),
+            ("validation_examples", len(val_raw)),
+            ("seed", args.seed),
+            ("split_seed", args.split_seed),
+            *train_config_pairs(cfg),
+            ("epochs_run", report.epochs_run),
+            ("best_epoch", best),
+            ("best_val_loss", report.val_loss[best]),
+            ("val_nrmse", report.val_nrmse[best]),
+            ("val_cosine", report.val_cosine[best]),
+            ("normalization_span_volts", scaling.pooled_span()),
+        ])
     print(f"best_epoch = {best}")
     print(f"val_nrmse = {format_value(report.val_nrmse[best])}")
     print(f"val_cosine = {format_value(report.val_cosine[best])}")

@@ -1,7 +1,13 @@
-"""Device configuration: the reference values and the text file format.
+"""How numbers are read and written, the small writers, and the device file.
 
-The config file is plain key-value text, one `key = values` pair per
-line, `#` comments allowed.  Matrices are flattened row-major:
+Every text file here spells numbers one way.  `parse_float` and
+`parse_int` read them; `format_value` writes them, a float as its
+shortest round-trip repr, so a written number reads back bit for bit.
+`write_report` (`key = value` lines) and `write_rows_csv` write the
+result files in that form.
+
+The device config file is plain key-value text, one `key = values` pair
+per line, `#` comments allowed.  Matrices are flattened row-major:
 
     # two-phase interferometer, simulated reference device
     resistances = 100.0, 100.0
@@ -28,7 +34,6 @@ import numpy as np
 
 from .device import DeviceConfig
 from .errors import FileFormatError, InvalidParameterError
-from .metrics import format_value
 
 __all__ = [
     "default_device_config",
@@ -39,6 +44,10 @@ __all__ = [
     "split_floats",
     "parse_float",
     "parse_int",
+    "format_value",
+    "format_values",
+    "write_report",
+    "write_rows_csv",
     "text_lines",
     "check_one_line",
     "CONFIG_DIR_ENV",
@@ -140,6 +149,35 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def format_value(x) -> str:
+    """Stable text form: shortest round-trip repr for floats, "none" for None."""
+    if x is None:
+        return "none"
+    if isinstance(x, (bool, int, str)):
+        return str(x)
+    return repr(float(x))
+
+
+def format_values(values, sep: str = " ") -> str:
+    """The numbers of `values`, flattened, as floats in `format_value`'s form."""
+    return sep.join(map(format_value, np.asarray(values, dtype=float).ravel()))
+
+
+def write_report(path, pairs):
+    """Line-oriented `key = value` report, deterministic byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in pairs:
+            fh.write(f"{key} = {format_value(value)}\n")
+
+
+def write_rows_csv(path, header, rows):
+    """Small CSV writer with the same stable float formatting."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_value, row)) + "\n")
+
+
 def text_lines(path):
     """Yield (1-based line number, line) of a UTF-8 text file.
 
@@ -200,27 +238,16 @@ def read_device_config(path) -> DeviceConfig:
     )
 
 
-def _fmt(values) -> str:
-    return ", ".join(map(format_value, np.asarray(values, dtype=float).ravel()))
-
-
 def write_device_config(cfg: DeviceConfig, path):
-    lines = [
-        "# tricalib device configuration",
-        f"resistances = {_fmt(cfg.resistances)}",
-        f"alpha = {_fmt(cfg.alpha)}",
-        f"alpha_nl = {_fmt(cfg.alpha_nl)}",
-        f"v_min = {_fmt([cfg.v_min])}",
-        f"v_max = {_fmt([cfg.v_max])}",
-        f"mean_total = {_fmt([cfg.mean_total])}",
-    ]
-    if cfg.tritter is not None:
-        interleaved = np.empty(18)
-        interleaved[0::2] = cfg.tritter.real.ravel()
-        interleaved[1::2] = cfg.tritter.imag.ravel()
-        lines.append(f"tritter = {_fmt(interleaved)}")
+    """Write `cfg` as `read_device_config` reads it, every number a float."""
+    fields = [("resistances", cfg.resistances), ("alpha", cfg.alpha),
+              ("alpha_nl", cfg.alpha_nl), ("v_min", cfg.v_min), ("v_max", cfg.v_max),
+              ("mean_total", cfg.mean_total)]
+    if cfg.tritter is not None:  # row-major, re/im interleaved
+        fields.append(("tritter", np.stack([cfg.tritter.real, cfg.tritter.imag], axis=-1)))
+    text = "".join(f"{key} = {format_values(values, ', ')}\n" for key, values in fields)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# tricalib device configuration\n" + text)
 
 
 def resolve_device_config(explicit_path=None) -> DeviceConfig:

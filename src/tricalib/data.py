@@ -32,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import check_one_line, parse_float, parse_float_rows, text_lines
+from .config import check_one_line, format_value, parse_float, parse_float_rows, text_lines
 from .device import DeviceConfig, voltage_probabilities
 from .errors import DegenerateDataError, FileFormatError, InvalidParameterError
-from .metrics import format_value, fresh_noise
+from .metrics import fresh_noise
 
 __all__ = [
     "KickConfig",

@@ -83,7 +83,7 @@ class DeviceConfig:
         if self.v_min < 0.0 or self.v_max <= self.v_min:
             raise InvalidParameterError("voltage range must satisfy 0 <= v_min < v_max")
         if not np.isfinite(self.mean_total) or self.mean_total <= 0.0:
-            raise InvalidParameterError("mean_total must be positive")
+            raise InvalidParameterError("mean_total must be finite and > 0")
         if self.tritter is not None:
             t = np.asarray(self.tritter, dtype=complex)
             if t.shape != (3, 3):
@@ -104,7 +104,7 @@ def _check_voltages(v, device: DeviceConfig):
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("voltages must be finite")
     if v.size and (v.min() < device.v_min or v.max() > device.v_max):
-        from .metrics import format_value  # metrics imports this module
+        from .config import format_value  # config imports this module
         bad = v.min() if v.min() < device.v_min else v.max()
         lo, hi = format_value(device.v_min), format_value(device.v_max)
         raise InvalidParameterError(f"voltage {format_value(bad)} V outside the device "

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import write_report, write_rows_csv
 from .data import (
     Dataset,
     build_grid,
@@ -26,14 +27,7 @@ from .data import (
 )
 from .device import DeviceConfig, voltage_probabilities
 from .errors import InvalidParameterError
-from .metrics import (
-    cosine_similarity,
-    fresh_noise,
-    mean_and_sd,
-    noisy_draw,
-    write_report,
-    write_rows_csv,
-)
+from .metrics import cosine_similarity, fresh_noise, mean_and_sd, noisy_draw
 from .net import TrainConfig, _one_blas_thread, predict, train
 
 __all__ = [

@@ -26,9 +26,6 @@ __all__ = [
     "noisy_draw",
     "mean_and_sd",
     "repeated_test_evaluation",
-    "format_value",
-    "write_report",
-    "write_rows_csv",
 ]
 
 
@@ -150,35 +147,3 @@ def repeated_test_evaluation(
         cs[r] = cosine_similarity(y, yhat)
     return nr, cs, first
 
-
-def _format_value(x) -> str:
-    if x is None:
-        return "none"
-    if isinstance(x, (bool, int, str)):
-        return str(x)
-    return repr(float(x))
-
-
-def format_value(x) -> str:
-    """Stable text form: shortest round-trip repr for floats, "none" for None.
-
-    The writers below call `_format_value` per cell instead, so a wrapper
-    put around this public function (a tracer's span, say) costs nothing
-    per cell.
-    """
-    return _format_value(x)
-
-
-def write_report(path, pairs):
-    """Line-oriented `key = value` report, deterministic byte for byte."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in pairs:
-            fh.write(f"{key} = {_format_value(value)}\n")
-
-
-def write_rows_csv(path, header, rows):
-    """Small CSV writer with the same stable float formatting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_format_value, row)) + "\n")

@@ -49,14 +49,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_one_line, parse_int, split_floats
+from .config import check_one_line, format_values, parse_int, split_floats
 from .data import Dataset, KickConfig, TargetScaling
 from .errors import (
     CheckpointError,
     InvalidParameterError,
     TrainingDivergedError,
 )
-from .metrics import cosine_similarity, format_value, nrmse
+from .metrics import cosine_similarity, nrmse
 
 __all__ = [
     "TrainConfig",
@@ -466,10 +466,6 @@ class Checkpoint:
     provenance: str
 
 
-def _fmt_vec(vec) -> str:
-    return " ".join(map(format_value, np.asarray(vec, dtype=float).ravel()))
-
-
 def _storage_dtype(arrays):
     """'<f4' when every value of `arrays` survives a round trip through
     float32 bit for bit, else '<f8'.  The bits are compared, so -0.0
@@ -537,9 +533,9 @@ def save_checkpoint(path, params, kick: KickConfig, scaling: TargetScaling,
         _MAGIC,
         f"format {_FORMAT}",
         "sizes " + " ".join(str(s) for s in sizes),
-        "kick " + _fmt_vec((kick.dv1, kick.dv2)),
-        "scale_lo " + _fmt_vec(scaling.lo),
-        "scale_hi " + _fmt_vec(scaling.hi),
+        "kick " + format_values((kick.dv1, kick.dv2)),
+        "scale_lo " + format_values(scaling.lo),
+        "scale_hi " + format_values(scaling.hi),
         f"provenance {provenance}",
         f"dtype {dtype}",
     ]

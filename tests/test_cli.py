@@ -279,6 +279,38 @@ def test_train_unwritable_report_dir_fails_before_training(toy, tmp_path, capsys
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--report-dir", "{tmp}/blocker/sub"], 10),
+    (["--report-dir", "{tmp}/blocker"], 10),
+    (["-o", "{tmp}/blocker/model.ckpt"], 10),
+    (["--lr", "1e160"], 8),
+    (["-i", "{tmp}/one.csv"], 4),
+    (["--lr", "1e160", "--report-dir", "{tmp}/rpt"], 8),
+], ids=["report-dir-under-a-file", "report-dir-is-a-file", "model-dir-is-a-file",
+        "diverged", "one-setting", "report-dir-existed"])
+def test_failed_train_removes_the_directories_it_made(toy, tmp_path, monkeypatch, flags, code):
+    """`train` makes its directories before training.  When it then fails,
+    each one it made that is still empty is removed, deepest first; an
+    empty report directory that existed before stays.  A plain file where
+    a directory must be exits 10 before training starts, so no checkpoint
+    is written.  (The last `-i` or `-o` wins.)"""
+    trained = []
+    real_train = cli.train_on_dataset
+    monkeypatch.setattr(cli, "train_on_dataset", lambda *a: trained.append(1) or real_train(*a))
+    (tmp_path / "blocker").write_text("")
+    (tmp_path / "rpt").mkdir()
+    lines = toy["ds"].read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l[0].isdigit())
+    (tmp_path / "one.csv").write_text("\n".join(lines[:first + 1] + [lines[first]] * 2) + "\n")
+    model = tmp_path / "m" / "deep" / "model.ckpt"
+    assert run_cli(["train", "-i", str(toy["ds"]), "-o", str(model), *FAST,
+                    *(f.format(tmp=tmp_path) for f in flags)]) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "one.csv", "rpt"]
+    assert (tmp_path / "blocker").is_file()
+    assert not trained if code == 10 else trained
+    assert list((tmp_path / "rpt").iterdir()) == []
+
+
 def test_predict_round_trip(toy, capsys):
     feats = read_csv(toy["ds"]).features[0]
     probs_arg = ",".join(repr(float(p)) for p in feats)
@@ -960,20 +992,26 @@ def test_exit_code_corrupt_checkpoint(toy, tmp_path):
 
 
 def _rechecksummed_model(toy, tmp_path, edit):
-    """A copy of the toy model with W0's data line edited and the checksum
-    recomputed, so the edit reaches the tensor parser."""
-    lines = toy["model"].read_text().splitlines()[:-1]
-    row = lines.index("tensor W0 24 12") + 1
-    lines[row] = edit(lines[row])
-    payload = "\n".join(lines) + "\n"
+    """A copy of the toy model with its lines (checksum dropped) passed
+    through `edit` and the checksum recomputed, so the edit reaches the
+    checkpoint parser."""
+    payload = "\n".join(edit(toy["model"].read_text().splitlines()[:-1])) + "\n"
     bad = tmp_path / "edited.ckpt"
     bad.write_text(payload + f"checksum {hashlib.sha256(payload.encode()).hexdigest()}\n")
     return bad
 
 
+def _w0_data(edit):
+    """An edit of the model's lines that edits W0's data line only."""
+    def edit_lines(lines):
+        row = lines.index("tensor W0 24 12") + 1
+        return lines[:row] + [edit(lines[row])] + lines[row + 1:]
+    return edit_lines
+
+
 def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
     """A NaN weight under a valid checksum is exit 7, not `v1 = nan`."""
-    bad = _rechecksummed_model(toy, tmp_path, lambda data: "0000c07f" + data[8:])
+    bad = _rechecksummed_model(toy, tmp_path, _w0_data(lambda data: "0000c07f" + data[8:]))
     probs_arg = ",".join(["0.1"] * 12)
     assert run_cli(["predict", "-m", str(bad), "--probs", probs_arg]) == 7
     captured = capsys.readouterr()
@@ -981,16 +1019,22 @@ def test_exit_code_nan_checkpoint_weight(toy, tmp_path, capsys):
     assert "non-finite value in tensor W0" in captured.err and "Traceback" not in captured.err
 
 
-# Edits of a format 4 data line (hex little-endian float32, as `train`
-# stores its weights) under a valid checksum; the NaN case is
-# test_exit_code_nan_checkpoint_weight.
+# Edits of a format 4 checkpoint under a valid checksum: of W0's data
+# line (hex little-endian float32, as `train` stores its weights), a
+# scaling bound short of the outputs, and a file cut before its last
+# tensor.  The NaN case is test_exit_code_nan_checkpoint_weight.
 @pytest.mark.parametrize("edit, message", [
-    (lambda data: data[:-2], "tensor W0 holds 1151 bytes, expected 1152"),  # one byte short
-    (lambda data: "g" + data[1:], "bad hex data in tensor W0"),
-    (lambda data: data[:-8] + "000080ff", "non-finite value in tensor W0"),  # -inf
-    (lambda data: " \t".join(data[i:i + 8] for i in range(0, len(data), 8)) + "  ",
+    (_w0_data(lambda data: data[:-2]), "tensor W0 holds 1151 bytes, expected 1152"),
+    (_w0_data(lambda data: "g" + data[1:]), "bad hex data in tensor W0"),
+    (_w0_data(lambda data: data[:-8] + "000080ff"), "non-finite value in tensor W0"),  # -inf
+    (_w0_data(lambda data: " \t".join(data[i:i + 8] for i in range(0, len(data), 8)) + "  "),
      "bad hex data in tensor W0"),  # whitespace between and after the float32s
-], ids=["one-byte-short", "non-hex", "minus-inf", "whitespace"])
+    (lambda lines: [l.rpartition(" ")[0] if l.startswith("scale_lo ") else l for l in lines],
+     "malformed checkpoint header: sizes [12, 24, 24, 4] with 3/4 scaling entries"),
+    (lambda lines: lines[:lines.index("tensor b2 1 4")],
+     "truncated checkpoint: expected tensor b2"),
+], ids=["one-byte-short", "non-hex", "minus-inf", "whitespace",
+        "three-scale_lo-values", "cut-before-the-last-tensor"])
 def test_exit_code_bad_checkpoint_tensor_data(toy, tmp_path, capsys, edit, message):
     bad = _rechecksummed_model(toy, tmp_path, edit)
     assert run_cli(["predict", "-m", str(bad), "--probs", ",".join(["0.1"] * 12)]) == 7
@@ -1246,6 +1290,27 @@ def test_exit_code_photon_budget_numpy_cannot_draw(toy, tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err == (f"error[invalid-parameter]: photon budget {budget} exceeds "
                    "9.223372006484771e+18, the largest Poisson mean numpy can draw\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, device_line, message", [
+    (["--replicas", "0"], None, "replicas must be >= 1"),
+    ([], "v_min = nan", "voltage range must be finite"),
+    ([], "mean_total = inf", "mean_total must be finite and > 0"),
+], ids=["replicas-0", "v_min-nan", "mean_total-inf"])
+def test_exit_code_gen_dataset_invalid_parameter(tmp_path, capsys, flags, device_line, message):
+    """No replica, or a device file whose voltage range or photon budget
+    is not finite, is exit 3 with one line, and no dataset is written."""
+    cfg = tmp_path / "device.cfg"
+    write_device_config(default_device_config(), cfg)
+    if device_line:
+        key = device_line.split(" = ")[0]
+        cfg.write_text(re.sub(rf"^{key} = .*$", device_line, cfg.read_text(), flags=re.M))
+    out = tmp_path / "out.csv"
+    assert run_cli(["gen-dataset", *TOY_GRID, *flags, "--device-config", str(cfg),
+                    "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[invalid-parameter]: {message}\n", err
     assert not out.exists()
 
 

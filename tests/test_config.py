@@ -1,4 +1,5 @@
-"""Device config: defaults, file round-trip, lookup order, rejection."""
+"""Number spelling, the small writers and the device config: defaults, file
+round-trip, lookup order, rejection."""
 
 import warnings
 from dataclasses import replace
@@ -12,11 +13,14 @@ from tricalib.config import (
     CONFIG_DIR_ENV,
     CONFIG_FILE_NAME,
     default_device_config,
+    format_value,
     parse_float,
     parse_int,
     read_device_config,
     resolve_device_config,
     write_device_config,
+    write_report,
+    write_rows_csv,
 )
 from tricalib.device import tritter_unitary
 from tricalib.errors import CalibrationError, FileFormatError, InvalidParameterError
@@ -37,6 +41,18 @@ def test_default_config_sanity():
     assert nl[0, 0] / a[0, 0] == pytest.approx(0.45)
 
 
+# every number in its shortest round-trip spelling: `100.0`, never `100`
+DEFAULT_DEVICE_TEXT = """\
+# tricalib device configuration
+resistances = 100.0, 100.0
+alpha = 6.0, 3.0, 3.0, 6.0
+alpha_nl = 2.7, 1.35, 1.35, 2.7
+v_min = 0.0
+v_max = 8.0
+mean_total = 1000.0
+"""
+
+
 def test_write_read_round_trip(tmp_path):
     cfg = default_device_config()
     path = tmp_path / "device.cfg"
@@ -48,6 +64,7 @@ def test_write_read_round_trip(tmp_path):
     assert back.v_min == cfg.v_min and back.v_max == cfg.v_max
     assert back.mean_total == cfg.mean_total
     assert back.tritter is None
+    assert path.read_text(encoding="utf-8") == DEFAULT_DEVICE_TEXT
 
 
 def test_tritter_override_round_trip(tmp_path):
@@ -62,6 +79,9 @@ def test_tritter_override_round_trip(tmp_path):
     back = read_device_config(path)
     assert back.tritter is not None
     np.testing.assert_array_equal(back.tritter, q)
+    interleaved = np.stack([q.real.ravel(), q.imag.ravel()], axis=-1).ravel()
+    assert path.read_text(encoding="utf-8") == (
+        DEFAULT_DEVICE_TEXT + "tritter = " + ", ".join(map(repr, interleaved.tolist())) + "\n")
 
 
 def test_non_unitary_tritter_rejected():
@@ -234,3 +254,52 @@ def test_device_config_byte_mutation_fuzz(config_fuzz_base, mutations):
     if cfg.tritter is not None:
         numbers.append(cfg.tritter)
     assert all(np.isfinite(x).all() for x in numbers)
+
+
+# ------------------------------------------------------------ report output
+
+
+def test_format_value_round_trips():
+    for x in (0.1, 1.0 / 3.0, 1e-17, 12345.6789, -0.0):
+        assert float(format_value(x)) == x
+    assert format_value(True) == "True"
+    assert format_value(7) == "7"
+    assert format_value("simulated") == "simulated"
+    assert format_value(None) == "none"
+
+
+def test_write_report_deterministic(tmp_path):
+    pairs = [("val_nrmse", 0.02043916357267829),
+             ("val_cosine", 0.9995677212161831),
+             ("best_epoch", 106),
+             ("provenance", "simulated")]
+    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_report(p1, pairs)
+    write_report(p2, pairs)
+    assert p1.read_bytes() == p2.read_bytes()
+    text = p1.read_text()
+    assert "val_nrmse = 0.02043916357267829\n" in text
+    assert "best_epoch = 106\n" in text
+
+
+def test_write_rows_csv_round_trips(tmp_path):
+    rows = [[1, 0.1, "full"], [2, 2.0 / 3.0, "sub"]]
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["idx", "value", "tag"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "idx,value,tag"
+    assert len(lines) == 3
+    idx, value, tag = lines[2].split(",")
+    assert int(idx) == 2 and float(value) == 2.0 / 3.0 and tag == "sub"
+
+
+def test_writers_spell_cells_as_format_value(tmp_path):
+    """The writers' bytes are `format_value`'s text, cell by cell."""
+    pairs = [("val_nrmse", 0.1), ("best_epoch", 7), ("mean_total", None), ("tag", "sim")]
+    rows = [[1, 0.1, "full"], [2, 2.0 / 3.0, None], [True, -0.0, 1e-17]]
+    expected_report = "".join(f"{k} = {format_value(v)}\n" for k, v in pairs)
+    expected_csv = "a,b,c\n" + "".join(",".join(map(format_value, r)) + "\n" for r in rows)
+    write_report(tmp_path / "r.txt", pairs)
+    write_rows_csv(tmp_path / "r.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "r.txt").read_bytes() == expected_report.encode()
+    assert (tmp_path / "r.csv").read_bytes() == expected_csv.encode()

@@ -1,4 +1,4 @@
-"""Metric definitions, the repeated-test protocol, and report writers."""
+"""Metric definitions, the shot-noise draws and the repeated-test protocol."""
 
 import math
 
@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricalib import metrics
 from tricalib.config import default_device_config
 from tricalib.data import build_grid, generate_simulated, kick_from_steps
 from tricalib.device import estimate_probabilities, sample_counts
 from tricalib.errors import DegenerateDataError, InvalidParameterError, UndefinedMetricError
 from tricalib.metrics import (
     cosine_similarity,
-    format_value,
     fresh_noise,
     mean_and_sd,
     noisy_draw,
     nrmse,
     repeated_test_evaluation,
-    write_report,
-    write_rows_csv,
 )
 
 from conftest import same_bits
@@ -292,61 +288,3 @@ def test_mean_and_sd_equal_values_whose_sum_rounds_have_zero_sd(values):
     # np.std leaves a few ulps here (1.7e-17 for three copies of 0.1)
     assert np.std(values, ddof=1) != 0.0
     assert mean_and_sd(values)[1] == 0.0
-
-
-# ------------------------------------------------------------ report output
-
-
-def test_format_value_round_trips():
-    for x in (0.1, 1.0 / 3.0, 1e-17, 12345.6789, -0.0):
-        assert float(format_value(x)) == x
-    assert format_value(True) == "True"
-    assert format_value(7) == "7"
-    assert format_value("simulated") == "simulated"
-    assert format_value(None) == "none"
-
-
-def test_write_report_deterministic(tmp_path):
-    pairs = [("val_nrmse", 0.02043916357267829),
-             ("val_cosine", 0.9995677212161831),
-             ("best_epoch", 106),
-             ("provenance", "simulated")]
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_report(p1, pairs)
-    write_report(p2, pairs)
-    assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    assert "val_nrmse = 0.02043916357267829\n" in text
-    assert "best_epoch = 106\n" in text
-
-
-def test_write_rows_csv_round_trips(tmp_path):
-    rows = [[1, 0.1, "full"], [2, 2.0 / 3.0, "sub"]]
-    path = tmp_path / "rows.csv"
-    write_rows_csv(path, ["idx", "value", "tag"], rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "idx,value,tag"
-    assert len(lines) == 3
-    idx, value, tag = lines[2].split(",")
-    assert int(idx) == 2 and float(value) == 2.0 / 3.0 and tag == "sub"
-
-
-def test_writers_do_not_call_public_format_value(tmp_path, monkeypatch):
-    """A wrapper around `format_value` (as a tracer puts one) is not called
-    per cell by the writers, and their bytes are `format_value`'s text."""
-    pairs = [("val_nrmse", 0.1), ("best_epoch", 7), ("mean_total", None), ("tag", "sim")]
-    rows = [[1, 0.1, "full"], [2, 2.0 / 3.0, None], [True, -0.0, 1e-17]]
-    expected_report = "".join(f"{k} = {format_value(v)}\n" for k, v in pairs)
-    expected_csv = "a,b,c\n" + "".join(",".join(map(format_value, r)) + "\n" for r in rows)
-    calls = []
-
-    def counting(x):
-        calls.append(x)
-        return format_value(x)
-
-    monkeypatch.setattr(metrics, "format_value", counting)
-    metrics.write_report(tmp_path / "r.txt", pairs)
-    metrics.write_rows_csv(tmp_path / "r.csv", ["a", "b", "c"], rows)
-    assert calls == []
-    assert (tmp_path / "r.txt").read_bytes() == expected_report.encode()
-    assert (tmp_path / "r.csv").read_bytes() == expected_csv.encode()

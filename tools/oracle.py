@@ -7,6 +7,7 @@ The parent's `src/` is exported with `git archive REV src` into a
 temporary directory.  Each command of `COMMANDS` runs in a fresh
 `python -c` process, with `PYTHONPATH` set to one tree's `src/` and an
 output directory of its own as working directory, and under a timeout.
+That directory starts with one file, the device file `dev.cfg`.
 Then one row per file the commands wrote, and one per command's stdout,
 gives the name, both SHA-256 digests and whether they are equal.  The
 exit status is 1 if any row differs and is not named by
@@ -31,6 +32,26 @@ REPO = Path(__file__).resolve().parents[1]
 # takes well under a minute on a 2-core machine.
 TIMEOUT_S = 600
 
+# A device file with a non-ideal tritter: the ideal one plus 0.05 times a
+# complex normal matrix (numpy seed 4), made unitary again by QR.  It is
+# written into each run directory before the commands run, and is an
+# input, so it gets no row.
+DEVICE = "dev.cfg"
+DEVICE_TEXT = """\
+# tricalib device configuration
+resistances = 100.0, 100.0
+alpha = 6.0, 3.0, 3.0, 6.0
+alpha_nl = 2.7, 1.35, 1.35, 2.7
+v_min = 0.0
+v_max = 8.0
+mean_total = 1000.0
+tritter = 0.5501138284213418, 0.012207382982218158, 0.5964897382595007, \
+-0.004331622563933292, 0.5831325322908035, 0.03692471477927877, 0.6163048736956988, \
+0.01598782718410283, -0.2701336525728163, 0.47253210099003784, -0.2702099780079539, \
+-0.5006400734134362, 0.5515441170349205, 0.1137432836934572, -0.1916494666774746, \
+-0.557846694353319, -0.35951746800330786, 0.4535265042978241
+"""
+
 # An argv item ("probs", k) stands for the 12 feature fields of data row k
 # of that tree's d.csv, so `predict` reads the dataset the same tree wrote.
 MODEL, DATA = "m/model.ckpt", "d.csv"
@@ -52,6 +73,11 @@ COMMANDS = [
                     "--trainings", "2", "--jobs", "2", "-o", "sw"]),
     ("ablate-kicks", ["ablate-kicks", "--grid", "40", "--epochs", "30", "-o", "ab"]),
     ("gen-dataset-replicas", ["gen-dataset", "--replicas", "2", "-o", "d2.csv"]),
+    ("simulate-tritter", ["simulate", "--volts", "3,4", "--device-config", DEVICE]),
+    ("simulate-tritter-counts", ["simulate", "--volts", "3,4", "--counts", "2000",
+                                 "--device-config", DEVICE]),
+    ("gen-dataset-tritter", ["gen-dataset", "--grid", "40", "--device-config", DEVICE,
+                             "-o", "dt.csv"]),
 ]
 
 _MAIN = "import sys; from tricalib.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -95,9 +121,12 @@ def run_tree(src, commands, out_dir):
     """Run `commands` against the package under `src` in `out_dir`; return
     {row name: digest} for every command's stdout and every file written."""
     out_dir.mkdir(parents=True)
+    (out_dir / DEVICE).write_text(DEVICE_TEXT, encoding="utf-8")
     rows = {f"{name}.stdout": _run(src, argv, out_dir) for name, argv in commands}
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        rows[path.relative_to(out_dir).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        name = path.relative_to(out_dir).as_posix()
+        if name != DEVICE:
+            rows[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return rows
 
 
